@@ -101,22 +101,20 @@ impl Sds {
             Verdict::Normal
         }
     }
-}
 
-impl Detector for Sds {
-    fn name(&self) -> &str {
-        "SDS"
-    }
-
-    fn on_observation(&mut self, obs: Observation) -> DetectorStep {
-        self.b_access.on_observation(obs);
-        self.b_miss.on_observation(obs);
-        if let Some(p) = &mut self.p {
-            p.on_observation(obs);
-        }
+    /// Feeds one tick — each channel its own statistic — and combines
+    /// the channel states. The scheme's only stepping logic: scalar and
+    /// batch stepping both go through it. `period` is ignored when the
+    /// application is non-periodic.
+    fn step(&mut self, access: f64, miss: f64, period: f64) -> DetectorStep {
+        self.b_access.step_raw(access);
+        self.b_miss.step_raw(miss);
         let b_active = self.b_access.alarm_active() || self.b_miss.alarm_active();
-        let now_active = match &self.p {
-            Some(p) => b_active && p.alarm_active(),
+        let now_active = match &mut self.p {
+            Some(p) => {
+                p.step_raw(period);
+                b_active && p.alarm_active()
+            }
             None => b_active,
         };
         let became = now_active && !self.active;
@@ -127,78 +125,37 @@ impl Detector for Sds {
         DetectorStep { verdict: self.verdict(), became_active: became, throttle: None }
     }
 
-    /// Columnar stepping: each channel's statistic column is selected
-    /// once per batch and all three channels advance in one fused loop,
-    /// so the per-observation work is three smoothing pushes plus the
-    /// agreement combine — no virtual dispatch, no per-observation
-    /// statistic selection. The combine and verdict bodies mirror
-    /// [`Detector::on_observation`] and `Sds::verdict` line for line, so
-    /// the step stream is bit-identical to scalar stepping.
+    /// The statistic the period channel monitors (any column will do
+    /// for a non-periodic application, whose `period` input is unused).
+    fn period_stat(&self) -> Stat {
+        self.p.as_ref().map_or(Stat::AccessNum, |p| p.params().stat)
+    }
+}
+
+impl Detector for Sds {
+    fn name(&self) -> &str {
+        "SDS"
+    }
+
+    fn on_observation(&mut self, obs: Observation) -> DetectorStep {
+        self.step(
+            obs.stat(self.b_access.stat()),
+            obs.stat(self.b_miss.stat()),
+            obs.stat(self.period_stat()),
+        )
+    }
+
+    /// Columnar stepping: each channel's column is selected once per
+    /// batch and every tick goes through `Sds::step`, so batch and
+    /// scalar stepping share one body.
     // hot-path
     fn step_batch(&mut self, batch: ObservationBatch<'_>, out: &mut Vec<DetectorStep>) {
         let col_a = batch.column(self.b_access.stat());
         let col_m = batch.column(self.b_miss.stat());
+        let col_p = batch.column(self.period_stat());
         out.reserve(col_a.len());
-        match self.p.take() {
-            Some(mut p) => {
-                let col_p = batch.column(p.params().stat);
-                for ((&a, &m), &pr) in col_a.iter().zip(col_m).zip(col_p) {
-                    self.b_access.step_raw(a);
-                    self.b_miss.step_raw(m);
-                    p.advance(pr);
-                    let b_active =
-                        self.b_access.alarm_active() || self.b_miss.alarm_active();
-                    let now_active = b_active && p.alarm_active();
-                    let became = now_active && !self.active;
-                    if became {
-                        self.activations += 1;
-                    }
-                    self.active = now_active;
-                    let verdict = if self.active {
-                        Verdict::Alarm
-                    } else {
-                        let streak = self
-                            .b_access
-                            .consecutive_violations()
-                            .max(self.b_miss.consecutive_violations())
-                            .max(p.consecutive_changes());
-                        if streak > 0 {
-                            Verdict::Suspicious { consecutive: streak }
-                        } else {
-                            Verdict::Normal
-                        }
-                    };
-                    out.push(DetectorStep { verdict, became_active: became, throttle: None });
-                }
-                self.p = Some(p);
-            }
-            None => {
-                for (&a, &m) in col_a.iter().zip(col_m) {
-                    self.b_access.step_raw(a);
-                    self.b_miss.step_raw(m);
-                    let now_active =
-                        self.b_access.alarm_active() || self.b_miss.alarm_active();
-                    let became = now_active && !self.active;
-                    if became {
-                        self.activations += 1;
-                    }
-                    self.active = now_active;
-                    let verdict = if self.active {
-                        Verdict::Alarm
-                    } else {
-                        let streak = self
-                            .b_access
-                            .consecutive_violations()
-                            .max(self.b_miss.consecutive_violations());
-                        if streak > 0 {
-                            Verdict::Suspicious { consecutive: streak }
-                        } else {
-                            Verdict::Normal
-                        }
-                    };
-                    out.push(DetectorStep { verdict, became_active: became, throttle: None });
-                }
-            }
+        for ((&a, &m), &p) in col_a.iter().zip(col_m).zip(col_p) {
+            out.push(self.step(a, m, p));
         }
     }
 

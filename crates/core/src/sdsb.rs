@@ -13,9 +13,9 @@
 //! instance on `AccessNum` (bus-locking attacks drive it *below* range)
 //! and one on `MissNum` (cleansing attacks drive it *above* range).
 //!
-//! Stepping goes exclusively through [`Detector::on_observation`]; the
-//! raw-sample path is private so every caller sees the same
-//! [`DetectorStep`]/[`Verdict`] surface.
+//! Stepping goes exclusively through the [`Detector`] trait; the
+//! raw-sample step behind it is crate-private so every caller sees the
+//! same [`DetectorStep`]/[`Verdict`] surface.
 
 use crate::config::SdsBParams;
 use crate::detector::{
@@ -126,10 +126,10 @@ impl SdsB {
         }
     }
 
-    /// Feeds one raw sample of the monitored statistic. Crate-visible so
-    /// the combined [`crate::sds::Sds`] batch loop can step its channels
-    /// with pre-selected columns; external callers go through
-    /// [`Detector::on_observation`].
+    /// Feeds one raw sample of the monitored statistic — the scheme's
+    /// only stepping logic. [`Detector::on_observation`] and
+    /// [`Detector::step_batch`] call it per sample, and the combined
+    /// [`crate::sds::Sds`] steps its boundary channels through it.
     pub(crate) fn step_raw(&mut self, raw: f64) -> DetectorStep {
         let mut became = false;
         if let Some(s) = self.pipeline.push(raw) {
@@ -159,36 +159,15 @@ impl Detector for SdsB {
         self.step_raw(obs.stat(self.params.stat))
     }
 
-    /// Columnar stepping: one pass over the statistic's column with the
-    /// verdict cached between pipeline emissions, so the per-sample work
-    /// between window steps is a single `Pipeline::push` and a copy —
-    /// no virtual dispatch, no statistic re-selection, no verdict
-    /// recomputation. Bit-identical to the scalar loop by construction
-    /// (the emission arm is `step_raw`'s body verbatim).
+    /// Columnar stepping: the statistic's column is selected once per
+    /// batch and each sample goes through `SdsB::step_raw`, so batch
+    /// and scalar stepping share one body.
     // hot-path
     fn step_batch(&mut self, batch: ObservationBatch<'_>, out: &mut Vec<DetectorStep>) {
         let col = batch.column(self.params.stat);
         out.reserve(col.len());
-        let mut quiet = DetectorStep { verdict: self.verdict(), became_active: false, throttle: None };
         for &raw in col {
-            if let Some(s) = self.pipeline.push(raw) {
-                self.last_ewma = Some(s.ewma);
-                if self.range.is_violation(s.ewma) {
-                    self.consecutive = self.consecutive.saturating_add(1);
-                } else {
-                    self.consecutive = 0;
-                }
-                let now_active = self.consecutive >= self.params.h_c;
-                let became = now_active && !self.active;
-                if became {
-                    self.activations += 1;
-                }
-                self.active = now_active;
-                quiet = DetectorStep { verdict: self.verdict(), became_active: false, throttle: None };
-                out.push(DetectorStep { verdict: quiet.verdict, became_active: became, throttle: None });
-            } else {
-                out.push(quiet);
-            }
+            out.push(self.step_raw(raw));
         }
     }
 

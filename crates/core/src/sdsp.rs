@@ -11,10 +11,10 @@
 //! periodic pattern disappears entirely, which a destroyed pattern under
 //! harsh attack does — the alarm raises.
 //!
-//! Stepping goes exclusively through [`Detector::on_observation`] (the
-//! statistic is chosen by [`SdsPParams::stat`]); the raw-sample path is
-//! private so every caller sees the same [`DetectorStep`]/[`Verdict`]
-//! surface.
+//! Stepping goes exclusively through the [`Detector`] trait (the
+//! statistic is chosen by [`SdsPParams::stat`]); the raw-sample step
+//! behind it is crate-private so every caller sees the same
+//! [`DetectorStep`]/[`Verdict`] surface.
 
 use crate::config::SdsPParams;
 use crate::detector::{
@@ -142,16 +142,18 @@ impl SdsP {
         }
     }
 
-    /// Feeds one raw sample of the monitored statistic.
-    fn step_raw(&mut self, raw: f64) -> DetectorStep {
+    /// Feeds one raw sample of the monitored statistic — the scheme's
+    /// only stepping logic. [`Detector::on_observation`] and
+    /// [`Detector::step_batch`] call it per sample, and the combined
+    /// [`crate::sds::Sds`] steps its period channel through it.
+    pub(crate) fn step_raw(&mut self, raw: f64) -> DetectorStep {
         let became = self.advance(raw);
         DetectorStep { verdict: self.verdict(), became_active: became, throttle: None }
     }
 
-    /// Core update; returns `true` on an inactive→active transition.
-    /// Crate-visible so the combined [`crate::sds::Sds`] batch loop can
-    /// step the period channel with a pre-selected column.
-    pub(crate) fn advance(&mut self, raw: f64) -> bool {
+    /// The state update behind [`SdsP::step_raw`]; returns `true` on an
+    /// inactive→active transition.
+    fn advance(&mut self, raw: f64) -> bool {
         let Some(m) = self.ma.push(raw) else {
             return false;
         };
@@ -208,23 +210,15 @@ impl Detector for SdsP {
         self.step_raw(obs.stat(self.params.stat))
     }
 
-    /// Columnar stepping over the statistic's column: the statistic is
-    /// selected once per batch instead of per observation and the loop
-    /// is monomorphic (no virtual dispatch). `advance` is a single MA
-    /// push on most ticks — the DFT-ACF recompute cadence dominates, so
-    /// the equivalence with scalar stepping is structural: the body is
-    /// `step_raw` with the column pre-selected.
+    /// Columnar stepping: the statistic's column is selected once per
+    /// batch and each sample goes through `SdsP::step_raw`, so batch
+    /// and scalar stepping share one body.
     // hot-path
     fn step_batch(&mut self, batch: ObservationBatch<'_>, out: &mut Vec<DetectorStep>) {
         let col = batch.column(self.params.stat);
         out.reserve(col.len());
         for &raw in col {
-            let became = self.advance(raw);
-            out.push(DetectorStep {
-                verdict: self.verdict(),
-                became_active: became,
-                throttle: None,
-            });
+            out.push(self.step_raw(raw));
         }
     }
 

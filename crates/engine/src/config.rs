@@ -130,11 +130,6 @@ pub struct Config {
     /// The totals stay exact in the event payloads and in
     /// [`crate::engine::EngineStats`].
     pub drop_log_every: u64,
-    /// Decode clean lines through the borrowed zero-allocation parser
-    /// (`true`, the default). `false` forces every line through the
-    /// allocating slow path; the log is identical either way — this
-    /// switch exists so equivalence tests can prove it.
-    pub fast_parse: bool,
     /// Collect per-stage ns counters (decode/dispatch/step/merge/write)
     /// and emit them in the final `engine_stats` line. Off by default:
     /// the counters are wall-clock measurements, so enabling them makes
@@ -153,7 +148,6 @@ impl Default for Config {
             batch: 256,
             max_sessions: 0,
             drop_log_every: 64,
-            fast_parse: true,
             prof: false,
             session: SessionConfig::default(),
             mitigation: MitigationPolicy::default(),
@@ -188,14 +182,6 @@ impl Config {
     #[must_use]
     pub fn drop_log_every(mut self, every: u64) -> Self {
         self.drop_log_every = every;
-        self
-    }
-
-    /// Enables or disables the zero-allocation parse path (builder
-    /// style).
-    #[must_use]
-    pub fn fast_parse(mut self, fast_parse: bool) -> Self {
-        self.fast_parse = fast_parse;
         self
     }
 
@@ -356,13 +342,11 @@ mod tests {
             .batch(512)
             .max_sessions(1_000)
             .drop_log_every(16)
-            .fast_parse(false)
             .prof(true);
         assert_eq!(cfg.workers, 4);
         assert_eq!(cfg.batch, 512);
         assert_eq!(cfg.max_sessions, 1_000);
         assert_eq!(cfg.drop_log_every, 16);
-        assert!(!cfg.fast_parse);
         assert!(cfg.prof);
         assert!(cfg.validate().is_ok());
     }

@@ -50,18 +50,17 @@
 //! `O(E log K)`, which is what lets verdict merging scale past a
 //! handful of shards.
 //!
-//! ## Ingest fast path
+//! ## Ingest path
 //!
-//! Clean lines decode through the borrowed
-//! [`parse_record_borrowed`](jsonl::parse_record_borrowed) parser —
-//! tenant names stay `&str` slices of the input line and route through
-//! the intern table ([`TenantId`]) without touching the heap. Lines the
-//! fast path cannot represent (escape sequences in protocol strings)
-//! fall back to the allocating [`JsonObject`] parser; lines it rejects
-//! go through [`jsonl::resync_line`] recovery, exactly as the slow path
-//! always did. `Config::fast_parse` turns the fast path off so
-//! equivalence tests can pin that both routes produce byte-identical
-//! logs.
+//! A JSONL stream is framed by [`jsonl::LineFramer`] — the same framer
+//! behind [`jsonl::Decoder`] — so line splitting, the line cap and
+//! UTF-8 recovery never depend on how the reader chunks its input.
+//! Each line decodes through the one record parser,
+//! [`parse_record_borrowed`](jsonl::parse_record_borrowed): tenant
+//! names stay `&str` slices of the input line (escaped ones decode into
+//! a reused scratch buffer) and route through the intern table
+//! ([`TenantId`]) without touching the heap. Lines it rejects go
+//! through [`jsonl::resync_line`] recovery.
 //!
 //! ## Determinism guarantee
 //!
@@ -97,7 +96,7 @@ use crate::slab::Slab;
 use memdos_core::detector::Observation;
 use memdos_core::CoreError;
 use memdos_metrics::binary::{self, BinDecoder, BinFrame};
-use memdos_metrics::jsonl::{self, JsonObject, LineBuf, RawKind, RawParse, Segment};
+use memdos_metrics::jsonl::{self, JsonObject, LineBuf, LineFramer, Piece, RawKind, Segment};
 use memdos_runner::ShardPool;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -159,7 +158,8 @@ pub struct EngineStats {
 #[derive(Debug, Default, Clone, Copy)]
 struct StageProf {
     enabled: bool,
-    /// Line → record decoding (fast parse, fallback and resync).
+    /// Line → record decoding (the record parse; resync recovery is
+    /// not billed here).
     decode_ns: u64,
     /// Binary-stream decoding (frame scan, checksum, resync) when the
     /// reader negotiated the binary wire format.
@@ -229,16 +229,6 @@ struct WireTable {
 struct WireEntry {
     name: String,
     cached: Option<TenantId>,
-}
-
-/// Carry state for the chunked JSONL line splitter: the partial line
-/// spanning reads, discard mode for an oversized line, and the
-/// physical-line count [`Engine::ingest_reader`] reports.
-#[derive(Debug, Default)]
-struct LineCarry {
-    buf: Vec<u8>,
-    discarding: Option<u64>,
-    lines: u64,
 }
 
 /// Final accounting of a reclaimed incarnation, retained per tenant so
@@ -326,6 +316,9 @@ pub struct Engine {
     merge_pos: Vec<usize>,
     /// Recycled log-line writer.
     render: LineBuf,
+    /// Recycled decode buffer for escaped protocol strings (see
+    /// [`jsonl::parse_record_borrowed`]).
+    unescaped: String,
     prof: StageProf,
     /// The mitigation response loop: per-tenant cases, rung memory and
     /// the pending control actions for the enclosing driver.
@@ -391,6 +384,7 @@ impl Engine {
             merge_heap: BinaryHeap::new(),
             merge_pos: Vec::new(),
             render: LineBuf::new(),
+            unescaped: String::new(),
             prof: StageProf::new(config.prof),
             mitigation: Coordinator::new(config.mitigation),
             notices: Vec::new(),
@@ -528,64 +522,43 @@ impl Engine {
 
     /// Ingests one input line, flushing when the batch fills.
     ///
-    /// Clean lines take the borrowed zero-allocation parse; lines it
-    /// cannot represent (escapes in protocol strings) fall back to the
-    /// [`JsonObject`] parser. A line neither accepts is resynchronised:
-    /// every embedded valid record is recovered (each under its own
-    /// arrival index, in line order) and the corrupted spans are logged
-    /// as `malformed` events — one bad byte never costs more than its
-    /// own span.
+    /// The line decodes through [`jsonl::parse_record_borrowed`]. A line
+    /// it rejects is resynchronised: every embedded valid record is
+    /// recovered (each under its own arrival index, in line order) and
+    /// the corrupted spans are logged as `malformed` events — one bad
+    /// byte never costs more than its own span.
     // hot-path
     pub fn ingest_line(&mut self, line: &str) {
-        if self.config.fast_parse {
-            let t0 = self.prof.start();
-            let parsed = jsonl::parse_record_borrowed(line);
-            let d = self.prof.lap(t0);
-            self.prof.decode_ns += d;
-            match parsed {
-                RawParse::Record(raw) => {
-                    let seq = self.alloc_seq();
-                    let t1 = self.prof.start();
-                    match raw.kind {
-                        RawKind::Sample { access, miss } => self.route_sample(
-                            seq,
-                            raw.tenant,
-                            Observation { access_num: access, miss_num: miss },
-                        ),
-                        RawKind::Close => self.route_close(seq, raw.tenant),
-                    }
-                    let d = self.prof.lap(t1);
-                    self.prof.dispatch_ns += d;
+        let mut scratch = std::mem::take(&mut self.unescaped);
+        let t0 = self.prof.start();
+        let parsed = jsonl::parse_record_borrowed(line, &mut scratch);
+        let d = self.prof.lap(t0);
+        self.prof.decode_ns += d;
+        match parsed {
+            Ok(raw) => {
+                let seq = self.alloc_seq();
+                let t1 = self.prof.start();
+                match raw.kind {
+                    RawKind::Sample { access, miss } => self.route_sample(
+                        seq,
+                        raw.tenant,
+                        Observation { access_num: access, miss_num: miss },
+                    ),
+                    RawKind::Close => self.route_close(seq, raw.tenant),
                 }
-                // The fast path only rejects what the slow path rejects
-                // for the same reason (pinned by the equivalence suite),
-                // so resync directly — re-parsing would fail again.
-                // lint:allow(hot-propagate) -- resync recovers from corrupt input; the fault path may allocate
-                RawParse::Reject(_) => self.ingest_resync(line),
-                // lint:allow(hot-propagate) -- the slow parse is the announced fallback; its diagnostics may allocate
-                RawParse::Fallback => match Record::parse_slow(line) {
-                    Ok(record) => {
-                        let seq = self.alloc_seq();
-                        self.ingest_record(seq, record);
-                    }
-                    Err(_) => self.ingest_resync(line),
-                },
+                let d = self.prof.lap(t1);
+                self.prof.dispatch_ns += d;
             }
-        } else {
-            match Record::parse(line) {
-                Ok(record) => {
-                    let seq = self.alloc_seq();
-                    self.ingest_record(seq, record);
-                }
-                Err(_) => self.ingest_resync(line),
-            }
+            // lint:allow(hot-propagate) -- resync recovers from corrupt input; the fault path may allocate
+            Err(_) => self.ingest_resync(line),
         }
+        self.unescaped = scratch;
         if self.pending >= self.config.batch {
             self.flush();
         }
     }
 
-    /// Recovers what it can from a line no parser accepted whole: each
+    /// Recovers what it can from a line the record parser rejected: each
     /// embedded valid record re-enters the normal path under its own
     /// arrival index and each corrupted span becomes a `malformed`
     /// event.
@@ -610,8 +583,8 @@ impl Engine {
     /// Ingests every byte of `reader`, negotiating the wire format from
     /// the first bytes of the stream: a stream opening with the binary
     /// preamble ([`binary::MAGIC`]) decodes through the [`BinDecoder`];
-    /// anything else is JSONL, split into physical lines that take the
-    /// same fast parse as [`Engine::ingest_line`]. Returns the number of
+    /// anything else is JSONL, framed by [`jsonl::LineFramer`] into lines
+    /// that each go through [`Engine::ingest_line`]. Returns the number of
     /// input spans consumed (physical lines for JSONL, frames for
     /// binary).
     /// Invalid UTF-8, oversized lines and corrupted frames are logged
@@ -652,129 +625,42 @@ impl Engine {
 
     /// The JSONL arm of [`Engine::ingest_reader`]; `prefix` holds bytes
     /// the format sniff already consumed from the reader.
-    ///
-    /// Framing (line split, 64 KiB line cap, UTF-8 splitting, the
-    /// physical-line count) mirrors [`jsonl::Decoder`]; each complete line then
-    /// takes [`Engine::ingest_line`]'s borrowed zero-allocation parse
-    /// instead of the decoder's owned [`JsonObject`] path — same events,
-    /// a fraction of the per-line cost.
     fn ingest_reader_jsonl<R: BufRead>(
         &mut self,
         prefix: &[u8],
         mut reader: R,
     ) -> std::io::Result<u64> {
-        let mut carry = LineCarry::default();
-        self.ingest_jsonl_chunk(&mut carry, prefix);
+        let mut framer = LineFramer::new(jsonl::DEFAULT_MAX_LINE);
+        framer.push(prefix, |piece| self.ingest_piece(piece));
         loop {
             let len = {
                 let chunk = reader.fill_buf()?;
                 if chunk.is_empty() {
                     break;
                 }
-                self.ingest_jsonl_chunk(&mut carry, chunk);
+                framer.push(chunk, |piece| self.ingest_piece(piece));
                 chunk.len()
             };
             reader.consume(len);
         }
-        // Trailing unterminated line at end of stream.
-        if let Some(dropped) = carry.discarding.take() {
-            carry.lines += 1;
-            self.push_oversized_line(dropped);
-        } else if !carry.buf.is_empty() {
-            carry.lines += 1;
-            let line = std::mem::take(&mut carry.buf);
-            self.ingest_jsonl_line(&line);
-        }
+        framer.finish(|piece| self.ingest_piece(piece));
         self.flush();
-        Ok(carry.lines)
+        Ok(framer.lines())
     }
 
-    /// Splits one chunk of a JSONL byte stream into physical lines,
-    /// feeding each complete line through the fast line path. Lines
-    /// longer than [`jsonl::DEFAULT_MAX_LINE`] are discarded wholesale
-    /// (one `malformed` event), so a stream that stops sending newlines
-    /// cannot grow the carry buffer without bound. Not `// hot-path`
-    /// itself: the per-sample contract is enforced on
-    /// [`Engine::ingest_line`], which every complete line goes through;
-    /// this wrapper only manages the carry buffer (reused, not grown
-    /// per line) and the fault paths.
-    fn ingest_jsonl_chunk(&mut self, carry: &mut LineCarry, chunk: &[u8]) {
-        let mut rest = chunk;
-        while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
-            let head = rest.get(..nl).unwrap_or(rest);
-            rest = rest.get(nl + 1..).unwrap_or(&[]);
-            carry.lines += 1;
-            if let Some(dropped) = carry.discarding.take() {
-                self.push_oversized_line(dropped + head.len() as u64);
-            } else if carry.buf.is_empty() {
-                self.ingest_jsonl_line(head);
-            } else {
-                carry.buf.extend_from_slice(head);
-                let line = std::mem::take(&mut carry.buf);
-                self.ingest_jsonl_line(&line);
-                // Reuse the carry allocation for the next split line.
-                carry.buf = line;
-                carry.buf.clear();
-            }
-        }
-        match carry.discarding.as_mut() {
-            Some(dropped) => *dropped += rest.len() as u64,
-            None => {
-                carry.buf.extend_from_slice(rest);
-                if carry.buf.len() > jsonl::DEFAULT_MAX_LINE {
-                    carry.discarding = Some(carry.buf.len() as u64);
-                    carry.buf.clear();
+    /// Ingests one framed piece of a JSONL stream: text takes
+    /// [`Engine::ingest_line`], a span the framer skipped (oversized
+    /// line, invalid UTF-8) becomes a `malformed` event.
+    fn ingest_piece(&mut self, piece: Piece<'_>) {
+        match piece {
+            Piece::Text(line) => self.ingest_line(line),
+            Piece::Skipped { bytes, reason } => {
+                let seq = self.alloc_seq();
+                self.push_malformed(seq, reason, Some(bytes));
+                if self.pending >= self.config.batch {
+                    self.flush();
                 }
             }
-        }
-    }
-
-    /// Ingests one complete physical line (no trailing newline),
-    /// splitting around invalid UTF-8 exactly as [`jsonl::Decoder`] does: each
-    /// valid fragment takes the normal line path, each offending span
-    /// becomes a `malformed` event, and scanning resumes after it.
-    fn ingest_jsonl_line(&mut self, line: &[u8]) {
-        let mut rest = line;
-        loop {
-            match std::str::from_utf8(rest) {
-                Ok(text) => {
-                    if !text.trim().is_empty() {
-                        self.ingest_line(text);
-                    }
-                    return;
-                }
-                Err(e) => {
-                    let valid = e.valid_up_to();
-                    if let Some(prefix) =
-                        rest.get(..valid).and_then(|p| std::str::from_utf8(p).ok())
-                    {
-                        if !prefix.trim().is_empty() {
-                            self.ingest_line(prefix);
-                        }
-                    }
-                    let bad = e.error_len().unwrap_or(rest.len() - valid).max(1);
-                    let seq = self.alloc_seq();
-                    self.push_malformed(seq, "invalid UTF-8", Some(bad));
-                    if self.pending >= self.config.batch {
-                        self.flush();
-                    }
-                    let next = (valid + bad).min(rest.len());
-                    rest = rest.get(next..).unwrap_or(&[]);
-                    if rest.is_empty() {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Logs one oversized-line rejection (`dropped` bytes discarded).
-    fn push_oversized_line(&mut self, dropped: u64) {
-        let seq = self.alloc_seq();
-        let reason = format!("line exceeds the {}-byte cap", jsonl::DEFAULT_MAX_LINE);
-        self.push_malformed(seq, &reason, Some(dropped as usize));
-        if self.pending >= self.config.batch {
-            self.flush();
         }
     }
 
@@ -875,10 +761,10 @@ impl Engine {
         }
     }
 
-    /// Routes one decoded (owned) record — the slow/resync path. The
-    /// fast path routes its borrowed fields through the same
-    /// [`Engine::route_sample`]/[`Engine::route_close`], so both paths
-    /// share one behaviour.
+    /// Routes one record recovered by resynchronisation. Clean lines
+    /// route their borrowed fields through the same
+    /// [`Engine::route_sample`]/[`Engine::route_close`], so both share
+    /// one behaviour.
     fn ingest_record(&mut self, seq: u64, record: Record) {
         match record {
             Record::Sample { tenant, obs } => self.route_sample(seq, &tenant, obs),
@@ -2156,25 +2042,39 @@ mod tests {
         }
     }
 
+    /// `line` with its tenant name written entirely as `\u` escapes.
+    fn escape_tenant(line: &str) -> String {
+        let Some((head, rest)) = line.split_once(r#""tenant":""#) else {
+            return line.to_string();
+        };
+        let Some((name, tail)) = rest.split_once('"') else {
+            return line.to_string();
+        };
+        let name: String = name.chars().map(|c| format!("\\u{:04x}", c as u32)).collect();
+        format!(r#"{head}"tenant":"{name}"{tail}"#)
+    }
+
     #[test]
-    fn fast_parse_off_produces_identical_log() {
-        // The zero-allocation path must be unobservable in the output:
-        // clean lines, dirty lines, fused records, closes and reopens.
+    fn escaped_tenant_names_produce_identical_log() {
+        // Escape decoding must be unobservable in the output: the same
+        // records with every tenant name written as `\u` escapes log the
+        // same bytes, around dirty lines, fused records, closes and
+        // reopens (the dirty lines stay as they are).
         let mut lines = synthetic_lines();
         lines.insert(100, "not json at all".to_string());
         lines.insert(
             200,
             "{\"tenant\":\"vm-a\",\"acc{\"tenant\":\"vm-a\",\"access\":1,\"miss\":2}".to_string(),
         );
-        lines.insert(300, "{\"tenant\":\"vm\\u002da\",\"access\":7,\"miss\":3}".to_string());
         lines.insert(400, r#"{"tenant":"vm-c","ctl":"close"}"#.to_string());
+        let escaped: Vec<String> = lines
+            .iter()
+            .map(|l| if Record::parse(l).is_ok() { escape_tenant(l) } else { l.clone() })
+            .collect();
+        assert_eq!(escape_tenant(&lines[0]), r#"{"tenant":"\u0076\u006d\u002d\u0061","access":1000,"miss":100}"#);
         for workers in [1usize, 4] {
-            let fast = run(fast_config(workers, 256), &lines);
-            let slow = run(
-                Config { fast_parse: false, ..fast_config(workers, 256) },
-                &lines,
-            );
-            assert_eq!(fast, slow, "workers={workers}");
+            let plain = run(fast_config(workers, 256), &lines);
+            assert_eq!(run(fast_config(workers, 256), &escaped), plain, "workers={workers}");
         }
     }
 

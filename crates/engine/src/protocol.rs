@@ -13,7 +13,7 @@
 //! engine can log and count malformed input without dying.
 
 use memdos_core::detector::Observation;
-use memdos_metrics::jsonl::{parse_record_borrowed, JsonObject, RawKind, RawParse, RawRecord};
+use memdos_metrics::jsonl::{parse_record_borrowed, JsonObject, RawKind, RawRecord};
 
 pub use memdos_metrics::jsonl::RecordError;
 
@@ -42,10 +42,10 @@ impl Record {
         }
     }
 
-    /// Decodes one JSONL line: the zero-allocation fast path first
-    /// ([`parse_record_borrowed`]), with the [`JsonObject`] slow path
-    /// covering the escape-bearing lines the fast path defers on. Both
-    /// paths accept/reject identically (pinned by the engine's
+    /// Decodes one JSONL line through [`parse_record_borrowed`], the
+    /// record parser the engine ingests with. It accepts and rejects
+    /// exactly like [`JsonObject::parse`] followed by
+    /// [`Record::from_object`] (pinned by the engine's
     /// parser-equivalence suite).
     ///
     /// # Errors
@@ -55,27 +55,11 @@ impl Record {
     /// Render a human-readable reason lazily via
     /// [`RecordError::reason`].
     pub fn parse(line: &str) -> Result<Record, RecordError> {
-        match parse_record_borrowed(line) {
-            RawParse::Record(raw) => Ok(Record::from_raw(raw)),
-            RawParse::Reject(e) => Err(e),
-            RawParse::Fallback => Record::parse_slow(line),
-        }
+        let mut scratch = String::new();
+        parse_record_borrowed(line, &mut scratch).map(Record::from_raw)
     }
 
-    /// Decodes one JSONL line through the allocating [`JsonObject`]
-    /// parser only — the reference implementation [`Record::parse`]'s
-    /// fast path must agree with.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`RecordError`] class of the first problem.
-    pub fn parse_slow(line: &str) -> Result<Record, RecordError> {
-        let obj = JsonObject::parse(line).map_err(|_| RecordError::Syntax)?;
-        Record::from_object(&obj)
-    }
-
-    /// Takes ownership of a borrowed fast-path record.
-    // lint:allow(hot-propagate) -- owning the tenant key is the cost of leaving the borrowed fast path; the zero-alloc route stays on RawRecord
+    /// Takes ownership of a borrowed record.
     fn from_raw(raw: RawRecord<'_>) -> Record {
         match raw.kind {
             RawKind::Sample { access, miss } => Record::Sample {
@@ -175,7 +159,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_and_slow_paths_agree() {
+    fn parse_agrees_with_the_object_parser() {
         let lines = [
             r#"{"tenant":"vm-0","access":1234,"miss":56}"#,
             r#"{"tenant":"vm-1","ctl":"close"}"#,
@@ -185,14 +169,15 @@ mod tests {
             r#"{"tenant":"","access":1,"miss":2}"#,
             r#"{"tenant":"vm-0","ctl":"open"}"#,
             r#"{"tenant":"vm-0","access":1e999,"miss":2}"#,
-            // Escape-bearing lines take the slow path inside parse().
             "{\"tenant\":\"vm\\u002d9\",\"access\":1,\"miss\":2}",
             "{\"\\u0074enant\":\"vm-8\",\"access\":3,\"miss\":4}",
         ];
         for line in lines {
-            assert_eq!(Record::parse(line), Record::parse_slow(line), "line {line:?}");
+            let reference = JsonObject::parse(line)
+                .map_err(|_| RecordError::Syntax)
+                .and_then(|obj| Record::from_object(&obj));
+            assert_eq!(Record::parse(line), reference, "line {line:?}");
         }
-        // The escaped tenant decodes through the fallback.
         let r = Record::parse("{\"tenant\":\"vm\\u002d9\",\"access\":1,\"miss\":2}").unwrap();
         assert_eq!(r.tenant(), "vm-9");
     }

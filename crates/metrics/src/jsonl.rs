@@ -14,13 +14,17 @@
 //!
 //! Two surfaces share that grammar:
 //!
-//! * the [`JsonObject`] tree — general, allocating, used by reports and
-//!   the [`Decoder`]'s resynchronisation path;
-//! * the ingest fast path — [`parse_record_borrowed`] decodes a
-//!   protocol record as borrowed spans with zero heap allocation, and
-//!   [`LineBuf`] renders event lines into a reusable buffer through the
-//!   shared [`write_f64`]/[`write_u64`] formatters, byte-identical to
-//!   [`JsonObject::to_line`].
+//! * the [`JsonObject`] tree — general, allocating, used by reports, the
+//!   [`Decoder`] and the resynchronisation path;
+//! * the ingest path — [`parse_record_borrowed`] decodes a protocol
+//!   record as borrowed spans (escaped protocol strings decode into a
+//!   caller-owned scratch buffer) with no steady-state heap allocation,
+//!   and [`LineBuf`] renders event lines into a reusable buffer through
+//!   the shared [`write_f64`]/[`write_u64`] formatters, byte-identical
+//!   to [`JsonObject::to_line`].
+//!
+//! Byte streams are split into lines by one framer, [`LineFramer`],
+//! which both the [`Decoder`] and the engine's stream reader drive.
 
 use std::fmt::Write as _;
 
@@ -155,7 +159,6 @@ impl JsonObject {
     /// Returns a description of the first syntax problem: non-object
     /// lines, nested values, unterminated strings, bad escapes, or
     /// malformed numbers.
-    // lint:allow(hot-propagate) -- the error String is built only for malformed input, after which the record is rejected anyway
     pub fn parse(line: &str) -> Result<Self, String> {
         let mut parser = Parser { bytes: line.as_bytes(), pos: 0 };
         let obj = parser.parse_object()?;
@@ -260,6 +263,146 @@ pub fn resync_line(line: &str) -> Vec<Segment> {
     segments
 }
 
+/// One piece of a JSONL byte stream, as [`LineFramer`] hands it to its
+/// sink, in stream order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Piece<'a> {
+    /// A UTF-8-valid, non-blank stretch of one physical line: the whole
+    /// line, or a fragment between invalid UTF-8 spans.
+    Text(&'a str),
+    /// Bytes the framer skipped: an oversized line or an invalid UTF-8
+    /// span.
+    Skipped {
+        /// Number of bytes the span covers.
+        bytes: usize,
+        /// Why the span was skipped.
+        reason: &'a str,
+    },
+}
+
+/// The JSONL stream framer: splits arbitrary byte chunks into physical
+/// lines and each line into [`Piece`]s. It is the one framing layer
+/// every JSONL reader shares — [`Decoder`] wraps it, and the engine's
+/// stream reader drives it directly — so the pieces a stream yields
+/// never depend on how its bytes were chunked:
+///
+/// * lines longer than `max_line` bytes are skipped wholesale (one
+///   `Skipped` piece covering the whole line), whether the line arrived
+///   in one chunk or many, so a stream that stops sending newlines
+///   cannot grow the carry buffer without bound;
+/// * invalid UTF-8 splits the line — the valid text before it is
+///   emitted, the offending bytes are skipped, and the scan resumes
+///   after them;
+/// * blank text (whitespace only) is not emitted.
+///
+/// A line that ends inside one chunk is handed out as a borrowed slice
+/// of that chunk; only a line spanning chunks is copied into the carry
+/// buffer, which is reused from line to line.
+#[derive(Debug)]
+pub struct LineFramer {
+    carry: Vec<u8>,
+    max_line: usize,
+    /// In discard mode (oversized line): bytes thrown away so far.
+    discarding: Option<u64>,
+    lines: u64,
+    cap_reason: String,
+}
+
+impl LineFramer {
+    /// A framer with a per-line byte cap (minimum 16).
+    pub fn new(max_line: usize) -> Self {
+        let max_line = max_line.max(16);
+        LineFramer {
+            carry: Vec::new(),
+            max_line,
+            discarding: None,
+            lines: 0,
+            cap_reason: format!("line exceeds the {max_line}-byte cap"),
+        }
+    }
+
+    /// Number of physical lines (newline-terminated, or the final
+    /// partial one at [`LineFramer::finish`]) framed so far.
+    pub fn lines(&self) -> u64 {
+        self.lines
+    }
+
+    /// Frames one chunk of the stream, handing every piece of each line
+    /// the chunk completes to `sink`.
+    pub fn push(&mut self, chunk: &[u8], mut sink: impl FnMut(Piece<'_>)) {
+        let mut rest = chunk;
+        while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
+            let head = rest.get(..nl).unwrap_or(rest);
+            rest = rest.get(nl + 1..).unwrap_or(&[]);
+            self.lines += 1;
+            let len = self.carry.len() + head.len();
+            if let Some(dropped) = self.discarding.take() {
+                self.skip_oversized(dropped + head.len() as u64, &mut sink);
+            } else if len > self.max_line {
+                self.carry.clear();
+                self.skip_oversized(len as u64, &mut sink);
+            } else if self.carry.is_empty() {
+                split_utf8(head, &mut sink);
+            } else {
+                self.carry.extend_from_slice(head);
+                split_utf8(&self.carry, &mut sink);
+                self.carry.clear();
+            }
+        }
+        match self.discarding.as_mut() {
+            Some(dropped) => *dropped += rest.len() as u64,
+            None if self.carry.len() + rest.len() > self.max_line => {
+                self.discarding = Some((self.carry.len() + rest.len()) as u64);
+                self.carry.clear();
+            }
+            None => self.carry.extend_from_slice(rest),
+        }
+    }
+
+    /// Frames the trailing unterminated line at end of stream.
+    pub fn finish(&mut self, mut sink: impl FnMut(Piece<'_>)) {
+        if let Some(dropped) = self.discarding.take() {
+            self.lines += 1;
+            self.skip_oversized(dropped, &mut sink);
+        } else if !self.carry.is_empty() {
+            self.lines += 1;
+            split_utf8(&self.carry, &mut sink);
+            self.carry.clear();
+        }
+    }
+
+    fn skip_oversized(&self, bytes: u64, sink: &mut impl FnMut(Piece<'_>)) {
+        sink(Piece::Skipped { bytes: bytes as usize, reason: &self.cap_reason });
+    }
+}
+
+/// Emits one complete physical line (no trailing newline) as pieces,
+/// splitting around invalid UTF-8.
+fn split_utf8(line: &[u8], sink: &mut impl FnMut(Piece<'_>)) {
+    let mut rest = line;
+    loop {
+        let (text, bad) = match std::str::from_utf8(rest) {
+            Ok(text) => (text, None),
+            Err(e) => {
+                let valid = e.valid_up_to();
+                let text = rest
+                    .get(..valid)
+                    .and_then(|p| std::str::from_utf8(p).ok())
+                    .unwrap_or_default();
+                (text, Some((valid, e.error_len().unwrap_or(rest.len() - valid).max(1))))
+            }
+        };
+        if !text.trim().is_empty() {
+            sink(Piece::Text(text));
+        }
+        let Some((valid, bad)) = bad else {
+            return;
+        };
+        sink(Piece::Skipped { bytes: bad, reason: "invalid UTF-8" });
+        rest = rest.get((valid + bad).min(rest.len())..).unwrap_or(&[]);
+    }
+}
+
 /// One decoded frame from a [`Decoder`]: a record or a skipped span.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
@@ -276,30 +419,20 @@ pub enum Frame {
 }
 
 /// Incremental byte-stream JSONL decoder with resynchronisation and
-/// bounded buffering.
+/// bounded buffering: a [`LineFramer`] whose text pieces are parsed into
+/// owned [`JsonObject`]s.
 ///
 /// Feed arbitrary byte chunks with [`Decoder::push_bytes`] and drain
 /// complete frames with [`Decoder::drain`]; call [`Decoder::finish`] at
 /// end of stream for the trailing unterminated line. The decoder never
 /// panics on any input and always resynchronises to the next valid
-/// record:
-///
-/// * lines longer than `max_line` bytes are discarded wholesale (one
-///   `Skipped` frame), so a stream that stops sending newlines cannot
-///   grow the buffer without bound;
-/// * invalid UTF-8 splits the line — the valid prefix is scanned for
-///   records, the offending bytes are skipped, and scanning resumes
-///   after them;
-/// * within a (UTF-8-valid) line, [`resync_line`] recovers every
-///   embedded record around corrupted spans.
+/// record: the framer skips oversized lines and invalid UTF-8, and
+/// within a text piece [`resync_line`] recovers every embedded record
+/// around corrupted spans.
 #[derive(Debug)]
 pub struct Decoder {
-    buf: Vec<u8>,
-    max_line: usize,
-    /// In discard mode (oversized line): bytes thrown away so far.
-    discarding: Option<u64>,
+    framer: LineFramer,
     frames: Vec<Frame>,
-    lines: u64,
     /// Objects recovered by resynchronisation from dirty lines (lines
     /// that did not parse cleanly as exactly one object).
     resynced: u64,
@@ -322,20 +455,13 @@ impl Decoder {
 
     /// A decoder with a custom per-line byte cap (minimum 16).
     pub fn with_max_line(max_line: usize) -> Self {
-        Decoder {
-            buf: Vec::new(),
-            max_line: max_line.max(16),
-            discarding: None,
-            frames: Vec::new(),
-            lines: 0,
-            resynced: 0,
-        }
+        Decoder { framer: LineFramer::new(max_line), frames: Vec::new(), resynced: 0 }
     }
 
     /// Number of physical lines (newline-terminated or final partial)
     /// consumed so far.
     pub fn lines(&self) -> u64 {
-        self.lines
+        self.framer.lines()
     }
 
     /// Objects recovered by resynchronisation from dirty lines so far
@@ -346,36 +472,8 @@ impl Decoder {
 
     /// Feeds one chunk of the stream into the decoder.
     pub fn push_bytes(&mut self, chunk: &[u8]) {
-        for &b in chunk {
-            if let Some(dropped) = self.discarding.as_mut() {
-                if b == b'\n' {
-                    let total = *dropped;
-                    self.discarding = None;
-                    self.lines += 1;
-                    self.frames.push(Frame::Skipped {
-                        bytes: total as usize,
-                        reason: format!(
-                            "line exceeds the {}-byte cap",
-                            self.max_line
-                        ),
-                    });
-                } else {
-                    *dropped += 1;
-                }
-                continue;
-            }
-            if b == b'\n' {
-                self.lines += 1;
-                let line = std::mem::take(&mut self.buf);
-                self.decode_line(&line);
-            } else {
-                self.buf.push(b);
-                if self.buf.len() > self.max_line {
-                    self.discarding = Some(self.buf.len() as u64);
-                    self.buf.clear();
-                }
-            }
-        }
+        let (frames, resynced) = (&mut self.frames, &mut self.resynced);
+        self.framer.push(chunk, |piece| decode_piece(piece, frames, resynced));
     }
 
     /// Takes every frame decoded so far.
@@ -386,72 +484,34 @@ impl Decoder {
     /// Flushes the trailing unterminated line (end of stream) and takes
     /// the remaining frames.
     pub fn finish(&mut self) -> Vec<Frame> {
-        if let Some(dropped) = self.discarding.take() {
-            self.lines += 1;
-            self.frames.push(Frame::Skipped {
-                bytes: dropped as usize,
-                reason: format!("line exceeds the {}-byte cap", self.max_line),
-            });
-        } else if !self.buf.is_empty() {
-            self.lines += 1;
-            let line = std::mem::take(&mut self.buf);
-            self.decode_line(&line);
-        }
+        let (frames, resynced) = (&mut self.frames, &mut self.resynced);
+        self.framer.finish(|piece| decode_piece(piece, frames, resynced));
         self.drain()
     }
+}
 
-    /// Decodes one complete physical line (no trailing newline) into
-    /// frames, splitting around invalid UTF-8.
-    fn decode_line(&mut self, line: &[u8]) {
-        let mut rest = line;
-        loop {
-            match std::str::from_utf8(rest) {
-                Ok(text) => {
-                    self.scan_text(text);
-                    return;
-                }
-                Err(e) => {
-                    let valid = e.valid_up_to();
-                    if let Some(prefix) =
-                        rest.get(..valid).and_then(|p| std::str::from_utf8(p).ok())
-                    {
-                        self.scan_text(prefix);
-                    }
-                    let bad = e.error_len().unwrap_or(rest.len() - valid).max(1);
-                    self.frames.push(Frame::Skipped {
-                        bytes: bad,
-                        reason: "invalid UTF-8".to_string(),
-                    });
-                    let next = (valid + bad).min(rest.len());
-                    rest = rest.get(next..).unwrap_or(&[]);
-                    if rest.is_empty() {
-                        return;
-                    }
-                }
-            }
+/// Turns one framed piece into [`Decoder`] frames.
+fn decode_piece(piece: Piece<'_>, frames: &mut Vec<Frame>, resynced: &mut u64) {
+    let text = match piece {
+        Piece::Text(text) => text,
+        Piece::Skipped { bytes, reason } => {
+            frames.push(Frame::Skipped { bytes, reason: reason.to_string() });
+            return;
         }
+    };
+    // The common case: one clean object per line.
+    if let Ok(obj) = JsonObject::parse(text) {
+        frames.push(Frame::Object(obj));
+        return;
     }
-
-    fn scan_text(&mut self, text: &str) {
-        if text.trim().is_empty() {
-            return;
-        }
-        // Fast path: the common case of one clean object per line.
-        if let Ok(obj) = JsonObject::parse(text) {
-            self.frames.push(Frame::Object(obj));
-            return;
-        }
-        for segment in resync_line(text) {
-            self.frames.push(match segment {
-                Segment::Object(obj) => {
-                    self.resynced += 1;
-                    Frame::Object(obj)
-                }
-                Segment::Skipped { bytes, reason } => {
-                    Frame::Skipped { bytes, reason }
-                }
-            });
-        }
+    for segment in resync_line(text) {
+        frames.push(match segment {
+            Segment::Object(obj) => {
+                *resynced += 1;
+                Frame::Object(obj)
+            }
+            Segment::Skipped { bytes, reason } => Frame::Skipped { bytes, reason },
+        });
     }
 }
 
@@ -782,8 +842,8 @@ impl LineBuf {
     }
 }
 
-/// Why a line is not a protocol record. The fast path returns this as a
-/// small `Copy` enum — no `String` is built unless an error is actually
+/// Why a line is not a protocol record. [`parse_record_borrowed`]
+/// returns this as a small `Copy` enum — no `String` is built unless an error is actually
 /// rendered (see [`RecordError::reason`]), which keeps rejected lines
 /// cheap in the ingest hot loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -833,8 +893,9 @@ impl std::fmt::Display for RecordError {
 /// the tenant name is a span of the input, not a copy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RawRecord<'a> {
-    /// Tenant name (borrowed from the line; guaranteed escape-free, so
-    /// the span *is* the decoded value).
+    /// Decoded tenant name: a span of the line when it holds no escape
+    /// sequence, else the caller's scratch buffer holding the decoded
+    /// value.
     pub tenant: &'a str,
     /// Sample payload or control verb.
     pub kind: RawKind,
@@ -854,47 +915,39 @@ pub enum RawKind {
     Close,
 }
 
-/// Outcome of [`parse_record_borrowed`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RawParse<'a> {
-    /// A record, decoded with zero heap allocation.
-    Record(RawRecord<'a>),
-    /// The line is *definitely* not a record, for this reason — the
-    /// exact error the [`JsonObject`]-based slow path would report.
-    Reject(RecordError),
-    /// The fast path cannot decide without allocating (escape sequences
-    /// in a key or in a protocol string value); run the slow path.
-    Fallback,
-}
-
-/// Parses one protocol record directly from the line's bytes with zero
-/// heap allocation — the engine's ingest fast path.
+/// Parses one protocol record directly from the line's bytes — the
+/// engine's one record parser.
 ///
-/// The grammar and field semantics mirror [`JsonObject::parse`] +
-/// record validation exactly: flat objects only, duplicate keys
-/// first-wins, the same escape/number syntax. Three-way contract:
+/// The grammar and field semantics are those of [`JsonObject::parse`]
+/// followed by record validation: flat objects only, duplicate keys
+/// first-wins (after escape decoding), the same escape/number syntax,
+/// and the same [`RecordError`] class for every rejected line. The
+/// parser is total: every line yields a record or a reject.
 ///
-/// * [`RawParse::Record`] — the slow path would accept with the same
-///   field values;
-/// * [`RawParse::Reject`] — the slow path would reject with the same
-///   [`RecordError`];
-/// * [`RawParse::Fallback`] — escapes touched a key or a protocol
-///   string value, so decoding needs an allocation; the caller must
-///   re-parse through the slow path. Clean machine-generated streams
-///   never hit this.
+/// Strings are scanned in place. The few that need decoding — an
+/// escaped key, tenant name or `ctl` value — are decoded into
+/// `scratch`, whose allocation the caller keeps from line to line, so
+/// steady-state ingest allocates nothing; a clean tenant name is
+/// returned as a span of `line`.
+///
+/// # Errors
+///
+/// Returns the [`RecordError`] class of the first problem.
 // hot-path
-pub fn parse_record_borrowed(line: &str) -> RawParse<'_> {
+pub fn parse_record_borrowed<'a>(
+    line: &'a str,
+    scratch: &'a mut String,
+) -> Result<RawRecord<'a>, RecordError> {
     let mut p = RawParser { bytes: line.as_bytes(), text: line, pos: 0 };
     // First occurrence per protocol key, matching `JsonObject::get`.
     let mut tenant: Option<RawValue<'_>> = None;
     let mut ctl: Option<RawValue<'_>> = None;
     let mut access: Option<RawValue<'_>> = None;
     let mut miss: Option<RawValue<'_>> = None;
-    let mut escaped_key = false;
 
     p.skip_ws();
     if p.bump() != Some(b'{') {
-        return RawParse::Reject(RecordError::Syntax);
+        return Err(RecordError::Syntax);
     }
     p.skip_ws();
     if p.peek() == Some(b'}') {
@@ -902,98 +955,126 @@ pub fn parse_record_borrowed(line: &str) -> RawParse<'_> {
     } else {
         loop {
             p.skip_ws();
-            let Ok(key) = p.parse_string_raw() else {
-                return RawParse::Reject(RecordError::Syntax);
-            };
+            let key = p.parse_string_raw().map_err(|()| RecordError::Syntax)?;
             p.skip_ws();
             if p.bump() != Some(b':') {
-                return RawParse::Reject(RecordError::Syntax);
+                return Err(RecordError::Syntax);
             }
             p.skip_ws();
-            let Ok(value) = p.parse_value_raw() else {
-                return RawParse::Reject(RecordError::Syntax);
+            let value = p.parse_value_raw().map_err(|()| RecordError::Syntax)?;
+            let slot = match key.decode(scratch) {
+                "tenant" => Some(&mut tenant),
+                "ctl" => Some(&mut ctl),
+                "access" => Some(&mut access),
+                "miss" => Some(&mut miss),
+                _ => None,
             };
-            match key {
-                // An escaped key may decode to a protocol field name
-                // (and first-wins ordering would depend on it), so the
-                // whole line needs the decoding path.
-                RawStr::Escaped => escaped_key = true,
-                RawStr::Plain("tenant") => {
-                    if tenant.is_none() {
-                        tenant = Some(value);
-                    }
-                }
-                RawStr::Plain("ctl") => {
-                    if ctl.is_none() {
-                        ctl = Some(value);
-                    }
-                }
-                RawStr::Plain("access") => {
-                    if access.is_none() {
-                        access = Some(value);
-                    }
-                }
-                RawStr::Plain("miss") => {
-                    if miss.is_none() {
-                        miss = Some(value);
-                    }
-                }
-                RawStr::Plain(_) => {}
+            if let Some(slot) = slot {
+                slot.get_or_insert(value);
             }
             p.skip_ws();
             match p.bump() {
                 Some(b',') => continue,
                 Some(b'}') => break,
-                _ => return RawParse::Reject(RecordError::Syntax),
+                _ => return Err(RecordError::Syntax),
             }
         }
     }
     p.skip_ws();
     if p.pos != p.bytes.len() {
-        return RawParse::Reject(RecordError::Syntax);
+        return Err(RecordError::Syntax);
     }
-    if escaped_key {
-        return RawParse::Fallback;
-    }
-    // Record validation, in the exact order of the slow path.
-    let tenant = match tenant {
-        Some(RawValue::Str(RawStr::Plain(s))) => s,
-        Some(RawValue::Str(RawStr::Escaped)) => return RawParse::Fallback,
-        _ => return RawParse::Reject(RecordError::MissingTenant),
+    // Record validation, in the order of `Record::from_object`.
+    let Some(RawValue::Str(tenant)) = tenant else {
+        return Err(RecordError::MissingTenant);
     };
-    if tenant.is_empty() {
-        return RawParse::Reject(RecordError::EmptyTenant);
+    // Every escape decodes to at least one character, so the span is
+    // empty exactly when the decoded name is.
+    if tenant.span().is_empty() {
+        return Err(RecordError::EmptyTenant);
     }
-    if let Some(ctl) = ctl {
-        return match ctl {
-            RawValue::Str(RawStr::Plain("close")) => {
-                RawParse::Record(RawRecord { tenant, kind: RawKind::Close })
+    let kind = match ctl {
+        Some(RawValue::Str(verb)) if verb.decode(scratch) == "close" => RawKind::Close,
+        Some(RawValue::Str(_)) => return Err(RecordError::UnknownCtl),
+        Some(RawValue::Num(_) | RawValue::Bool) => return Err(RecordError::CtlNotString),
+        None => {
+            let Some(RawValue::Num(access)) = access else {
+                return Err(RecordError::MissingAccess);
+            };
+            let Some(RawValue::Num(miss)) = miss else {
+                return Err(RecordError::MissingMiss);
+            };
+            if !access.is_finite() || !miss.is_finite() {
+                return Err(RecordError::NonFinite);
             }
-            RawValue::Str(RawStr::Plain(_)) => RawParse::Reject(RecordError::UnknownCtl),
-            RawValue::Str(RawStr::Escaped) => RawParse::Fallback,
-            _ => RawParse::Reject(RecordError::CtlNotString),
-        };
-    }
-    let access = match access {
-        Some(RawValue::Num(n)) => n,
-        _ => return RawParse::Reject(RecordError::MissingAccess),
+            RawKind::Sample { access, miss }
+        }
     };
-    let miss = match miss {
-        Some(RawValue::Num(n)) => n,
-        _ => return RawParse::Reject(RecordError::MissingMiss),
-    };
-    if !access.is_finite() || !miss.is_finite() {
-        return RawParse::Reject(RecordError::NonFinite);
-    }
-    RawParse::Record(RawRecord { tenant, kind: RawKind::Sample { access, miss } })
+    Ok(RawRecord { tenant: tenant.decode(scratch), kind })
 }
 
-/// A string scanned in place by [`RawParser`]: either a clean span (the
-/// raw bytes are the decoded value) or one that contains escapes.
+/// A string scanned in place by [`RawParser`]: the span between the
+/// quotes, and whether it holds escape sequences (a clean span *is* the
+/// decoded value).
 #[derive(Debug, Clone, Copy)]
 enum RawStr<'a> {
     Plain(&'a str),
-    Escaped,
+    Escaped(&'a str),
+}
+
+impl<'a> RawStr<'a> {
+    /// The raw span between the quotes.
+    fn span(self) -> &'a str {
+        match self {
+            RawStr::Plain(s) | RawStr::Escaped(s) => s,
+        }
+    }
+
+    /// The decoded value: the span itself when it is clean, else the
+    /// span decoded into `scratch` (replacing its previous contents).
+    // hot-path
+    fn decode<'s>(self, scratch: &'s mut String) -> &'s str
+    where
+        'a: 's,
+    {
+        match self {
+            RawStr::Plain(s) => s,
+            RawStr::Escaped(raw) => {
+                scratch.clear();
+                unescape_into(raw, scratch);
+                scratch
+            }
+        }
+    }
+}
+
+/// Appends the decoded value of a string span that
+/// [`RawParser::parse_string_raw`] already validated, so every escape in
+/// it is well formed. Decodes exactly as [`Parser::parse_string`] does.
+// hot-path
+fn unescape_into(raw: &str, out: &mut String) {
+    let mut rest = raw;
+    while let Some(at) = rest.find('\\') {
+        out.push_str(rest.get(..at).unwrap_or_default());
+        let esc = rest.get(at + 1..).unwrap_or_default();
+        let (c, len) = match esc.as_bytes().first() {
+            Some(b'n') => ('\n', 1),
+            Some(b'r') => ('\r', 1),
+            Some(b't') => ('\t', 1),
+            Some(b'b') => ('\u{0008}', 1),
+            Some(b'f') => ('\u{000c}', 1),
+            Some(b'u') => {
+                let code = esc.get(1..5).and_then(|hex| u32::from_str_radix(hex, 16).ok());
+                (code.and_then(char::from_u32).unwrap_or(char::REPLACEMENT_CHARACTER), 5)
+            }
+            // `"`, `\` and `/` stand for themselves.
+            Some(&b) => (char::from(b), 1),
+            None => break,
+        };
+        out.push(c);
+        rest = esc.get(len..).unwrap_or_default();
+    }
+    out.push_str(rest);
 }
 
 /// A value scanned in place by [`RawParser`].
@@ -1004,7 +1085,7 @@ enum RawValue<'a> {
     Bool,
 }
 
-/// The zero-allocation twin of [`Parser`]: identical control flow and
+/// The in-place twin of [`Parser`]: identical control flow and
 /// validation, but strings come back as spans of the input instead of
 /// freshly decoded `String`s. Any divergence between the two is a bug —
 /// the engine's parser-equivalence suite drives both over the same
@@ -1047,15 +1128,11 @@ impl<'a> RawParser<'a> {
         loop {
             match self.bump() {
                 Some(b'"') => {
-                    let end = self.pos - 1;
-                    return if escaped {
-                        Ok(RawStr::Escaped)
-                    } else {
-                        // Both span boundaries sit on ASCII quotes, so
-                        // the slice is valid UTF-8 whenever the input
-                        // is (it is: we were handed a `&str`).
-                        self.text.get(start..end).map(RawStr::Plain).ok_or(())
-                    };
+                    // Both span boundaries sit on ASCII quotes, so the
+                    // slice is valid UTF-8 whenever the input is (it
+                    // is: we were handed a `&str`).
+                    let span = self.text.get(start..self.pos - 1).ok_or(())?;
+                    return Ok(if escaped { RawStr::Escaped(span) } else { RawStr::Plain(span) });
                 }
                 Some(b'\\') => {
                     escaped = true;
@@ -1069,7 +1146,7 @@ impl<'a> RawParser<'a> {
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or(())?;
                             let code = u32::from_str_radix(hex, 16).map_err(|_| ())?;
-                            // Same scalar-value check as the slow path.
+                            // Same scalar-value check as `Parser`.
                             char::from_u32(code).ok_or(())?;
                             self.pos = end;
                         }
@@ -1340,25 +1417,29 @@ mod tests {
         assert_eq!(buf.end(), r#"{"seq":7}"#);
     }
 
+    /// [`parse_record_borrowed`] with an owned tenant name.
+    fn parse_record(line: &str) -> Result<(String, RawKind), RecordError> {
+        let mut scratch = String::new();
+        parse_record_borrowed(line, &mut scratch).map(|r| (r.tenant.to_string(), r.kind))
+    }
+
     #[test]
     fn borrowed_parser_accepts_clean_records() {
-        match parse_record_borrowed(r#"{"tenant":"vm-0","access":1234,"miss":56}"#) {
-            RawParse::Record(RawRecord { tenant, kind: RawKind::Sample { access, miss } }) => {
+        match parse_record(r#"{"tenant":"vm-0","access":1234,"miss":56}"#) {
+            Ok((tenant, RawKind::Sample { access, miss })) => {
                 assert_eq!(tenant, "vm-0");
                 assert_eq!(access, 1234.0);
                 assert_eq!(miss, 56.0);
             }
             other => panic!("expected sample, got {other:?}"),
         }
-        match parse_record_borrowed(r#" { "tenant" : "vm-1" , "ctl" : "close" } "#) {
-            RawParse::Record(RawRecord { tenant, kind: RawKind::Close }) => {
-                assert_eq!(tenant, "vm-1");
-            }
+        match parse_record(r#" { "tenant" : "vm-1" , "ctl" : "close" } "#) {
+            Ok((tenant, RawKind::Close)) => assert_eq!(tenant, "vm-1"),
             other => panic!("expected close, got {other:?}"),
         }
         // Extra fields are ignored; duplicate keys are first-wins.
-        match parse_record_borrowed(r#"{"tenant":"a","access":1,"miss":2,"access":9,"x":true}"#) {
-            RawParse::Record(RawRecord { kind: RawKind::Sample { access, .. }, .. }) => {
+        match parse_record(r#"{"tenant":"a","access":1,"miss":2,"access":9,"x":true}"#) {
+            Ok((_, RawKind::Sample { access, .. })) => {
                 assert_eq!(access, 1.0);
             }
             other => panic!("expected sample, got {other:?}"),
@@ -1366,7 +1447,7 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_parser_rejects_with_the_slow_path_reason() {
+    fn borrowed_parser_rejects_with_the_object_parser_reason() {
         for (line, want) in [
             ("", RecordError::Syntax),
             ("nope", RecordError::Syntax),
@@ -1380,39 +1461,26 @@ mod tests {
             (r#"{"tenant":"a"}"#, RecordError::MissingAccess),
             (r#"{"tenant":"a","access":1}"#, RecordError::MissingMiss),
             (r#"{"tenant":"a","access":1e999,"miss":2}"#, RecordError::NonFinite),
+            // A malformed escape is a syntax error.
+            (r#"{"tenant":"a\qb","access":1,"miss":2}"#, RecordError::Syntax),
         ] {
-            assert_eq!(
-                parse_record_borrowed(line),
-                RawParse::Reject(want),
-                "line {line:?}"
-            );
+            assert_eq!(parse_record(line), Err(want), "line {line:?}");
         }
     }
 
     #[test]
-    fn borrowed_parser_falls_back_on_escapes_in_protocol_strings() {
-        // Escaped key: could decode to a protocol field name.
+    fn borrowed_parser_decodes_escapes_in_protocol_strings() {
+        // Escaped key that decodes to a protocol field name.
         let escaped_key = "{\"\\u0074enant\":\"a\",\"access\":1,\"miss\":2}";
-        assert_eq!(parse_record_borrowed(escaped_key), RawParse::Fallback);
-        // Escaped tenant value: the span is not the decoded value.
-        assert_eq!(
-            parse_record_borrowed(r#"{"tenant":"a\nb","access":1,"miss":2}"#),
-            RawParse::Fallback
-        );
+        assert!(matches!(parse_record(escaped_key), Ok((tenant, _)) if tenant == "a"));
+        // Escaped tenant value: decoded into the scratch buffer.
+        let escaped_tenant = r#"{"tenant":"vm\u002d0\n\"x\"","access":1,"miss":2}"#;
+        assert!(matches!(parse_record(escaped_tenant), Ok((tenant, _)) if tenant == "vm-0\n\"x\""));
         // Escaped ctl verb.
         let escaped_ctl = "{\"tenant\":\"a\",\"ctl\":\"clos\\u0065\"}";
-        assert_eq!(parse_record_borrowed(escaped_ctl), RawParse::Fallback);
-        // Escapes in an *ignored* string value decide nothing — still a
-        // clean record.
-        assert!(matches!(
-            parse_record_borrowed(r#"{"tenant":"a","note":"x\ty","access":1,"miss":2}"#),
-            RawParse::Record(_)
-        ));
-        // A malformed escape is a syntax error, not a fallback.
-        assert_eq!(
-            parse_record_borrowed(r#"{"tenant":"a\qb","access":1,"miss":2}"#),
-            RawParse::Reject(RecordError::Syntax)
-        );
+        assert!(matches!(parse_record(escaped_ctl), Ok((_, RawKind::Close))));
+        // Escapes in an ignored string value decide nothing.
+        assert!(parse_record(r#"{"tenant":"a","note":"x\ty","access":1,"miss":2}"#).is_ok());
     }
 
     #[test]

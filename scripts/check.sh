@@ -49,8 +49,11 @@ fi
 echo "==> cargo build --release"
 cargo build --workspace --release
 
-echo "==> cargo test"
-cargo test -q
+# Every package's suites, not just the root package's: the crate-level
+# equivalence and fuzz suites (parser, binary wire, detector
+# conformance) live under crates/*/tests.
+echo "==> cargo test --workspace"
+cargo test --workspace -q
 
 # The property-based suite is feature-gated because the offline build
 # environment cannot fetch the external proptest crate. Run it whenever

@@ -7,8 +7,7 @@
 //! workload itself and cascade. This test pins the whole loop: for each
 //! respond scenario shape, the verdict log (`mitigation_*` events
 //! included), the engine stats and the applied-action trace must be
-//! byte-identical at worker counts 1, 2 and 4, and across the fast and
-//! fallback decoder paths.
+//! byte-identical at worker counts 1, 2 and 4.
 //!
 //! Worker counts are passed explicitly through `engine::Config` (not
 //! via `MEMDOS_THREADS`) because Rust tests share one process
@@ -21,17 +20,16 @@ use memdos::engine::respond::{
 const TENANTS: u32 = 6;
 const SEED: u64 = 42;
 
-fn run(kind: RespondScenario, workers: usize, fast_parse: bool) -> RespondReport {
+fn run(kind: RespondScenario, workers: usize) -> RespondReport {
     let scenario = respond_scenario(kind, TENANTS, SEED);
-    let mut config = respond_engine_config(workers);
-    config.fast_parse = fast_parse;
-    run_respond(&scenario, config, None).expect("respond scenario is valid")
+    run_respond(&scenario, respond_engine_config(workers), None)
+        .expect("respond scenario is valid")
 }
 
 #[test]
-fn respond_loop_is_byte_identical_across_workers_and_decoders() {
+fn respond_loop_is_byte_identical_across_workers() {
     for kind in RespondScenario::ALL {
-        let reference = run(kind, 1, true);
+        let reference = run(kind, 1);
         assert!(!reference.log.is_empty());
         // The loop actually engaged a control on the labelled attacker,
         // so the feedback edge is live, not vacuous.
@@ -52,7 +50,7 @@ fn respond_loop_is_byte_identical_across_workers_and_decoders() {
             kind.label()
         );
         for workers in [2, 4] {
-            let replay = run(kind, workers, true);
+            let replay = run(kind, workers);
             assert_eq!(
                 replay.log,
                 reference.log,
@@ -73,11 +71,5 @@ fn respond_loop_is_byte_identical_across_workers_and_decoders() {
             );
             assert_eq!(replay.lines_fed, reference.lines_fed);
         }
-        // The fallback (non-fast) decoder decodes the same records, so
-        // the closed loop must land on the same bytes.
-        let dirty = run(kind, 2, false);
-        assert_eq!(dirty.log, reference.log, "{}: log diverged on fallback decoder", kind.label());
-        assert_eq!(dirty.stats, reference.stats);
-        assert_eq!(dirty.actions, reference.actions);
     }
 }
