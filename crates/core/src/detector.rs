@@ -202,7 +202,7 @@ pub trait Detector {
     /// Estimated heap bytes of the detector's working set (smoothing
     /// windows, reference samples). A deterministic capacity-based
     /// accounting figure — fleet hosts budget tens of thousands of
-    /// detector stacks against a memory ceiling, so the estimate must
+    /// detectors against a memory ceiling, so the estimate must
     /// replay identically run to run; it is not an allocator
     /// measurement. Defaults to `0` for schemes whose state is a few
     /// scalars.
@@ -213,8 +213,8 @@ pub trait Detector {
 
 /// Uniform construction from a Stage-1 profile: every scheme builds the
 /// same way — a profile plus its own parameter struct — so generic code
-/// (the engine's session stack, the conformance suite) can instantiate
-/// any detector without per-scheme special cases. The KStest baseline
+/// (the conformance suite) can instantiate any detector without
+/// per-scheme special cases. The KStest baseline
 /// participates for parity even though it derives nothing from the
 /// profile content (it builds its own reference under throttling).
 pub trait FromProfile: Detector + Sized {

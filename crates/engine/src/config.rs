@@ -21,7 +21,6 @@
 //! | `MEMDOS_ENGINE_QUARANTINE` | [`Config::session`]`.quarantine_after` |
 //! | `MEMDOS_ENGINE_IDLE` | [`Config::session`]`.idle_timeout` |
 //! | `MEMDOS_ENGINE_DROP` | [`Config::session`]`.drop_policy` |
-//! | `MEMDOS_ENGINE_KSTEST` | [`Config::session`]`.kstest` |
 //! | `MEMDOS_ENGINE_MITIGATION` | [`Config::mitigation`]`.enabled` |
 //! | `MEMDOS_ENGINE_CONFIRM_BUDGET` | [`Config::mitigation`]`.confirm_budget` |
 //! | `MEMDOS_ENGINE_HOLD_TICKS` | [`Config::mitigation`]`.hold_ticks` |
@@ -276,18 +275,6 @@ impl Config {
         if let Ok(v) = std::env::var("MEMDOS_ENGINE_DROP") {
             cfg.session.drop_policy = crate::session::DropPolicy::parse(&v)
                 .map_err(|e| format!("MEMDOS_ENGINE_DROP: {e}"))?;
-        }
-        if let Ok(v) = std::env::var("MEMDOS_ENGINE_KSTEST") {
-            cfg.session.kstest = match v.trim() {
-                "1" | "true" | "on" => Some(memdos_core::config::KsTestParams::default()),
-                "0" | "false" | "off" => None,
-                other => {
-                    return Err(format!(
-                        "MEMDOS_ENGINE_KSTEST={other:?} is not a boolean \
-                         (use 1/0, true/false or on/off)"
-                    ))
-                }
-            };
         }
         cfg.validate().map_err(|e| e.to_string())?;
         Ok(cfg)

@@ -431,33 +431,19 @@ impl Engine {
     /// surface (see DESIGN.md) — the fleet bench and the CLI summary
     /// consume it instead of session internals.
     pub fn snapshots(&self) -> impl Iterator<Item = SessionSnapshot<'_>> {
-        self.ids.iter().filter_map(move |(name, id)| {
-            let slot = self.slots.get(id.index())?;
-            if let Some(s) = slot.session.and_then(|idx| self.slab.get(idx, id.0)) {
-                let mut snap = s.snapshot();
-                snap.mitigation = self.mitigation.case_status(id.0);
-                return Some(snap);
-            }
-            let r = slot.retired?;
-            Some(SessionSnapshot {
-                tenant: name,
-                generation: r.generation,
-                state: SessionState::Closed,
-                live: false,
-                queued: 0,
-                resident_bytes: 0,
-                ingested: r.ingested,
-                dropped: r.dropped,
-                alarms: r.alarms,
-                recovery_ratio: None,
-                mitigation: None,
-            })
-        })
+        self.ids.iter().filter_map(move |(name, &id)| self.snapshot_of(name, id))
     }
 
     /// The snapshot for one tenant, if it was ever seen.
     pub fn snapshot(&self, tenant: &str) -> Option<SessionSnapshot<'_>> {
-        let id = self.tenant_id(tenant)?;
+        let (name, &id) = self.ids.get_key_value(tenant)?;
+        self.snapshot_of(name, id)
+    }
+
+    /// One interned tenant's snapshot: its live session's, with the
+    /// mitigation case attached, or else the retained final accounting
+    /// of its last reclaimed incarnation.
+    fn snapshot_of<'a>(&'a self, name: &'a str, id: TenantId) -> Option<SessionSnapshot<'a>> {
         let slot = self.slots.get(id.index())?;
         if let Some(s) = slot.session.and_then(|idx| self.slab.get(idx, id.0)) {
             let mut snap = s.snapshot();
@@ -465,7 +451,6 @@ impl Engine {
             return Some(snap);
         }
         let r = slot.retired?;
-        let (name, _) = self.ids.get_key_value(tenant)?;
         Some(SessionSnapshot {
             tenant: name,
             generation: r.generation,
@@ -482,7 +467,8 @@ impl Engine {
     }
 
     /// Estimated resident heap bytes of the session fleet: every live
-    /// session's working set ([`Session::resident_bytes`]) plus the
+    /// session's heap working set ([`Session::resident_bytes`]), the
+    /// slab slots that hold the session structs inline, and the
     /// engine's per-tenant tables. Deterministic capacity accounting —
     /// the number the fleet bench reports and the ceiling is judged
     /// against — not an allocator measurement.
@@ -857,19 +843,22 @@ impl Engine {
         }
     }
 
-    /// Routes one close request to its tenant's session (opening one
-    /// first for an unknown tenant, so the lifecycle stays visible).
+    /// Routes one close request to its tenant's session. A close for an
+    /// unknown tenant opens a session first so the lifecycle stays
+    /// visible in the log; a close for an already-reclaimed tenant is a
+    /// no-op, and one for a session already closing queues an
+    /// idempotent repeat that logs nothing.
     // hot-path
     fn route_close(&mut self, seq: u64, tenant: &str) {
-        let Some((idx, owner)) = self.close_session(seq, tenant) else {
-            return;
+        let addr = match self.tenant_id(tenant) {
+            Some(id) => self.slots.get_mut(id.index()).and_then(|slot| {
+                slot.last_seen = seq;
+                slot.session.map(|idx| (idx, id.0))
+            }),
+            None => self.open_session(seq, tenant, 0),
         };
-        let Some(session) = self.slab.get_mut(idx, owner) else {
-            return;
-        };
-        session.offer_close(seq, CloseReason::Ctl);
-        if self.slab.mark_dirty(idx) {
-            self.dirty.push(idx);
+        if let Some((idx, owner)) = addr {
+            self.close_at_ingest(idx, owner, seq, CloseReason::Ctl);
         }
     }
 
@@ -1045,47 +1034,31 @@ impl Engine {
     /// The close bookkeeping of one ceiling eviction, shared by the
     /// terminal-FIFO and recency-heap paths of [`Engine::evict_lru`].
     fn evict_at(&mut self, idx: u32, owner: u32) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if let Some(slot) = self.slots.get_mut(owner as usize) {
-            slot.closed_at_ingest = true;
-        }
-        self.open_count = self.open_count.saturating_sub(1);
+        let seq = self.alloc_seq_quiet();
         self.stats.evicted += 1;
+        self.close_at_ingest(idx, owner, seq, CloseReason::Evicted);
+    }
+
+    /// The ingest side of every close (ctl, idle, eviction, mitigation):
+    /// marks the tenant's slot closed — taking it out of the open count
+    /// the ceiling bounds, once — and queues the close on the session
+    /// under `seq`, so it drains at the next flush. Deciding closes here
+    /// rather than on the workers keeps reopen and eviction independent
+    /// of flush timing.
+    // hot-path
+    fn close_at_ingest(&mut self, idx: u32, owner: u32, seq: u64, reason: CloseReason) {
+        if let Some(slot) = self.slots.get_mut(owner as usize) {
+            if !slot.closed_at_ingest {
+                slot.closed_at_ingest = true;
+                self.open_count = self.open_count.saturating_sub(1);
+            }
+        }
         if let Some(session) = self.slab.get_mut(idx, owner) {
-            session.offer_close(seq, CloseReason::Evicted);
+            session.offer_close(seq, reason);
         }
         if self.slab.mark_dirty(idx) {
             self.dirty.push(idx);
         }
-    }
-
-    /// Resolves the session a close for `tenant` addresses, marking the
-    /// slot closed at the ingest side. A close for an unknown tenant
-    /// opens a session first so the lifecycle stays visible in the log;
-    /// a close for an already-reclaimed tenant is a no-op (the old
-    /// behaviour for a closed-but-resident session was an idempotent
-    /// close that logged nothing).
-    // hot-path
-    fn close_session(&mut self, seq: u64, tenant: &str) -> Option<(u32, u32)> {
-        if let Some(id) = self.tenant_id(tenant) {
-            if let Some(slot) = self.slots.get_mut(id.index()) {
-                slot.last_seen = seq;
-                let was_open = !slot.closed_at_ingest && slot.session.is_some();
-                slot.closed_at_ingest = true;
-                let addr = slot.session.map(|idx| (idx, id.0));
-                if was_open {
-                    self.open_count = self.open_count.saturating_sub(1);
-                }
-                return addr;
-            }
-        }
-        let (idx, owner) = self.open_session(seq, tenant, 0)?;
-        if let Some(slot) = self.slots.get_mut(owner as usize) {
-            slot.closed_at_ingest = true;
-        }
-        self.open_count = self.open_count.saturating_sub(1);
-        Some((idx, owner))
     }
 
     /// Records one malformed span in the log and the stats. The reason
@@ -1328,19 +1301,9 @@ impl Engine {
             let state = self.slab.get(idx, owner).map(Session::state);
             match state {
                 Some(SessionState::Profiling) | Some(SessionState::Monitoring) => {
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    if let Some(slot) = self.slots.get_mut(owner as usize) {
-                        slot.closed_at_ingest = true;
-                    }
-                    self.open_count = self.open_count.saturating_sub(1);
+                    let seq = self.alloc_seq_quiet();
                     self.stats.idle_closed += 1;
-                    if let Some(session) = self.slab.get_mut(idx, owner) {
-                        session.offer_close(seq, CloseReason::Idle);
-                    }
-                    if self.slab.mark_dirty(idx) {
-                        self.dirty.push(idx);
-                    }
+                    self.close_at_ingest(idx, owner, seq, CloseReason::Idle);
                 }
                 Some(SessionState::Quarantined) | Some(SessionState::Closed) | None => {
                     // Exempt from the idle timeout; re-arm as if seen
@@ -1537,16 +1500,7 @@ impl Engine {
             return;
         };
         let seq = self.alloc_seq_quiet();
-        if let Some(slot) = self.slots.get_mut(owner as usize) {
-            slot.closed_at_ingest = true;
-        }
-        self.open_count = self.open_count.saturating_sub(1);
-        if let Some(session) = self.slab.get_mut(idx, owner) {
-            session.offer_close(seq, reason);
-        }
-        if self.slab.mark_dirty(idx) {
-            self.dirty.push(idx);
-        }
+        self.close_at_ingest(idx, owner, seq, reason);
     }
 
     /// Appends one engine-originated `mitigation_*` event under a fresh
@@ -1948,6 +1902,33 @@ mod tests {
         assert!(live.resident_bytes > 0);
         assert!(engine.resident_bytes() >= live.resident_bytes);
         assert!(engine.snapshot("vm-unknown").is_none());
+    }
+
+    #[test]
+    fn resident_bytes_counts_each_session_struct_once() {
+        // A profile too short to finish leaves a worker-closed husk:
+        // detector, profiler and queue released, only the name on the
+        // heap. The struct itself sits in the slab slot, which the
+        // engine counts, so the session's own figure must not add it
+        // a second time.
+        let session = SessionConfig { profile_ticks: 5, ..SessionConfig::default() };
+        let mut engine = Engine::new(Config::default().session(session)).unwrap();
+        for _ in 0..5 {
+            engine.ingest_line(r#"{"tenant":"vm-husk","access":1,"miss":2}"#);
+        }
+        engine.flush();
+        let husk = engine.snapshot("vm-husk").expect("resident husk");
+        assert!(husk.live);
+        assert_eq!(husk.state, SessionState::Closed);
+        assert!(
+            husk.resident_bytes < std::mem::size_of::<Session>(),
+            "husk reports {} B, more than its {} B inline struct",
+            husk.resident_bytes,
+            std::mem::size_of::<Session>()
+        );
+        let slot = std::mem::size_of::<Option<(u32, bool, Session)>>();
+        assert!(engine.resident_bytes() >= slot + husk.resident_bytes);
+        assert!(engine.resident_bytes() < 2 * slot, "the struct is counted twice");
     }
 
     #[test]

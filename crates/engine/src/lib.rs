@@ -8,10 +8,10 @@
 //!   either a PCM sample (`{"tenant":"vm-0","access":1234,"miss":56}`)
 //!   or a control record (`{"tenant":"vm-0","ctl":"close"}`).
 //! * [`session`] — per-tenant lifecycle
-//!   (`Profiling → Monitoring → Quarantined/Closed`), the detector stack
-//!   behind the uniform [`memdos_core::detector::Detector`] /
-//!   [`memdos_core::detector::FromProfile`] surface, and bounded queues
-//!   with an explicit backpressure drop policy.
+//!   (`Profiling → Monitoring → Quarantined/Closed`), one combined SDS
+//!   detector armed from the session's own profile and stepped through
+//!   the columnar [`memdos_core::detector::Detector::step_batch`] path,
+//!   and bounded queues with an explicit backpressure drop policy.
 //! * [`config`] — the one [`Config`] struct every knob arrives
 //!   through: builder methods for programmatic use, a single
 //!   [`Config::from_env`] for the CLI (resolved once in `main`, never

@@ -10,20 +10,21 @@
 //!
 //! During `Profiling` the samples feed the Stage-1 [`Profiler`]; once
 //! `profile_ticks` samples arrive the profile is finalised and the
-//! detector stack is built through the uniform [`FromProfile`] surface —
-//! the combined SDS always, the KStest baseline optionally for
-//! comparison. During `Monitoring` every sample steps every detector via
-//! the [`Detector`] trait and verdict-class transitions are emitted as
-//! events. KStest throttle requests are ignored in this passive streaming
-//! mode (there is no hypervisor behind a JSONL stream to throttle).
+//! combined [`Sds`] detector is armed from it. During `Monitoring` each
+//! run of queued samples steps the detector through its columnar
+//! [`Detector::step_batch`] path and verdict-class transitions are
+//! emitted as events. The KStest baseline has no place here: its
+//! protocol throttles the co-resident VMs while it collects a reference,
+//! and a stream has no hypervisor behind it to throttle (the offline
+//! harness in `memdos_metrics::experiment` runs it against the
+//! simulated server instead).
 //!
 //! Samples are queued in a bounded ring buffer between engine flushes;
 //! when the queue is full the [`DropPolicy`] decides which side loses,
 //! and every drop is logged so backpressure is visible, never silent.
 
-use memdos_core::config::{KsTestParams, SdsParams};
+use memdos_core::config::SdsParams;
 use memdos_core::detector::{Detector, DetectorStep, Observation, ObservationBatch, Verdict};
-use memdos_core::kstest::KsTestDetector;
 use memdos_core::profile::{Profiler, ProfilerConfig};
 use memdos_core::sds::Sds;
 use memdos_core::CoreError;
@@ -35,7 +36,7 @@ use std::collections::VecDeque;
 pub enum SessionState {
     /// Collecting the Stage-1 benign profile.
     Profiling,
-    /// Detector stack armed; verdict transitions are logged.
+    /// Detector armed; verdict transitions are logged.
     Monitoring,
     /// Alarm budget exhausted; samples are discarded.
     Quarantined,
@@ -131,12 +132,9 @@ impl CloseReason {
 pub struct SessionConfig {
     /// Samples consumed by Stage-1 profiling before monitoring starts.
     pub profile_ticks: u64,
-    /// SDS parameters for the profiler and the primary detector.
+    /// SDS parameters for the profiler and the detector.
     pub sds: SdsParams,
-    /// When set, a KStest baseline detector runs beside SDS (its
-    /// throttle requests are ignored — passive streaming mode).
-    pub kstest: Option<KsTestParams>,
-    /// Primary-detector alarm activations before the session is
+    /// Detector alarm activations before the session is
     /// quarantined; `0` disables quarantine.
     pub quarantine_after: u64,
     /// Bounded sample-queue capacity between engine flushes.
@@ -155,7 +153,6 @@ impl Default for SessionConfig {
         SessionConfig {
             profile_ticks: 6_000,
             sds: SdsParams::default(),
-            kstest: None,
             quarantine_after: 0,
             queue_capacity: 1_024,
             drop_policy: DropPolicy::Oldest,
@@ -173,9 +170,6 @@ impl SessionConfig {
     /// field.
     pub fn validate(&self) -> Result<(), CoreError> {
         self.sds.validate()?;
-        if let Some(ks) = &self.kstest {
-            ks.validate()?;
-        }
         if self.profile_ticks == 0 {
             return Err(CoreError::InvalidParameter {
                 name: "profile_ticks",
@@ -276,7 +270,7 @@ pub struct SessionSnapshot<'a> {
     pub ingested: u64,
     /// Samples lost to backpressure or a terminal state.
     pub dropped: u64,
-    /// Primary-detector alarm activations.
+    /// Detector alarm activations.
     pub alarms: u64,
     /// Monitored access level over the profile baseline (see
     /// [`Session::recovery_ratio`]); `None` outside `Monitoring`.
@@ -293,17 +287,17 @@ const RECOVERY_ALPHA: f64 = 0.2;
 
 /// Reusable per-worker columnar buffers for the monitoring batch path:
 /// a run of consecutive queued samples is transposed into
-/// structure-of-arrays columns so every armed detector steps the whole
-/// run through its branch-light [`Detector::step_batch`] loop, and the
-/// per-detector step columns (detector-major) are then replayed in the
-/// exact scalar emission order. Shared by every session on the worker
-/// between flushes, so steady-state batching allocates nothing.
+/// structure-of-arrays columns so the detector steps the whole run
+/// through its branch-light [`Detector::step_batch`] loop, and the step
+/// column is then replayed tick by tick to emit events. Shared by every
+/// session on the worker between flushes, so steady-state batching
+/// allocates nothing.
 #[derive(Default)]
 struct BatchScratch {
     seqs: Vec<u64>,
     access: Vec<f64>,
     miss: Vec<f64>,
-    steps: Vec<Vec<DetectorStep>>,
+    steps: Vec<DetectorStep>,
 }
 
 thread_local! {
@@ -317,8 +311,12 @@ pub struct Session {
     config: SessionConfig,
     state: SessionState,
     profiler: Option<Profiler>,
-    detectors: Vec<Box<dyn Detector + Send>>,
-    last_verdicts: Vec<Verdict>,
+    /// The armed detector, boxed so a profiling session (the common
+    /// case in a churning fleet) does not carry its inline state in the
+    /// slab slot beside the profiler's.
+    sds: Option<Box<Sds>>,
+    /// The detector's verdict after the last monitored sample.
+    last_verdict: Verdict,
     queue: VecDeque<Item>,
     /// Monitoring ticks consumed (starts counting after the profile).
     monitor_ticks: u64,
@@ -334,7 +332,7 @@ pub struct Session {
     generation: u32,
     opened_logged: bool,
     /// Profile-time mean `AccessNum` (`Profile.access.mu`), captured
-    /// when the detector stack arms; 0 until then. The denominator of
+    /// when the detector arms; 0 until then. The denominator of
     /// [`Session::recovery_ratio`].
     baseline_access: f64,
     /// EWMA of the monitored `AccessNum`, seeded at the baseline — the
@@ -390,8 +388,8 @@ impl Session {
             config,
             state: SessionState::Profiling,
             profiler: Some(profiler),
-            detectors: Vec::new(),
-            last_verdicts: Vec::new(),
+            sds: None,
+            last_verdict: Verdict::Normal,
             queue: VecDeque::with_capacity(config.queue_capacity),
             monitor_ticks: 0,
             ingested: 0,
@@ -432,7 +430,7 @@ impl Session {
         self.recoveries
     }
 
-    /// Primary-detector alarm activations so far.
+    /// Detector alarm activations so far.
     pub fn alarms(&self) -> u64 {
         self.alarms
     }
@@ -449,7 +447,7 @@ impl Session {
 
     /// The monitored access level relative to the profile baseline:
     /// `EWMA(AccessNum) / Profile.access.mu`. `None` until the detector
-    /// stack is armed (no baseline yet) or once the session leaves
+    /// is armed (no baseline yet) or once the session leaves
     /// `Monitoring` — only actively monitored sessions count as victims
     /// for the mitigation loop's recovery confirmation.
     pub fn recovery_ratio(&self) -> Option<f64> {
@@ -486,29 +484,29 @@ impl Session {
     }
 
     /// Estimated heap bytes this session keeps resident: the tenant
-    /// name, the sample queue, the profiler's smoothing buffers and each
-    /// armed detector's working set (via
-    /// [`Detector::resident_bytes_hint`]). This is a deterministic
-    /// capacity-based accounting estimate, not an allocator measurement
-    /// — it exists so a ceiling/eviction decision and the fleet bench
-    /// read the same number on every run.
+    /// name, the sample queue, the profiler's smoothing buffers and the
+    /// boxed detector with its working set (via
+    /// [`Detector::resident_bytes_hint`]). Nothing stored inline is
+    /// counted — the `Session` struct, profiler included, lives in the
+    /// engine's slab slot, which the engine accounts for once. This is
+    /// a deterministic capacity-based accounting estimate, not an
+    /// allocator measurement — it exists so a ceiling/eviction decision
+    /// and the fleet bench read the same number on every run.
     pub fn resident_bytes(&self) -> usize {
-        let mut bytes = std::mem::size_of::<Session>()
-            + self.tenant.capacity()
-            + self.queue.capacity() * std::mem::size_of::<Item>()
-            + self.last_verdicts.capacity() * std::mem::size_of::<Verdict>();
+        let mut bytes =
+            self.tenant.capacity() + self.queue.capacity() * std::mem::size_of::<Item>();
         if let Some(p) = &self.profiler {
-            bytes += p.resident_bytes_hint();
+            bytes += p.resident_bytes_hint().saturating_sub(std::mem::size_of::<Profiler>());
         }
-        for det in &self.detectors {
-            bytes += std::mem::size_of::<Box<dyn Detector + Send>>() + det.resident_bytes_hint();
+        if let Some(sds) = &self.sds {
+            bytes += sds.resident_bytes_hint();
         }
         bytes
     }
 
     /// Releases the working set of a terminal session that must stay
     /// resident (quarantined, or closed worker-side with no ingest-side
-    /// close): detectors, profiler and queue capacity are dropped, the
+    /// close): detector, profiler and queue capacity are dropped, the
     /// identity and counters remain so later samples still drop against
     /// the right policy and the final accounting stays intact. Terminal
     /// states never process another observation, so nothing behavioural
@@ -520,8 +518,7 @@ impl Session {
             return;
         }
         self.profiler = None;
-        self.detectors = Vec::new();
-        self.last_verdicts = Vec::new();
+        self.sds = None;
         self.queue.shrink_to_fit();
     }
 
@@ -586,30 +583,16 @@ impl Session {
     // hot-path
     pub(crate) fn process_queued_into(&mut self, events: &mut Vec<SessionEvent>) {
         while let Some(item) = self.queue.pop_front() {
-            // Steady-state fast path: a monitoring session consuming a
-            // sample takes the columnar batch route, which also swallows
-            // the run of consecutive samples queued behind it. Control
-            // items, state transitions and the once-per-incarnation
-            // `opened` event stay on the scalar path below.
-            if self.opened_logged && self.state == SessionState::Monitoring {
-                if let Item::Obs(seq, obs) = item {
-                    self.step_monitoring_run(seq, obs, events);
-                    continue;
-                }
-            }
             let seq = item.seq();
             let mut sub = 0u32;
-            let mut emit = |payload: JsonObject| {
-                events.push(SessionEvent { seq, sub, payload });
-                sub += 1;
-            };
             if !self.opened_logged {
                 self.opened_logged = true;
                 let mut o = JsonObject::new();
                 o.push_str("event", "opened")
                     .push_str("tenant", &self.tenant)
                     .push_num("gen", self.generation as f64);
-                emit(o);
+                events.push(SessionEvent { seq, sub, payload: o });
+                sub += 1;
             }
             match item {
                 Item::Close(_, reason) => {
@@ -626,16 +609,19 @@ impl Session {
                         .push_num("ingested", self.ingested as f64)
                         .push_num("dropped", self.dropped as f64)
                         .push_num("alarms", self.alarms as f64);
-                    emit(o);
+                    events.push(SessionEvent { seq, sub, payload: o });
                 }
                 Item::Obs(_, obs) => match self.state {
-                    SessionState::Profiling => self.step_profiling(obs, &mut emit),
-                    SessionState::Monitoring => {
-                        self.step_monitoring(obs, &mut emit);
-                        if self.state == SessionState::Quarantined {
-                            self.quarantine_notice = Some(seq);
+                    SessionState::Profiling => {
+                        if let Some(payload) = self.step_profiling(obs) {
+                            events.push(SessionEvent { seq, sub, payload });
                         }
                     }
+                    // The steady state: this sample and the run of
+                    // samples queued behind it step as one column. A
+                    // monitoring session has always logged `opened`, so
+                    // the run's events start at `sub` 0.
+                    SessionState::Monitoring => self.step_monitoring_run(seq, obs, events),
                     SessionState::Quarantined | SessionState::Closed => {
                         // Items queued before the state flipped; counted
                         // when offered, nothing to process.
@@ -646,97 +632,48 @@ impl Session {
         }
     }
 
-    fn step_profiling(&mut self, obs: Observation, emit: &mut impl FnMut(JsonObject)) {
-        let Some(profiler) = self.profiler.as_mut() else {
-            return;
-        };
+    /// Feeds one profiling sample; once `profile_ticks` have arrived,
+    /// finalises the profile and arms the detector, returning the
+    /// `profile_ready` (or `profile_failed`) event payload.
+    fn step_profiling(&mut self, obs: Observation) -> Option<JsonObject> {
+        let profiler = self.profiler.as_mut()?;
         profiler.observe(obs);
         if profiler.observations() < self.config.profile_ticks {
-            return;
+            return None;
         }
-        // Profile complete: arm the detector stack.
-        let Some(profiler) = self.profiler.take() else {
-            return;
-        };
-        match profiler.finish().and_then(|profile| {
-            let mut stack: Vec<Box<dyn Detector + Send>> =
-                vec![Box::new(Sds::from_profile(&profile, &self.config.sds)?)];
-            if let Some(ks) = &self.config.kstest {
-                stack.push(Box::new(KsTestDetector::from_profile(&profile, ks)?));
-            }
-            Ok((profile, stack))
-        }) {
-            Ok((profile, stack)) => {
-                self.last_verdicts = vec![Verdict::Normal; stack.len()];
-                self.detectors = stack;
+        let profiler = self.profiler.take()?;
+        let mut o = JsonObject::new();
+        match profiler
+            .finish()
+            .and_then(|profile| Ok((Sds::from_profile(&profile, &self.config.sds)?, profile)))
+        {
+            Ok((sds, profile)) => {
+                self.sds = Some(Box::new(sds));
                 self.state = SessionState::Monitoring;
                 self.baseline_access = profile.access.mu;
                 self.ewma_access = profile.access.mu;
-                let mut o = JsonObject::new();
                 o.push_str("event", "profile_ready")
                     .push_str("tenant", &self.tenant)
                     .push_bool("periodic", profile.is_periodic());
                 if let Some(p) = &profile.periodicity {
                     o.push_num("period_ma", p.period_ma);
                 }
-                emit(o);
             }
             Err(e) => {
                 self.state = SessionState::Closed;
-                let mut o = JsonObject::new();
                 o.push_str("event", "profile_failed")
                     .push_str("tenant", &self.tenant)
                     // lint:allow(hot-propagate) -- rendering the failure reason happens once, on the transition that closes the session
                     .push_str("reason", e.to_string());
-                emit(o);
             }
         }
-    }
-
-    fn step_monitoring(&mut self, obs: Observation, emit: &mut impl FnMut(JsonObject)) {
-        self.monitor_ticks += 1;
-        self.ewma_access += RECOVERY_ALPHA * (obs.access_num - self.ewma_access);
-        let mut primary_became_active = false;
-        for (i, det) in self.detectors.iter_mut().enumerate() {
-            // Throttle requests (KStest) are ignored: passive streaming.
-            let step = det.on_observation(obs);
-            if i == 0 && step.became_active {
-                primary_became_active = true;
-            }
-            let Some(last) = self.last_verdicts.get_mut(i) else {
-                continue;
-            };
-            if !step.verdict.same_class(last) {
-                let mut o = JsonObject::new();
-                o.push_str("event", "verdict")
-                    .push_str("tenant", &self.tenant)
-                    .push_str("detector", det.name())
-                    .push_str("from", last.label())
-                    .push_str("to", step.verdict.label())
-                    .push_num("tick", self.monitor_ticks as f64);
-                emit(o);
-                *last = step.verdict;
-            }
-        }
-        if primary_became_active {
-            self.alarms += 1;
-            if self.config.quarantine_after > 0 && self.alarms >= self.config.quarantine_after
-            {
-                self.state = SessionState::Quarantined;
-                let mut o = JsonObject::new();
-                o.push_str("event", "quarantined")
-                    .push_str("tenant", &self.tenant)
-                    .push_num("alarms", self.alarms as f64);
-                emit(o);
-            }
-        }
+        Some(o)
     }
 
     /// Gathers the run of consecutive queued samples starting at
     /// `(seq0, obs0)` into the worker's columnar scratch and batch-steps
     /// it. Only called with `state == Monitoring` and the `opened` event
-    /// already emitted, so every event the run produces follows the
-    /// scalar per-item emission rules exactly.
+    /// already emitted.
     // hot-path
     fn step_monitoring_run(
         &mut self,
@@ -763,13 +700,13 @@ impl Session {
         });
     }
 
-    /// Steps every armed detector over one columnar run and replays the
-    /// per-tick emission in scalar order. Bit-identical to calling
-    /// [`Session::step_monitoring`] once per sample: the primary steps
-    /// the whole run first so a mid-run quarantine can cut the batch at
-    /// the exact sample the scalar loop would have stopped processing
-    /// at; secondaries then step the surviving prefix and the trailing
-    /// samples are dropped, matching the scalar terminal-state arm.
+    /// Steps the detector over one columnar run, then walks the steps
+    /// tick by tick: verdict-class transitions and the alarm budget are
+    /// judged per sample, so a quarantine mid-run ends the walk at the
+    /// sample that tripped it and the samples behind it count as
+    /// dropped, exactly as if they had been queued behind a terminal
+    /// session. Stepping the detector past that sample is unobservable:
+    /// the session is terminal afterwards and its detector is released.
     // hot-path
     fn step_monitoring_batch(
         &mut self,
@@ -777,78 +714,30 @@ impl Session {
         events: &mut Vec<SessionEvent>,
     ) {
         let BatchScratch { seqs, access, miss, steps } = scratch;
-        let n = seqs.len();
-        while steps.len() < self.detectors.len() {
-            steps.push(Vec::new());
-        }
-        for col in steps.iter_mut() {
-            col.clear();
-        }
-        let batch = ObservationBatch::new(access, miss);
-        let mut dets = self.detectors.iter_mut().zip(steps.iter_mut());
-        let mut cut = n;
-        if let Some((primary, out)) = dets.next() {
-            primary.step_batch(batch, out);
-            if self.config.quarantine_after > 0 {
-                // Walk the primary's alarm stream to find where a
-                // quarantine would cut the run short. Oversteppping the
-                // primary past the cut is unobservable: its session is
-                // terminal afterwards and only `alarms` up to the cut
-                // are ever accounted.
-                let mut alarms = self.alarms;
-                for (i, step) in out.iter().enumerate() {
-                    if step.became_active {
-                        alarms += 1;
-                        if alarms >= self.config.quarantine_after {
-                            cut = i + 1;
-                            break;
-                        }
-                    }
-                }
-            }
-            let prefix = ObservationBatch::new(
-                access.get(..cut).unwrap_or(access),
-                miss.get(..cut).unwrap_or(miss),
-            );
-            for (det, out) in dets {
-                det.step_batch(prefix, out);
-            }
-        }
-        for i in 0..cut {
-            let Some(&seq) = seqs.get(i) else {
-                break;
-            };
+        steps.clear();
+        let Some(sds) = self.sds.as_deref_mut() else {
+            return;
+        };
+        sds.step_batch(ObservationBatch::new(access, miss), steps);
+        let mut consumed = 0usize;
+        for ((&seq, &access_num), step) in seqs.iter().zip(access.iter()).zip(steps.iter()) {
+            consumed += 1;
             let mut sub = 0u32;
             self.monitor_ticks += 1;
-            let access_num = access.get(i).copied().unwrap_or(0.0);
             self.ewma_access += RECOVERY_ALPHA * (access_num - self.ewma_access);
-            let mut primary_became_active = false;
-            for (d, det) in self.detectors.iter().enumerate() {
-                // Throttle requests (KStest) are ignored: passive
-                // streaming, same as the scalar path.
-                let Some(step) = steps.get(d).and_then(|col| col.get(i)).copied() else {
-                    continue;
-                };
-                if d == 0 && step.became_active {
-                    primary_became_active = true;
-                }
-                let Some(last) = self.last_verdicts.get_mut(d) else {
-                    continue;
-                };
-                if !step.verdict.same_class(last) {
-                    let mut o = JsonObject::new();
-                    o.push_str("event", "verdict")
-                        .push_str("tenant", &self.tenant)
-                        .push_str("detector", det.name())
-                        .push_str("from", last.label())
-                        .push_str("to", step.verdict.label())
-                        .push_num("tick", self.monitor_ticks as f64);
-                    events.push(SessionEvent { seq, sub, payload: o });
-                    sub += 1;
-                    *last = step.verdict;
-                }
+            if !step.verdict.same_class(&self.last_verdict) {
+                let mut o = JsonObject::new();
+                o.push_str("event", "verdict")
+                    .push_str("tenant", &self.tenant)
+                    .push_str("detector", sds.name())
+                    .push_str("from", self.last_verdict.label())
+                    .push_str("to", step.verdict.label())
+                    .push_num("tick", self.monitor_ticks as f64);
+                events.push(SessionEvent { seq, sub, payload: o });
+                sub += 1;
+                self.last_verdict = step.verdict;
             }
-            if primary_became_active {
+            if step.became_active {
                 self.alarms += 1;
                 if self.config.quarantine_after > 0
                     && self.alarms >= self.config.quarantine_after
@@ -860,12 +749,11 @@ impl Session {
                         .push_num("alarms", self.alarms as f64);
                     events.push(SessionEvent { seq, sub, payload: o });
                     self.quarantine_notice = Some(seq);
+                    break;
                 }
             }
         }
-        // Samples behind a mid-run quarantine: the scalar loop would
-        // have hit the terminal-state arm once per item.
-        self.dropped += (n - cut) as u64;
+        self.dropped += (seqs.len() - consumed) as u64;
     }
 
     /// One `dropped` event payload (the engine logs it at the arrival
@@ -1031,19 +919,11 @@ mod tests {
     }
 
     #[test]
-    fn kstest_stack_runs_beside_sds() {
-        let cfg = SessionConfig {
-            kstest: Some(KsTestParams::default()),
-            ..fast_config()
-        };
-        let mut s = Session::open("vm-0", cfg).unwrap();
-        feed(&mut s, 0, 2_000, flat_obs);
-        assert_eq!(s.state(), SessionState::Monitoring);
-        assert_eq!(s.detectors.len(), 2);
-        // Stepping both through a benign stretch panics nowhere and
-        // leaves the session monitoring.
-        feed(&mut s, 2_000, 1_000, flat_obs);
-        assert_eq!(s.state(), SessionState::Monitoring);
+    #[cfg(target_pointer_width = "64")]
+    fn session_struct_stays_within_its_slab_budget() {
+        // Sessions sit inline in the engine's slab, so every byte here
+        // is paid once per slot across a whole fleet.
+        assert!(std::mem::size_of::<Session>() <= 776, "{}", std::mem::size_of::<Session>());
     }
 
     #[test]

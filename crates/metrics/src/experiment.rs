@@ -12,7 +12,7 @@
 use memdos_attacks::schedule::Scheduled;
 use memdos_attacks::AttackKind;
 use memdos_core::config::{KsTestParams, SdsParams};
-use memdos_core::detector::{Detector, Observation, ThrottleRequest};
+use memdos_core::detector::{Detector, DetectorStep, Observation, ThrottleRequest};
 use memdos_core::kstest::KsTestDetector;
 use memdos_core::profile::{Profile, Profiler, ProfilerConfig};
 use memdos_core::sds::Sds;
@@ -56,6 +56,41 @@ impl Scheme {
     /// Whether the scheme only observes (no throttling).
     pub fn is_passive(&self) -> bool {
         !matches!(self, Scheme::KsTest)
+    }
+
+    /// Arms a passive scheme from a Stage-1 profile — the one
+    /// constructor behind every live run and [`run_all_schemes`]. SDS/B
+    /// is the combined detector armed from a boundary-only copy of the
+    /// profile, so it never consults SDS/P.
+    ///
+    /// [`run_all_schemes`]: ExperimentConfig::run_all_schemes
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::NotPeriodic`] for SDS/P on a non-periodic
+    /// profile, [`CoreError::InvalidParameter`] for KStest (it is not
+    /// passive: it builds its own reference under throttling), and
+    /// propagates construction errors.
+    pub fn arm(
+        &self,
+        profile: &Profile,
+        params: &SdsParams,
+    ) -> Result<Box<dyn Detector>, CoreError> {
+        Ok(match self {
+            Scheme::Sds => Box::new(Sds::from_profile(profile, params)?),
+            Scheme::SdsB => {
+                let mut boundary_only = profile.clone();
+                boundary_only.periodicity = None;
+                Box::new(Sds::from_profile(&boundary_only, params)?)
+            }
+            Scheme::SdsP => Box::new(SdsP::from_profile(profile, &params.sdsp)?),
+            Scheme::KsTest => {
+                return Err(CoreError::InvalidParameter {
+                    name: "scheme",
+                    reason: "KStest is not passive; run it through run_scheme",
+                })
+            }
+        })
     }
 }
 
@@ -279,16 +314,7 @@ impl ExperimentConfig {
         server: &mut Server,
         victim: VmId,
     ) -> Result<Profile, CoreError> {
-        let mut profiler = Profiler::new(ProfilerConfig {
-            sds: self.sds_params,
-            ..ProfilerConfig::default()
-        })?;
-        for _ in 0..self.stages.profile_ticks {
-            let report = server.tick();
-            let sample = report.sample(victim).ok_or(CoreError::MissingSample { vm: victim })?;
-            profiler.observe(Observation::from(sample));
-        }
-        profiler.finish()
+        profile(&self.sds_params, live(server, victim, self.stages.profile_ticks))
     }
 
     /// Runs the complete three-stage protocol for one scheme.
@@ -299,39 +325,28 @@ impl ExperimentConfig {
     /// [`Scheme::SdsP`] but the profile is not periodic, and propagates
     /// profiling/construction errors.
     pub fn run_scheme(&self, scheme: Scheme, run: u64) -> Result<RunOutcome, CoreError> {
+        if scheme.is_passive() {
+            let mut outcomes = self.run_passive(run, |p| {
+                Ok(vec![(scheme, scheme.arm(p, &self.sds_params)?)])
+            })?;
+            // lint:allow(panic) -- one scheme armed records exactly one outcome.
+            return Ok(outcomes.pop().expect("one armed scheme"));
+        }
+        // KStest: its reference collection throttles the co-resident
+        // VMs, so it steps live against its own server.
         let (mut server, victim) = self.build_server(run);
-        let tax = if scheme.is_passive() { self.sds_tax_cycles } else { self.ks_tax_cycles };
-        server.set_monitor_tax(tax);
-
+        server.set_monitor_tax(self.ks_tax_cycles);
         let profile = self.run_profile_stage(&mut server, victim)?;
-        let mut detector: Box<dyn Detector> = match scheme {
-            Scheme::Sds => Box::new(Sds::from_profile(&profile, &self.sds_params)?),
-            Scheme::SdsB => {
-                let mut boundary_only = profile.clone();
-                boundary_only.periodicity = None;
-                Box::new(Sds::from_profile(&boundary_only, &self.sds_params)?)
-            }
-            Scheme::SdsP => Box::new(SdsP::from_profile(&profile, &self.sds_params.sdsp)?),
-            Scheme::KsTest => Box::new(KsTestDetector::new(self.ks_params)?),
-        };
-
+        let mut detector = KsTestDetector::new(self.ks_params)?;
         let monitored = self.stages.benign_ticks + self.stages.attack_ticks;
         let mut alarm = Vec::with_capacity(monitored as usize);
         let mut activations = Vec::new();
-        for t in 0..monitored {
-            let report = server.tick();
-            let obs = Observation::from(report.sample(victim).ok_or(CoreError::MissingSample { vm: victim })?);
-            let step = detector.on_observation(obs);
-            match step.throttle {
-                Some(ThrottleRequest::PauseOthers) => server.pause_all_except(victim),
-                Some(ThrottleRequest::ResumeAll) => server.resume_all(),
-                None => {}
-            }
+        throttled_run(&mut detector, &mut server, victim, monitored, |t, step, det| {
             if step.became_active {
                 activations.push(t);
             }
-            alarm.push(detector.alarm_active());
-        }
+            alarm.push(det.alarm_active());
+        })?;
         Ok(RunOutcome {
             scheme,
             alarm,
@@ -348,57 +363,134 @@ impl ExperimentConfig {
     ///
     /// Propagates profiling errors.
     pub fn run_all_schemes(&self, run: u64) -> Result<Vec<RunOutcome>, CoreError> {
-        // Passive schemes share one server execution.
-        let (mut server, victim) = self.build_server(run);
-        server.set_monitor_tax(self.sds_tax_cycles);
-        let profile = self.run_profile_stage(&mut server, victim)?;
-
-        let mut passive: Vec<(Scheme, Box<dyn Detector>)> = Vec::new();
-        passive.push((
-            Scheme::Sds,
-            Box::new(Sds::from_profile(&profile, &self.sds_params)?),
-        ));
-        {
-            let mut boundary_only = profile.clone();
-            boundary_only.periodicity = None;
-            passive.push((
-                Scheme::SdsB,
-                Box::new(Sds::from_profile(&boundary_only, &self.sds_params)?),
-            ));
-        }
-        if profile.is_periodic() {
-            passive.push((
-                Scheme::SdsP,
-                Box::new(SdsP::from_profile(&profile, &self.sds_params.sdsp)?),
-            ));
-        }
-
-        let monitored = self.stages.benign_ticks + self.stages.attack_ticks;
-        let mut outcomes: Vec<RunOutcome> = passive
-            .iter()
-            .map(|(s, _)| RunOutcome {
-                scheme: *s,
-                alarm: Vec::with_capacity(monitored as usize),
-                activations: Vec::new(),
-                profile_periodic: profile.is_periodic(),
-            })
-            .collect();
-        for t in 0..monitored {
-            let report = server.tick();
-            let obs = Observation::from(report.sample(victim).ok_or(CoreError::MissingSample { vm: victim })?);
-            for ((_, det), out) in passive.iter_mut().zip(&mut outcomes) {
-                let step = det.on_observation(obs);
-                if step.became_active {
-                    out.activations.push(t);
-                }
-                out.alarm.push(det.alarm_active());
-            }
-        }
-
+        let mut outcomes = self.run_passive(run, |p| {
+            let schemes: &[Scheme] = if p.is_periodic() {
+                &[Scheme::Sds, Scheme::SdsB, Scheme::SdsP]
+            } else {
+                &[Scheme::Sds, Scheme::SdsB]
+            };
+            schemes.iter().map(|&s| Ok((s, s.arm(p, &self.sds_params)?))).collect()
+        })?;
         // KStest drives its own server (it throttles).
         outcomes.push(self.run_scheme(Scheme::KsTest, run)?);
         Ok(outcomes)
     }
+
+    /// Runs stages 1–3 live on one server execution (SDS monitoring tax
+    /// applied) through [`passive_run`], with the schemes `arm` picks.
+    fn run_passive(
+        &self,
+        run: u64,
+        arm: impl FnOnce(&Profile) -> Result<Vec<(Scheme, Box<dyn Detector>)>, CoreError>,
+    ) -> Result<Vec<RunOutcome>, CoreError> {
+        let (mut server, victim) = self.build_server(run);
+        server.set_monitor_tax(self.sds_tax_cycles);
+        let feed = live(&mut server, victim, self.stages.total_ticks());
+        passive_run(&self.sds_params, self.stages.profile_ticks, feed, arm)
+    }
+}
+
+/// One tick of `server`, read as the victim's observation.
+fn sample(server: &mut Server, victim: VmId) -> Result<Observation, CoreError> {
+    server
+        .tick()
+        .sample(victim)
+        .map(Observation::from)
+        .ok_or(CoreError::MissingSample { vm: victim })
+}
+
+/// The victim's observations over the next `ticks` ticks of `server`.
+fn live(
+    server: &mut Server,
+    victim: VmId,
+    ticks: u64,
+) -> impl Iterator<Item = Result<Observation, CoreError>> + '_ {
+    (0..ticks).map(move |_| sample(server, victim))
+}
+
+/// [`live`] for the captures, whose servers were built with `victim`
+/// registered by [`ExperimentConfig::build_server_with_attacker`].
+fn capture(
+    server: &mut Server,
+    victim: VmId,
+    ticks: u64,
+) -> impl Iterator<Item = Observation> + '_ {
+    // lint:allow(panic) -- a registered victim always samples; a missing one is a simulator bug.
+    live(server, victim, ticks).map(|obs| obs.expect("victim sample"))
+}
+
+/// The one Stage-1 profiling loop: feeds every observation of `feed`
+/// to a fresh profiler and finalises the profile.
+fn profile(
+    params: &SdsParams,
+    feed: impl Iterator<Item = Result<Observation, CoreError>>,
+) -> Result<Profile, CoreError> {
+    let mut profiler = Profiler::new(ProfilerConfig {
+        sds: *params,
+        ..ProfilerConfig::default()
+    })?;
+    for obs in feed {
+        profiler.observe(obs?);
+    }
+    profiler.finish()
+}
+
+/// The one passive detection loop, shared by live runs and replays:
+/// profiles the first `profile_ticks` observations of `feed`, arms the
+/// schemes `arm` builds from that profile, then steps every armed
+/// scheme over the rest of the feed and records its alarm timeline.
+/// Outcomes follow the order `arm` returned the schemes in.
+fn passive_run<D: Detector>(
+    params: &SdsParams,
+    profile_ticks: u64,
+    mut feed: impl Iterator<Item = Result<Observation, CoreError>>,
+    arm: impl FnOnce(&Profile) -> Result<Vec<(Scheme, D)>, CoreError>,
+) -> Result<Vec<RunOutcome>, CoreError> {
+    let profile = profile(params, feed.by_ref().take(profile_ticks as usize))?;
+    let mut armed = arm(&profile)?;
+    let monitored = feed.size_hint().0;
+    let mut outcomes: Vec<RunOutcome> = armed
+        .iter()
+        .map(|(scheme, _)| RunOutcome {
+            scheme: *scheme,
+            alarm: Vec::with_capacity(monitored),
+            activations: Vec::new(),
+            profile_periodic: profile.is_periodic(),
+        })
+        .collect();
+    for (t, obs) in feed.enumerate() {
+        let obs = obs?;
+        for ((_, det), out) in armed.iter_mut().zip(&mut outcomes) {
+            if det.on_observation(obs).became_active {
+                out.activations.push(t as u64);
+            }
+            out.alarm.push(det.alarm_active());
+        }
+    }
+    Ok(outcomes)
+}
+
+/// The one live KStest loop: steps `det` over the next `ticks` ticks of
+/// `server`, applying the throttle requests its protocol makes (pausing
+/// the other VMs while it collects its reference), and hands each
+/// tick's index and step to `record`.
+fn throttled_run(
+    det: &mut KsTestDetector,
+    server: &mut Server,
+    victim: VmId,
+    ticks: u64,
+    mut record: impl FnMut(u64, DetectorStep, &KsTestDetector),
+) -> Result<(), CoreError> {
+    for t in 0..ticks {
+        let step = det.on_observation(sample(server, victim)?);
+        match step.throttle {
+            Some(ThrottleRequest::PauseOthers) => server.pause_all_except(victim),
+            Some(ThrottleRequest::ResumeAll) => server.resume_all(),
+            None => {}
+        }
+        record(t, step, det);
+    }
+    Ok(())
 }
 
 /// A fully captured victim observation stream for one run, covering all
@@ -423,14 +515,7 @@ impl CapturedRun {
     ///
     /// Propagates profiling errors.
     pub fn profile_with(&self, params: &SdsParams) -> Result<Profile, CoreError> {
-        let mut profiler = Profiler::new(ProfilerConfig {
-            sds: *params,
-            ..ProfilerConfig::default()
-        })?;
-        for obs in &self.observations[..self.stages.profile_ticks as usize] {
-            profiler.observe(*obs);
-        }
-        profiler.finish()
+        profile(params, self.feed().take(self.stages.profile_ticks as usize))
     }
 
     /// Replays stages 2+3 through a passive detector built by `make`
@@ -445,24 +530,16 @@ impl CapturedRun {
         params: &SdsParams,
         make: impl FnOnce(&Profile) -> Result<D, CoreError>,
     ) -> Result<RunOutcome, CoreError> {
-        let profile = self.profile_with(params)?;
-        let mut detector = make(&profile)?;
-        let monitored = &self.observations[self.stages.profile_ticks as usize..];
-        let mut alarm = Vec::with_capacity(monitored.len());
-        let mut activations = Vec::new();
-        for (t, obs) in monitored.iter().enumerate() {
-            let step = detector.on_observation(*obs);
-            if step.became_active {
-                activations.push(t as u64);
-            }
-            alarm.push(detector.alarm_active());
-        }
-        Ok(RunOutcome {
-            scheme,
-            alarm,
-            activations,
-            profile_periodic: profile.is_periodic(),
-        })
+        let mut outcomes = passive_run(params, self.stages.profile_ticks, self.feed(), |p| {
+            Ok(vec![(scheme, make(p)?)])
+        })?;
+        // lint:allow(panic) -- one scheme armed records exactly one outcome.
+        Ok(outcomes.pop().expect("one armed scheme"))
+    }
+
+    /// The captured observations as a passive-loop feed.
+    fn feed(&self) -> impl Iterator<Item = Result<Observation, CoreError>> + '_ {
+        self.observations.iter().copied().map(Ok)
     }
 
     /// Replays the combined SDS with the given parameters.
@@ -493,15 +570,7 @@ impl ExperimentConfig {
     pub fn capture_run(&self, run: u64) -> CapturedRun {
         let (mut server, victim) = self.build_server(run);
         server.set_monitor_tax(self.sds_tax_cycles);
-        let total = self.stages.total_ticks();
-        let observations = (0..total)
-            .map(|_| {
-                let report = server.tick();
-                // lint:allow(panic) -- `victim` was registered by
-                // build_server above; a missing sample is a simulator bug.
-                Observation::from(report.sample(victim).expect("victim sample"))
-            })
-            .collect();
+        let observations = capture(&mut server, victim, self.stages.total_ticks()).collect();
         CapturedRun { stages: self.stages, observations }
     }
 
@@ -529,14 +598,7 @@ impl ExperimentConfig {
         let geometry = server.config().geometry;
         let prefix_ticks = self.stages.attack_start();
         let suffix_ticks = self.stages.total_ticks() - prefix_ticks;
-        let prefix: Vec<Observation> = (0..prefix_ticks)
-            .map(|_| {
-                let report = server.tick();
-                // lint:allow(panic) -- `victim` was registered by
-                // build_server above; a missing sample is a simulator bug.
-                Observation::from(report.sample(victim).expect("victim sample"))
-            })
-            .collect();
+        let prefix: Vec<Observation> = capture(&mut server, victim, prefix_ticks).collect();
 
         let mut out = Vec::with_capacity(attacks.len());
         let mut warm = Some(server);
@@ -569,12 +631,7 @@ impl ExperimentConfig {
             fork.set_vm_parallelism(attacker, attack.default_parallelism());
 
             let mut observations = prefix.clone();
-            observations.extend((0..suffix_ticks).map(|_| {
-                let report = fork.tick();
-                // lint:allow(panic) -- same victim registration argument
-                // as above.
-                Observation::from(report.sample(victim).expect("victim sample"))
-            }));
+            observations.extend(capture(&mut fork, victim, suffix_ticks));
             out.push(CapturedRun { stages: self.stages, observations });
         }
         out
@@ -605,14 +662,8 @@ pub fn capture_trace(
         ..ExperimentConfig::default()
     };
     let (mut server, victim) = cfg.build_server(0);
-    (0..pre_ticks + post_ticks)
-        .map(|_| {
-            let r = server.tick();
-            // lint:allow(panic) -- `victim` was registered by build_server
-            // above; a missing sample is a simulator bug.
-            let s = r.sample(victim).expect("victim sample");
-            (s.accesses as f64, s.misses as f64)
-        })
+    capture(&mut server, victim, pre_ticks + post_ticks)
+        .map(|obs| (obs.access_num, obs.miss_num))
         .collect()
 }
 
@@ -659,17 +710,7 @@ pub fn kstest_benign_run(
     let mut rounds = Vec::new();
     let mut tests_seen = 0;
     let mut interval_alarmed = vec![false; ticks.div_ceil(ks_params.l_r_ticks) as usize];
-    for t in 0..ticks {
-        let report = server.tick();
-        // lint:allow(panic) -- `victim` was registered a few lines up; a
-        // missing sample is a simulator bug.
-        let obs = Observation::from(report.sample(victim).expect("victim sample"));
-        let step = det.on_observation(obs);
-        match step.throttle {
-            Some(ThrottleRequest::PauseOthers) => server.pause_all_except(victim),
-            Some(ThrottleRequest::ResumeAll) => server.resume_all(),
-            None => {}
-        }
+    throttled_run(&mut det, &mut server, victim, ticks, |t, _, det| {
         if det.tests_run() > tests_seen {
             tests_seen = det.tests_run();
             rounds.push(KsRound { tick: t, rejected: det.last_rejected().unwrap_or(false) });
@@ -679,7 +720,10 @@ pub fn kstest_benign_run(
                 *slot = true;
             }
         }
-    }
+    })
+    // lint:allow(panic) -- `victim` was registered a few lines up; a
+    // missing sample is a simulator bug.
+    .expect("victim sample");
     let fp = interval_alarmed.iter().filter(|&&a| a).count() as f64
         / interval_alarmed.len().max(1) as f64;
     (rounds, fp)

@@ -182,69 +182,6 @@ where
     })
 }
 
-/// [`parallel_map`] over **owned** items: applies `f` to every item of
-/// `items` on `workers` threads and returns the results in input order.
-///
-/// The engine's batch dispatch needs this variant — each tenant shard
-/// owns mutable session state (`&mut` inside the closure's argument), so
-/// items must move into the workers rather than be shared behind `&T`.
-/// Items are parked in per-index `Mutex<Option<T>>` slots; each worker
-/// claims indices from a shared atomic cursor and takes the item out of
-/// its slot, so every item is processed exactly once. With `workers <= 1`
-/// the items are mapped inline on the calling thread, producing the same
-/// `Vec` in the same order.
-pub fn parallel_map_owned<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let workers = workers.max(1).min(items.len().max(1));
-    if workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let n = items.len();
-    let slots: Vec<std::sync::Mutex<Option<T>>> =
-        items.into_iter().map(|t| std::sync::Mutex::new(Some(t))).collect();
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let slots = &slots;
-            let f = &f;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(slot) = slots.get(i) else { break };
-                // Each index is claimed exactly once via the cursor, so
-                // the slot still holds its item; a poisoned lock (another
-                // worker panicked while holding it) cannot occur for a
-                // distinct index, but recover rather than unwrap to stay
-                // panic-free.
-                let item = match slot.lock() {
-                    Ok(mut guard) => guard.take(),
-                    Err(poisoned) => poisoned.into_inner().take(),
-                };
-                let Some(item) = item else { break };
-                // A send only fails when the receiver is gone, which
-                // means the collector below already stopped; just exit.
-                if tx.send((i, f(item))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for (i, result) in rx {
-            if let Some(slot) = out.get_mut(i) {
-                *slot = Some(result);
-            }
-        }
-        out.into_iter().flatten().collect()
-    })
-}
-
 /// One (application × attack × run) cell of the evaluation grid. All
 /// schemes applicable to the cell are executed together, exactly as the
 /// sequential engine does (passive schemes share one server execution).
@@ -428,25 +365,5 @@ mod tests {
             format!("{:?}", one[0].observations),
             format!("{:?}", one[attacks.len()].observations)
         );
-    }
-
-    #[test]
-    fn parallel_map_owned_preserves_input_order() {
-        let items: Vec<String> = (0..57).map(|i| format!("item-{i}")).collect();
-        let expected: Vec<String> = items.iter().map(|s| format!("{s}!")).collect();
-        for workers in [1, 2, 3, 8] {
-            let got = parallel_map_owned(items.clone(), workers, |mut s: String| {
-                s.push('!');
-                s
-            });
-            assert_eq!(got, expected);
-        }
-    }
-
-    #[test]
-    fn parallel_map_owned_handles_empty_and_tiny_inputs() {
-        let empty: Vec<u64> = Vec::new();
-        assert_eq!(parallel_map_owned(empty, 4, |x: u64| x).len(), 0);
-        assert_eq!(parallel_map_owned(vec![7u64], 4, |x| x + 1), vec![8]);
     }
 }

@@ -1,10 +1,9 @@
 //! Persistent sharded worker pool with reusable batch buffers.
 //!
-//! [`parallel_map_owned`](crate::parallel_map_owned) pays a full
-//! thread-spawn/join cycle and a fresh set of allocations per call —
-//! fine for a coarse experiment grid, ruinous for a streaming engine
-//! that dispatches a batch every few hundred samples. [`ShardPool`]
-//! amortises both costs:
+//! [`parallel_map`](crate::parallel_map) pays a full thread-spawn/join
+//! cycle and a fresh set of allocations per call — fine for a coarse
+//! experiment grid, ruinous for a streaming engine that dispatches a
+//! batch every few hundred samples. [`ShardPool`] amortises both costs:
 //!
 //! * **threads persist** — workers are spawned once and park on a job
 //!   channel between rounds, so a round costs two channel hops instead
@@ -17,11 +16,6 @@
 //!   caller that owns long-lived stateful items (the engine's session
 //!   table) sees them permuted by *nothing*.
 //!
-//! Results are appended in shard-completion order, which is
-//! scheduling-dependent; callers needing a deterministic stream must
-//! impose their own total order (the engine sorts events by a unique
-//! `(seq, sub)` key, which makes the completion order unobservable).
-//!
 //! # Per-shard finish hook and sorted runs
 //!
 //! A pool built with [`ShardPool::with_finish`] runs a caller-supplied
@@ -32,7 +26,9 @@
 //! `sort` over the concatenation, moving `O(n log n)` work off the
 //! single-threaded merge step and onto the workers. The runs
 //! themselves are handed back by [`ShardPool::run_sharded_runs`],
-//! which recycles the caller's run buffers round over round.
+//! which recycles the caller's run buffers round over round. Runs
+//! arrive in shard-completion order, which is scheduling-dependent;
+//! the engine's unique `(seq, sub)` key makes that order unobservable.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -72,8 +68,8 @@ pub struct ShardPool<T, R> {
     /// The caller's step function, kept for the inline fallback when a
     /// worker cannot accept a shard.
     step: Box<dyn Fn(&mut T, &mut Vec<R>) + Send + Sync>,
-    /// Optional per-shard finish hook (see module docs).
-    finish: Option<FinishFn<R>>,
+    /// Per-shard finish hook (see module docs).
+    finish: FinishFn<R>,
 }
 
 impl<T, R> ShardPool<T, R>
@@ -82,30 +78,16 @@ where
     R: Send + 'static,
 {
     /// Spawns `workers` (floored at 1) persistent worker threads, each
-    /// running `step` over every item of every shard it receives.
-    pub fn new<F>(workers: usize, step: F) -> Self
-    where
-        F: Fn(&mut T, &mut Vec<R>) + Send + Sync + Clone + 'static,
-    {
-        Self::build(workers, step, None)
-    }
-
-    /// Like [`new`](Self::new), but additionally runs `finish` over
-    /// each shard's result buffer on the worker that filled it. Pair
-    /// with [`run_sharded_runs`](Self::run_sharded_runs) and a sorting
-    /// `finish` to get pre-sorted runs for a downstream K-way merge.
+    /// running `step` over every item of every shard it receives and
+    /// then `finish` over the shard's result buffer. A sorting `finish`
+    /// makes [`run_sharded_runs`](Self::run_sharded_runs) hand back
+    /// pre-sorted runs for a downstream K-way merge.
     pub fn with_finish<F, G>(workers: usize, step: F, finish: G) -> Self
     where
         F: Fn(&mut T, &mut Vec<R>) + Send + Sync + Clone + 'static,
         G: Fn(&mut Vec<R>) + Send + Sync + 'static,
     {
-        Self::build(workers, step, Some(Arc::new(finish)))
-    }
-
-    fn build<F>(workers: usize, step: F, finish: Option<FinishFn<R>>) -> Self
-    where
-        F: Fn(&mut T, &mut Vec<R>) + Send + Sync + Clone + 'static,
-    {
+        let finish: FinishFn<R> = Arc::new(finish);
         let workers = workers.max(1);
         let (res_tx, res_rx) = mpsc::channel::<Shard<T, R>>();
         let mut txs = Vec::with_capacity(workers);
@@ -121,9 +103,7 @@ where
                     for (_, item) in shard.items.iter_mut() {
                         step(item, &mut shard.out);
                     }
-                    if let Some(f) = finish.as_ref() {
-                        f(&mut shard.out);
-                    }
+                    finish(&mut shard.out);
                     // The pool dropping its receiver mid-round means the
                     // round's results are unwanted; exit quietly.
                     if res.send(shard).is_err() {
@@ -153,45 +133,9 @@ where
     }
 
     /// Runs one round: every item of `items` is stepped exactly once
-    /// (round-robin sharded across the workers), results are appended
-    /// to `out`, and `items` comes back in its original order.
-    ///
-    /// Results arrive in shard-completion order — impose a total order
-    /// downstream if the output must be deterministic.
-    pub fn run_sharded(&mut self, items: &mut Vec<T>, out: &mut Vec<R>) {
-        let n = items.len();
-        if n == 0 {
-            return;
-        }
-        let workers = self.txs.len().min(n);
-        if workers <= 1 {
-            // One shard would serialise through a worker anyway; step
-            // inline and skip the channel round-trip. Route through a
-            // recycled buffer so a finish hook sees exactly this
-            // round's results, as a worker would have.
-            let mut run = self.spare_outs.pop().unwrap_or_default();
-            for item in items.iter_mut() {
-                (self.step)(item, &mut run);
-            }
-            if let Some(f) = self.finish.as_ref() {
-                f(&mut run);
-            }
-            out.append(&mut run);
-            self.spare_outs.push(run);
-            return;
-        }
-        let mut done = self.dispatch_round(items, workers);
-        for shard in done.iter_mut() {
-            out.append(&mut shard.out);
-        }
-        self.restore_items(n, &mut done, items);
-        self.spare.extend(done);
-    }
-
-    /// Runs one round like [`run_sharded`](Self::run_sharded), but
-    /// hands each shard's result buffer back whole, as one *run* in
-    /// `runs`, instead of concatenating them. With a pool built via
-    /// [`with_finish`](Self::with_finish) and a sorting hook, every
+    /// (round-robin sharded across the workers), `items` comes back in
+    /// its original order, and each shard's result buffer comes back
+    /// whole, as one *run* in `runs`. With a sorting finish hook every
     /// run arrives pre-sorted and the caller can K-way merge.
     ///
     /// Buffers already in `runs` are recycled as this round's shard
@@ -213,9 +157,7 @@ where
             for item in items.iter_mut() {
                 (self.step)(item, &mut run);
             }
-            if let Some(f) = self.finish.as_ref() {
-                f(&mut run);
-            }
+            (self.finish)(&mut run);
             runs.push(run);
             return;
         }
@@ -252,9 +194,7 @@ where
                     for (_, item) in shard.items.iter_mut() {
                         (self.step)(item, &mut shard.out);
                     }
-                    if let Some(f) = self.finish.as_ref() {
-                        f(&mut shard.out);
-                    }
+                    (self.finish)(&mut shard.out);
                     done.push(shard);
                 }
             }
@@ -325,62 +265,70 @@ impl<T, R> std::fmt::Debug for ShardPool<T, R> {
 mod tests {
     use super::*;
 
+    /// A pool whose finish hook leaves each run as produced.
+    fn plain_pool<T, R, F>(workers: usize, step: F) -> ShardPool<T, R>
+    where
+        T: Send + 'static,
+        R: Send + 'static,
+        F: Fn(&mut T, &mut Vec<R>) + Send + Sync + Clone + 'static,
+    {
+        ShardPool::with_finish(workers, step, |_: &mut Vec<R>| {})
+    }
+
     #[test]
     fn items_come_back_in_input_order() {
-        let mut pool: ShardPool<u64, u64> =
-            ShardPool::new(4, |item: &mut u64, out: &mut Vec<u64>| {
-                out.push(*item * 10);
-                *item += 1;
-            });
+        let mut pool: ShardPool<u64, u64> = plain_pool(4, |item: &mut u64, out: &mut Vec<u64>| {
+            out.push(*item * 10);
+            *item += 1;
+        });
         let mut items: Vec<u64> = (0..57).collect();
-        let mut out = Vec::new();
-        pool.run_sharded(&mut items, &mut out);
+        let mut runs = Vec::new();
+        pool.run_sharded_runs(&mut items, &mut runs);
         let expected: Vec<u64> = (1..58).collect();
         assert_eq!(items, expected, "items must return in input order, each stepped once");
-        let mut sorted = out.clone();
-        sorted.sort_unstable();
+        let mut all: Vec<u64> = runs.concat();
+        all.sort_unstable();
         let want: Vec<u64> = (0..57).map(|i| i * 10).collect();
-        assert_eq!(sorted, want, "every item produced its result exactly once");
+        assert_eq!(all, want, "every item produced its result exactly once");
     }
 
     #[test]
     fn rounds_reuse_the_pool_and_buffers() {
         let mut pool: ShardPool<u64, u64> =
-            ShardPool::new(3, |item: &mut u64, out: &mut Vec<u64>| out.push(*item));
+            plain_pool(3, |item: &mut u64, out: &mut Vec<u64>| out.push(*item));
         let mut items: Vec<u64> = (0..16).collect();
+        let mut runs = Vec::new();
         for round in 0..50u64 {
-            let mut out = Vec::new();
-            pool.run_sharded(&mut items, &mut out);
-            assert_eq!(out.len(), 16, "round {round}");
+            pool.run_sharded_runs(&mut items, &mut runs);
+            assert_eq!(runs.iter().map(Vec::len).sum::<usize>(), 16, "round {round}");
             assert_eq!(items.len(), 16, "round {round}");
         }
-        // Buffers were recycled: at most one shard set is parked.
+        // Shards were recycled: at most one shard set is parked.
         assert!(pool.spare.len() <= 3);
     }
 
     #[test]
     fn degenerate_shapes_work() {
         let mut pool: ShardPool<u64, u64> =
-            ShardPool::new(8, |item: &mut u64, out: &mut Vec<u64>| out.push(*item));
+            plain_pool(8, |item: &mut u64, out: &mut Vec<u64>| out.push(*item));
         let mut empty: Vec<u64> = Vec::new();
-        let mut out = Vec::new();
-        pool.run_sharded(&mut empty, &mut out);
-        assert!(out.is_empty());
+        let mut runs = Vec::new();
+        pool.run_sharded_runs(&mut empty, &mut runs);
+        assert!(runs.is_empty());
         // More workers than items.
         let mut tiny = vec![7u64, 8];
-        pool.run_sharded(&mut tiny, &mut out);
+        pool.run_sharded_runs(&mut tiny, &mut runs);
         assert_eq!(tiny, vec![7, 8]);
-        let mut sorted = out.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![7, 8]);
+        let mut all = runs.concat();
+        all.sort_unstable();
+        assert_eq!(all, vec![7, 8]);
         // Zero workers floors to one.
         let mut single: ShardPool<u64, u64> =
-            ShardPool::new(0, |item: &mut u64, out: &mut Vec<u64>| out.push(*item));
+            plain_pool(0, |item: &mut u64, out: &mut Vec<u64>| out.push(*item));
         assert_eq!(single.workers(), 1);
         let mut items = vec![1u64, 2, 3];
-        let mut out = Vec::new();
-        single.run_sharded(&mut items, &mut out);
-        assert_eq!(out, vec![1, 2, 3], "single worker steps inline, in order");
+        single.run_sharded_runs(&mut items, &mut runs);
+        assert_eq!(runs, vec![vec![1, 2, 3]], "single worker steps inline, in order");
     }
 
     #[test]
@@ -392,21 +340,55 @@ mod tests {
             ticks: u64,
         }
         let mut pool: ShardPool<Counter, (usize, u64)> =
-            ShardPool::new(4, |c: &mut Counter, out: &mut Vec<(usize, u64)>| {
+            plain_pool(4, |c: &mut Counter, out: &mut Vec<(usize, u64)>| {
                 c.ticks += 1;
                 out.push((c.id, c.ticks));
             });
         let mut items: Vec<Counter> =
             (0..10).map(|id| Counter { id, ticks: 0 }).collect();
-        let mut out = Vec::new();
+        let mut runs = Vec::new();
+        let mut results = 0;
         for _ in 0..20 {
-            pool.run_sharded(&mut items, &mut out);
+            pool.run_sharded_runs(&mut items, &mut runs);
+            results += runs.iter().map(Vec::len).sum::<usize>();
         }
         for (i, c) in items.iter().enumerate() {
             assert_eq!(c.id, i, "order preserved");
             assert_eq!(c.ticks, 20, "every round stepped every item once");
         }
-        assert_eq!(out.len(), 200);
+        assert_eq!(results, 200);
+    }
+
+    #[test]
+    fn a_gone_worker_is_stepped_inline_and_order_survives() {
+        let mut pool: ShardPool<u64, u64> = ShardPool::with_finish(
+            3,
+            |item: &mut u64, out: &mut Vec<u64>| {
+                out.push(*item * 2);
+                *item += 1;
+            },
+            |run: &mut Vec<u64>| run.sort_unstable(),
+        );
+        // Cut the first worker off: its job channel closes, so the
+        // thread exits (joined here, so the liveness check does not
+        // mistake it for a panicked one), and its replacement has no
+        // receiver, so every shard sent its way bounces back.
+        let (dead_tx, dead_rx) = mpsc::channel();
+        drop(dead_rx);
+        if let Some(tx) = pool.txs.first_mut() {
+            *tx = dead_tx;
+        }
+        assert!(pool.handles.remove(0).join().is_ok());
+        let mut items: Vec<u64> = (0..31).collect();
+        let mut runs = Vec::new();
+        for _ in 0..3 {
+            pool.run_sharded_runs(&mut items, &mut runs);
+            assert!(runs.iter().all(|r| r.windows(2).all(|w| w[0] <= w[1])), "finish applied");
+        }
+        assert_eq!(items, (3..34).collect::<Vec<u64>>(), "input order, three steps each");
+        let mut all = runs.concat();
+        all.sort_unstable();
+        assert_eq!(all, (2..33).map(|i| i * 2).collect::<Vec<u64>>(), "no result lost");
     }
 
     #[test]

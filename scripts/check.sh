@@ -55,6 +55,12 @@ cargo build --workspace --release
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+# pipebench (the benchmark harness) is its own workspace calling the
+# crates' public API, so a reshaped call would otherwise break it
+# without failing anything above.
+echo "==> cargo test (pipebench self-tests)"
+cargo test --offline --manifest-path pipebench/Cargo.toml
+
 # The property-based suite is feature-gated because the offline build
 # environment cannot fetch the external proptest crate. Run it whenever
 # the dependency has been restored under [dev-dependencies] — the

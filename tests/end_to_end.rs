@@ -7,7 +7,7 @@ use memdos::core::detector::{Detector, Observation, ThrottleRequest};
 use memdos::core::kstest::KsTestDetector;
 use memdos::core::profile::Profiler;
 use memdos::core::sds::Sds;
-use memdos::metrics::experiment::{ExperimentConfig, Scheme, StageConfig};
+use memdos::metrics::experiment::{CapturedRun, ExperimentConfig, RunOutcome, Scheme, StageConfig};
 use memdos::sim::server::{Server, ServerConfig};
 use memdos::workloads::Application;
 
@@ -133,21 +133,56 @@ fn experiment_runner_produces_consistent_outcomes() {
 
 #[test]
 fn captured_replay_matches_live_run() {
+    // Passive schemes only observe, so replaying a captured stream must
+    // reproduce the live alarm timelines exactly.
+    let same = |live: &RunOutcome, replay: &RunOutcome, what: &str| {
+        assert_eq!(live.scheme, replay.scheme, "{what}");
+        assert_eq!(live.alarm, replay.alarm, "{what}");
+        assert_eq!(live.activations, replay.activations, "{what}");
+        assert_eq!(live.profile_periodic, replay.profile_periodic, "{what}");
+    };
+    let sdsb = |cap: &CapturedRun, params: &SdsParams| {
+        cap.replay_passive(Scheme::SdsB, params, |p| Scheme::SdsB.arm(p, params))
+            .expect("SDS/B replay")
+    };
+
+    // Non-periodic KMeans: SDS and SDS/B, each through `run_scheme`.
     let cfg = ExperimentConfig {
         app: Application::KMeans,
         attack: AttackKind::BusLocking,
         stages: StageConfig::quick(),
         ..ExperimentConfig::default()
     };
-    let live = cfg.run_scheme(Scheme::Sds, 5).expect("live run");
-    let replay = cfg
-        .capture_run(5)
-        .replay_sds(&cfg.sds_params)
-        .expect("replay");
-    // SDS is passive, so replaying the captured stream must reproduce
-    // the live alarm timeline exactly.
-    assert_eq!(live.alarm, replay.alarm);
-    assert_eq!(live.activations, replay.activations);
+    let captured = cfg.capture_run(5);
+    let replay = captured.replay_sds(&cfg.sds_params).expect("replay");
+    same(&cfg.run_scheme(Scheme::Sds, 5).expect("live run"), &replay, "KMeans SDS");
+    let replay = sdsb(&captured, &cfg.sds_params);
+    same(&cfg.run_scheme(Scheme::SdsB, 5).expect("live run"), &replay, "KMeans SDS/B");
+
+    // Periodic PCA: `run_all_schemes` shares one live execution between
+    // the passive schemes, which must equal the per-scheme replays, and
+    // appends `run_scheme(KsTest)`. Two utility VMs keep the case cheap;
+    // the equivalence holds for any server population.
+    let cfg = ExperimentConfig {
+        app: Application::Pca,
+        attack: AttackKind::BusLocking,
+        stages: StageConfig::quick(),
+        utility_vms: 2,
+        ..ExperimentConfig::default()
+    };
+    let captured = cfg.capture_run(3);
+    let params = cfg.sds_params;
+    let expected = [
+        captured.replay_sds(&params).expect("SDS replay"),
+        sdsb(&captured, &params),
+        captured.replay_sdsp(&params).expect("SDS/P replay"),
+        cfg.run_scheme(Scheme::KsTest, 3).expect("KStest run"),
+    ];
+    let all = cfg.run_all_schemes(3).expect("all schemes");
+    assert_eq!(all.len(), expected.len(), "PCA must profile as periodic");
+    for (live, replay) in all.iter().zip(&expected) {
+        same(live, replay, &format!("PCA {}", replay.scheme));
+    }
 }
 
 #[test]
