@@ -196,6 +196,18 @@ impl Profiler {
         }
     }
 
+    /// Returns the profiler to its freshly constructed state, keeping
+    /// every buffer's allocation, so a recycled profiler produces
+    /// exactly the profile a new one fed the same input would.
+    pub fn reset(&mut self) {
+        self.access_pipe.reset();
+        self.miss_pipe.reset();
+        self.access_ma.clear();
+        self.access_ewma.clear();
+        self.miss_ewma.clear();
+        self.observations = 0;
+    }
+
     /// Number of raw observations consumed.
     pub fn observations(&self) -> u64 {
         self.observations
@@ -356,6 +368,30 @@ mod tests {
             p.finish(),
             Err(CoreError::InsufficientProfile { .. })
         ));
+    }
+
+    #[test]
+    fn reset_then_feed_matches_a_fresh_profiler_bit_for_bit() {
+        let square = |i: usize| {
+            let a = if (i / 500) % 2 == 0 { 1200.0 } else { 400.0 };
+            (a + (i % 13) as f64 / 3.0, 30.0 + (i % 7) as f64 * 0.1)
+        };
+        let mut recycled = Profiler::default();
+        observe_signal(&mut recycled, 7_321, |i| (900.0 + (i % 17) as f64, 40.0));
+        let held = recycled.resident_bytes_hint();
+        recycled.reset();
+        assert_eq!(recycled.observations(), 0);
+        assert_eq!(recycled.resident_bytes_hint(), held, "reset keeps every buffer");
+        let mut fresh = Profiler::default();
+        observe_signal(&mut recycled, 10_000, square);
+        observe_signal(&mut fresh, 10_000, square);
+        let (a, b) = (recycled.finish().unwrap(), fresh.finish().unwrap());
+        assert_eq!(a, b);
+        assert_eq!(a.access.mu.to_bits(), b.access.mu.to_bits());
+        assert_eq!(a.access.sigma.to_bits(), b.access.sigma.to_bits());
+        assert_eq!(a.miss.sigma.to_bits(), b.miss.sigma.to_bits());
+        let (pa, pb) = (a.periodicity.expect("periodic"), b.periodicity.expect("periodic"));
+        assert_eq!(pa.period_ma.to_bits(), pb.period_ma.to_bits());
     }
 
     #[test]

@@ -33,6 +33,10 @@ pub struct Sds {
 }
 
 impl Sds {
+    /// The detector's name ([`Detector::name`]), as a constant for
+    /// callers that label output without holding a detector.
+    pub const NAME: &'static str = "SDS";
+
     /// Builds SDS from a Stage-1 [`Profile`]. SDS/P is included exactly
     /// when the profile classified the application as periodic.
     ///
@@ -134,7 +138,7 @@ impl Sds {
 
 impl Detector for Sds {
     fn name(&self) -> &str {
-        "SDS"
+        Sds::NAME
     }
 
     fn on_observation(&mut self, obs: Observation) -> DetectorStep {

@@ -16,10 +16,19 @@
 //! dense `u32` slots; the tenant table maps the interned [`TenantId`] to
 //! the slab slot, so the hot routing path performs one `BTreeMap` name
 //! lookup and two vector index hops — no per-session boxing, no hashing.
+//! A tenant name is allocated once, on first contact, as an `Arc<str>`
+//! shared by the intern table, the tenant slot, every incarnation's
+//! session and every event that names the tenant.
 //! Closed incarnations are reclaimed at the flush that drains their
 //! final events (their slot returns to a LIFO free list; final counters
-//! are retained for [`Engine::snapshots`]), so steady-state churn reuses
-//! memory instead of growing forever.
+//! are retained for [`Engine::snapshots`]) and their storage goes to a
+//! bounded spare list: the next open resets a spare in place
+//! (`Session::reopen`) instead of allocating, so steady-state churn
+//! reuses memory instead of allocating and freeing it per incarnation.
+//! A recycled session keeps its sample queue, which a new session
+//! reserves to its bound once.
+//! Events are typed (`event::Event`) and rendered straight into the
+//! recycled line writer, so logging them allocates only the log line.
 //!
 //! `Config::max_sessions` sets an explicit ceiling on concurrently open
 //! sessions. At the ceiling, opening a new session **evicts** the
@@ -32,11 +41,12 @@
 //! entries are refreshed on pop rather than on every sample, so the hot
 //! path pays nothing and eviction costs `O(log n)` amortised. The same
 //! heap drives the idle scan, which therefore no longer walks every
-//! tenant per flush. Quarantined sessions are exempt from the idle
-//! timeout (their verdict must stay visible) but remain evictable under
-//! ceiling pressure, and terminal sessions that stay resident are shrunk
-//! to a husk (detectors and buffers dropped, identity and counters
-//! kept).
+//! tenant per flush; with neither the ceiling nor the idle timeout on,
+//! the heap is not kept at all. Quarantined sessions are exempt from
+//! the idle timeout (their verdict must stay visible) but remain
+//! evictable under ceiling pressure, and terminal sessions that stay
+//! resident are shrunk to a husk (detectors and buffers dropped,
+//! identity and counters kept).
 //!
 //! ## Hierarchical merge
 //!
@@ -87,20 +97,21 @@
 //! scale.
 
 pub use crate::config::Config;
+use crate::event::{render_event, Escalation, Event, Release, SessionEvent, StatsLine};
 use crate::mitigation::{CaseStep, Coordinator, MitigationAction};
 use crate::protocol::Record;
-use crate::session::{
-    CloseReason, Offered, Session, SessionEvent, SessionSnapshot, SessionState,
-};
+use crate::session::{CloseReason, Offered, Session, SessionSnapshot, SessionState};
 use crate::slab::Slab;
 use memdos_core::detector::Observation;
 use memdos_core::CoreError;
 use memdos_metrics::binary::{self, BinDecoder, BinFrame};
-use memdos_metrics::jsonl::{self, JsonObject, LineBuf, LineFramer, Piece, RawKind, Segment};
+use memdos_metrics::jsonl::{self, LineBuf, LineFramer, Piece, RawKind, Segment};
 use memdos_runner::ShardPool;
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::io::BufRead;
+use std::sync::Arc;
 
 /// Sub-index that sorts an ingest-side event (malformed line, dropped
 /// sample) after any session-side events of the same arrival index.
@@ -156,25 +167,29 @@ pub struct EngineStats {
 /// `engine_stats` line, never in an event the determinism contract
 /// covers.
 #[derive(Debug, Default, Clone, Copy)]
-struct StageProf {
+pub(crate) struct StageProf {
     enabled: bool,
     /// Line → record decoding (the record parse; resync recovery is
     /// not billed here).
-    decode_ns: u64,
+    pub(crate) decode_ns: u64,
     /// Binary-stream decoding (frame scan, checksum, resync) when the
     /// reader negotiated the binary wire format.
-    decode_bin_ns: u64,
+    pub(crate) decode_bin_ns: u64,
     /// Record → session routing (intern lookup, offer, drop policy).
-    dispatch_ns: u64,
+    pub(crate) dispatch_ns: u64,
     /// Session queue draining (detector stepping) across the pool.
-    step_ns: u64,
+    pub(crate) step_ns: u64,
     /// Imposing the `(seq, sub)` order on the flush's events: the sort
     /// on the inline path, the fused K-way merge + render on the pooled
     /// path.
-    merge_ns: u64,
+    pub(crate) merge_ns: u64,
     /// Event rendering and log append (inline path; the pooled path
     /// bills its fused merge+render loop to `merge_ns`).
-    write_ns: u64,
+    pub(crate) write_ns: u64,
+    /// The flush's session bookkeeping around the other stages: lending
+    /// dirty sessions out of the slab, returning, retiring and
+    /// recycling them, the idle scan and the mitigation step.
+    pub(crate) reclaim_ns: u64,
 }
 
 impl StageProf {
@@ -247,6 +262,9 @@ struct RetiredSession {
 /// break the worker-count determinism guarantee).
 #[derive(Debug)]
 struct TenantSlot {
+    /// The interned name, shared with the intern-table key and every
+    /// incarnation's session and events.
+    name: Arc<str>,
     /// Slab slot of the current incarnation; `None` once it was closed,
     /// drained and reclaimed.
     session: Option<u32>,
@@ -271,8 +289,9 @@ pub struct Engine {
     /// churn. See the module docs on fleet-scale storage.
     slab: Slab<Session>,
     /// Tenant-name intern table: name → dense [`TenantId`]. Consulted
-    /// once per record; every later step keys on the `Copy` id.
-    ids: BTreeMap<String, TenantId>,
+    /// once per record; every later step keys on the `Copy` id. The
+    /// name is allocated once, on first contact, and shared from here.
+    ids: BTreeMap<Arc<str>, TenantId>,
     /// Routing state per interned tenant, indexed by [`TenantId`].
     slots: Vec<TenantSlot>,
     /// Slab slots that queued work since the last flush, in first-queue
@@ -281,7 +300,9 @@ pub struct Engine {
     dirty: Vec<u32>,
     /// Lazy recency heap over open sessions, keyed by
     /// `(last_seen, TenantId)`: stale entries are dropped or re-pushed
-    /// at pop time. Shared by the idle scan and the ceiling eviction.
+    /// at pop time. Shared by the idle scan and the ceiling eviction,
+    /// and kept only when one of them is on (see
+    /// [`Engine::tracks_recency`]).
     lru: BinaryHeap<Reverse<(u64, u32)>>,
     /// Open (not closed-at-ingest) resident sessions — what the memory
     /// ceiling bounds.
@@ -302,6 +323,11 @@ pub struct Engine {
     /// ran ~40 % *slower* than inline). The log is byte-identical at
     /// any width, so the clamp is unobservable in output.
     effective_workers: usize,
+    /// Released sessions kept for [`Session::reopen`], so churn reuses
+    /// their storage instead of allocating. At most `config.batch`: a
+    /// flush interval opens at most about one session per arrival
+    /// index, so that many spares cover the next interval's opens.
+    spares: Vec<Session>,
     /// Recycled flush-event buffer for the inline path.
     events_buf: Vec<SessionEvent>,
     /// Recycled working set of sessions lent out of the slab for a
@@ -326,10 +352,10 @@ pub struct Engine {
     /// Quarantine notices collected at put-back time, consumed by the
     /// mitigation step at the end of the same flush:
     /// `(tenant id, notice seq, tenant name)`.
-    notices: Vec<(u32, u64, String)>,
-    /// Active cases aborted this flush because their session closed:
-    /// `(tenant id, tenant name)`, for the `mitigation_released` event.
-    aborted_cases: Vec<(u32, String)>,
+    notices: Vec<(u32, u64, Arc<str>)>,
+    /// Tenants whose active case was aborted this flush because their
+    /// session closed, for the `mitigation_released` event.
+    aborted_cases: Vec<Arc<str>>,
     /// Terminal-but-resident sessions (quarantined verdicts,
     /// worker-closed husks), in the order they turned terminal. The
     /// ceiling eviction drains this before touching the recency heap:
@@ -377,6 +403,7 @@ impl Engine {
             ingest_events: Vec::new(),
             pool: None,
             effective_workers: config.workers.min(memdos_runner::cores()),
+            spares: Vec::new(),
             events_buf: Vec::new(),
             scratch: Vec::new(),
             scratch_meta: Vec::new(),
@@ -467,17 +494,20 @@ impl Engine {
     }
 
     /// Estimated resident heap bytes of the session fleet: every live
-    /// session's heap working set ([`Session::resident_bytes`]), the
-    /// slab slots that hold the session structs inline, and the
+    /// and spare session's heap working set
+    /// ([`Session::resident_bytes`]), the slab slots and spare list that
+    /// hold the session structs inline, the interned names and the
     /// engine's per-tenant tables. Deterministic capacity accounting —
     /// the number the fleet bench reports and the ceiling is judged
     /// against — not an allocator measurement.
     pub fn resident_bytes(&self) -> usize {
-        let sessions: usize = self.slab.iter().map(|(_, s)| s.resident_bytes()).sum();
-        let names: usize = self.ids.keys().map(|k| k.capacity()).sum();
+        let live = self.slab.iter().map(|(_, s)| s);
+        let sessions: usize = live.chain(&self.spares).map(Session::resident_bytes).sum();
+        let names: usize = self.ids.keys().map(|k| k.len()).sum();
         sessions
             + names
             + self.slab.capacity() * std::mem::size_of::<Option<(u32, bool, Session)>>()
+            + self.spares.capacity() * std::mem::size_of::<Session>()
             + self.slots.len() * std::mem::size_of::<TenantSlot>()
             + self.lru.len() * std::mem::size_of::<Reverse<(u64, u32)>>()
     }
@@ -557,10 +587,10 @@ impl Engine {
                         self.stats.resynced += 1;
                         self.ingest_record(seq, record);
                     }
-                    Err(e) => self.push_malformed(seq, e.reason(), None),
+                    Err(e) => self.push_malformed(seq, Cow::Borrowed(e.reason()), None),
                 },
                 Segment::Skipped { bytes, reason } => {
-                    self.push_malformed(seq, &reason, Some(bytes));
+                    self.push_malformed(seq, Cow::Owned(reason), Some(bytes));
                 }
             }
         }
@@ -642,7 +672,7 @@ impl Engine {
             Piece::Text(line) => self.ingest_line(line),
             Piece::Skipped { bytes, reason } => {
                 let seq = self.alloc_seq();
-                self.push_malformed(seq, reason, Some(bytes));
+                self.push_malformed(seq, Cow::Owned(reason.to_string()), Some(bytes));
                 if self.pending >= self.config.batch {
                     self.flush();
                 }
@@ -701,7 +731,7 @@ impl Engine {
                 let obs = Observation { access_num: access, miss_num: miss };
                 match wire.slots.get_mut(tenant as usize).and_then(Option::as_mut) {
                     Some(entry) => self.route_sample_wire(seq, entry, obs),
-                    None => self.push_malformed(seq, "undefined wire id", None),
+                    None => self.push_malformed(seq, Cow::Borrowed("undefined wire id"), None),
                 }
                 let d = self.prof.lap(t0);
                 self.prof.dispatch_ns += d;
@@ -714,7 +744,7 @@ impl Engine {
                         let name = &entry.name;
                         self.route_close(seq, name);
                     }
-                    None => self.push_malformed(seq, "undefined wire id", None),
+                    None => self.push_malformed(seq, Cow::Borrowed("undefined wire id"), None),
                 }
                 let d = self.prof.lap(t0);
                 self.prof.dispatch_ns += d;
@@ -722,7 +752,7 @@ impl Engine {
             BinFrame::Define { tenant, name } => {
                 if tenant >= binary::MAX_WIRE_ID {
                     let seq = self.alloc_seq();
-                    self.push_malformed(seq, "wire id out of range", None);
+                    self.push_malformed(seq, Cow::Borrowed("wire id out of range"), None);
                 } else {
                     let slot = tenant as usize;
                     if wire.slots.len() <= slot {
@@ -739,7 +769,7 @@ impl Engine {
             }
             BinFrame::Skipped { bytes, reason } => {
                 let seq = self.alloc_seq();
-                self.push_malformed(seq, reason, Some(bytes));
+                self.push_malformed(seq, Cow::Borrowed(reason), Some(bytes));
             }
         }
         if self.pending >= self.config.batch {
@@ -855,7 +885,7 @@ impl Engine {
                 slot.last_seen = seq;
                 slot.session.map(|idx| (idx, id.0))
             }),
-            None => self.open_session(seq, tenant, 0),
+            None => self.open_session(seq, tenant, None, 0),
         };
         if let Some((idx, owner)) = addr {
             self.close_at_ingest(idx, owner, seq, CloseReason::Ctl);
@@ -875,7 +905,7 @@ impl Engine {
     fn sample_session(&mut self, seq: u64, tenant: &str) -> Option<(u32, u32)> {
         match self.tenant_id(tenant) {
             Some(id) => self.sample_session_known(seq, id, tenant),
-            None => self.open_session(seq, tenant, 0),
+            None => self.open_session(seq, tenant, None, 0),
         }
     }
 
@@ -903,13 +933,13 @@ impl Engine {
         };
         match plan {
             Plan::Use(idx, owner) => Some((idx, owner)),
-            Plan::Open => self.open_session(seq, tenant, 0),
+            Plan::Open => self.open_session(seq, tenant, Some(id), 0),
             Plan::Reopen(generation) => {
                 // Tenant churn: a closed tenant is speaking again. A
                 // still-draining old incarnation keeps its slab slot
                 // until its final events drain; samples route to a
                 // fresh session.
-                let addr = self.open_session(seq, tenant, generation)?;
+                let addr = self.open_session(seq, tenant, Some(id), generation)?;
                 self.stats.reopened += 1;
                 Some(addr)
             }
@@ -919,10 +949,20 @@ impl Engine {
     /// Opens incarnation `generation` of `tenant` and points the tenant
     /// slot at it, interning the name on first contact and evicting the
     /// least-recently-seen open session first when the memory ceiling is
-    /// reached. The only per-tenant allocations in the whole routing
-    /// path live here.
-    // lint:allow(hot-propagate) -- session open is once per tenant incarnation; interning the key and the failure event may allocate
-    fn open_session(&mut self, seq: u64, tenant: &str, generation: u32) -> Option<(u32, u32)> {
+    /// reached. `interned` is the id the caller already resolved, so a
+    /// reopen costs no second name lookup. The session reuses a spare's
+    /// storage when one is left ([`Session::reopen`]); the only
+    /// per-tenant allocations in the whole routing path are the
+    /// interned name on first contact and, with no spare, a new
+    /// session's buffers.
+    // lint:allow(hot-propagate) -- the failure event renders its reason; opening is unreachable-to-fail once the config validated
+    fn open_session(
+        &mut self,
+        seq: u64,
+        tenant: &str,
+        interned: Option<TenantId>,
+        generation: u32,
+    ) -> Option<(u32, u32)> {
         if self.config.max_sessions > 0 {
             while self.open_count >= self.config.max_sessions {
                 if !self.evict_lru() {
@@ -930,14 +970,23 @@ impl Engine {
                 }
             }
         }
-        match Session::open_generation(tenant, self.config.session, generation) {
+        let name = match interned.and_then(|id| self.slots.get(id.index())) {
+            Some(slot) => slot.name.clone(),
+            None => Arc::<str>::from(tenant),
+        };
+        let opened = match self.spares.pop() {
+            Some(mut spare) => spare.reopen(name.clone(), generation).map(|()| spare),
+            None => Session::open_generation(name.clone(), self.config.session, generation),
+        };
+        match opened {
             Ok(session) => {
                 self.sessions_opened += 1;
-                let owner = match self.tenant_id(tenant) {
+                let owner = match interned {
                     Some(id) => id.0,
                     None => {
                         let id = TenantId(self.slots.len() as u32);
                         self.slots.push(TenantSlot {
+                            name: name.clone(),
                             session: None,
                             last_seen: seq,
                             closed_at_ingest: false,
@@ -945,7 +994,7 @@ impl Engine {
                             retired: None,
                             terminal_queued: false,
                         });
-                        self.ids.insert(tenant.to_string(), id);
+                        self.ids.insert(name, id);
                         id.0
                     }
                 };
@@ -960,20 +1009,26 @@ impl Engine {
                     slot.terminal_queued = false;
                 }
                 self.open_count += 1;
-                self.lru.push(Reverse((seq, owner)));
+                if self.tracks_recency() {
+                    self.lru.push(Reverse((seq, owner)));
+                }
                 Some((idx, owner))
             }
             Err(e) => {
                 // Unreachable when `config` validated, but a session that
                 // cannot open must be visible, not a panic.
-                let mut o = JsonObject::new();
-                o.push_str("event", "open_failed")
-                    .push_str("tenant", tenant)
-                    .push_str("reason", e.to_string());
-                self.ingest_events.push(SessionEvent { seq, sub: SUB_INGEST, payload: o });
+                let payload = Event::OpenFailed { tenant: name, reason: e.to_string() };
+                self.ingest_events.push(SessionEvent { seq, sub: SUB_INGEST, payload });
                 None
             }
         }
+    }
+
+    /// Whether the recency heap is kept: only the ceiling eviction and
+    /// the idle scan read it, so with both off nothing is pushed (a
+    /// heap nothing pops would grow by one entry per incarnation).
+    fn tracks_recency(&self) -> bool {
+        self.config.max_sessions > 0 || self.config.session.idle_timeout > 0
     }
 
     /// Evicts one open session to make room under the memory ceiling:
@@ -1061,17 +1116,12 @@ impl Engine {
         }
     }
 
-    /// Records one malformed span in the log and the stats. The reason
-    /// arrives as `&str` so the (hot) reject path never renders one the
-    /// log won't carry.
-    fn push_malformed(&mut self, seq: u64, reason: &str, bytes: Option<usize>) {
+    /// Records one malformed span in the log and the stats. The (hot)
+    /// reject paths pass static reasons, so they never render one.
+    fn push_malformed(&mut self, seq: u64, reason: Cow<'static, str>, bytes: Option<usize>) {
         self.stats.malformed += 1;
-        let mut o = JsonObject::new();
-        o.push_str("event", "malformed").push_str("reason", reason);
-        if let Some(b) = bytes {
-            o.push_num("bytes", b as f64);
-        }
-        self.ingest_events.push(SessionEvent { seq, sub: SUB_INGEST, payload: o });
+        let payload = Event::Malformed { reason, bytes };
+        self.ingest_events.push(SessionEvent { seq, sub: SUB_INGEST, payload });
     }
 
     /// Dispatches the dirty sessions' queued items across the persistent
@@ -1087,6 +1137,7 @@ impl Engine {
             return;
         }
         self.pending = 0;
+        let t_lend = self.prof.start();
         // Lend the flush's working set out of the slab, in the
         // (deterministic) order sessions first queued work.
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -1104,6 +1155,8 @@ impl Engine {
         }
         self.dirty.clear();
         self.stats.peak_queued = self.stats.peak_queued.max(queued);
+        let d = self.prof.lap(t_lend);
+        self.prof.reclaim_ns += d;
         let t0 = self.prof.start();
         if self.effective_workers <= 1 || scratch.len() <= 1 {
             // A single worker (or session) would serialise through the
@@ -1159,7 +1212,9 @@ impl Engine {
             self.runs = runs;
         }
         // Return sessions to the slab; reclaim closed-at-ingest
-        // incarnations (slot to the free list, final counters retained).
+        // incarnations (slot to the free list, final counters retained,
+        // storage kept as a spare).
+        let t_reclaim = self.prof.start();
         for ((idx, owner), session) in meta.drain(..).zip(scratch.drain(..)) {
             self.put_back(idx, owner, session);
         }
@@ -1167,6 +1222,8 @@ impl Engine {
         self.scratch_meta = meta;
         self.check_idle();
         self.step_mitigation();
+        let d = self.prof.lap(t_reclaim);
+        self.prof.reclaim_ns += d;
     }
 
     /// K-way merges pre-sorted event runs into the log. Every run is
@@ -1209,15 +1266,15 @@ impl Engine {
 
     /// Returns one lent session to the slab after a flush, or retires
     /// it: a closed incarnation whose close the ingest side decided is
-    /// fully drained now, so its slot is reclaimed and its final
-    /// counters retained for snapshots. A session closed worker-side
-    /// only (failed profile) stays resident — later samples must still
-    /// drop against its policy — but shrunk to a husk.
-    // lint:allow(hot-propagate) -- the quarantine-notice capture allocates the tenant name once per quarantine transition, never per sample
+    /// fully drained now, so its slot is reclaimed, its final counters
+    /// retained for snapshots and its storage kept as a spare. A session
+    /// closed worker-side only (failed profile) stays resident — later
+    /// samples must still drop against its policy — but shrunk to a
+    /// husk.
     fn put_back(&mut self, idx: u32, owner: u32, mut session: Session) {
         if let Some(seq) = session.take_quarantine_notice() {
             if self.mitigation.enabled() {
-                self.notices.push((owner, seq, session.tenant().to_string()));
+                self.notices.push((owner, seq, session.shared_tenant().clone()));
             }
         }
         let closed = session.state() == SessionState::Closed;
@@ -1238,14 +1295,16 @@ impl Engine {
             self.slab.release(idx);
             if let Some(case) = self.mitigation.on_session_closed(owner) {
                 if !case.state().terminal() {
-                    self.aborted_cases.push((owner, case.tenant().to_string()));
+                    self.aborted_cases.push(session.shared_tenant().clone());
                 }
             }
+            self.recycle(session);
         } else if closed && !is_current {
             // A superseded incarnation: the tenant reopened before this
             // one drained. The live incarnation owns the tenant's state;
             // just free the slot.
             self.slab.release(idx);
+            self.recycle(session);
         } else {
             let terminal =
                 matches!(session.state(), SessionState::Quarantined | SessionState::Closed);
@@ -1259,6 +1318,14 @@ impl Engine {
                     }
                 }
             }
+        }
+    }
+
+    /// Keeps a released session's storage for the next open, up to the
+    /// spare bound (`config.batch`); past it the session is dropped.
+    fn recycle(&mut self, session: Session) {
+        if self.spares.len() < self.config.batch {
+            self.spares.push(session);
         }
     }
 
@@ -1336,13 +1403,12 @@ impl Engine {
         // coordinator already queued the release action; log and count.
         if !self.aborted_cases.is_empty() {
             let aborted = std::mem::take(&mut self.aborted_cases);
-            for (_, tenant) in aborted {
+            for tenant in aborted {
                 self.stats.mitigations_aborted += 1;
-                let mut o = JsonObject::new();
-                o.push_str("event", "mitigation_released")
-                    .push_str("tenant", tenant)
-                    .push_str("reason", "closed");
-                self.push_mitigation_event(o);
+                self.push_mitigation_event(Event::MitigationReleased {
+                    tenant,
+                    why: Release::Closed,
+                });
             }
         }
         if self.notices.is_empty() && !self.mitigation.has_active() {
@@ -1363,33 +1429,27 @@ impl Engine {
                 // The session closed (or is closing) underneath its own
                 // quarantine: nothing is left to control.
                 self.stats.mitigation_skipped += 1;
-                let mut o = JsonObject::new();
-                o.push_str("event", "mitigation_skipped")
-                    .push_str("tenant", tenant)
-                    .push_str("reason", "closed");
-                self.push_mitigation_event(o);
+                self.push_mitigation_event(Event::MitigationSkipped { tenant });
                 continue;
             }
             let Some(engaged) = self.mitigation.engage(owner, &tenant, seq, degraded) else {
                 continue;
             };
             self.stats.mitigations_engaged += 1;
-            let mut o = JsonObject::new();
-            o.push_str("event", "mitigation_engaged")
-                .push_str("tenant", tenant.clone())
-                .push_str("rung", engaged.rung.label())
-                .push_bool("degraded", engaged.degraded);
-            self.push_mitigation_event(o);
+            self.push_mitigation_event(Event::MitigationEngaged {
+                tenant: tenant.clone(),
+                rung: engaged.rung,
+                degraded: engaged.degraded,
+            });
             if engaged.terminal {
                 // Rung memory already sat at evict: terminal on engage,
                 // the one legal shortcut past `Confirming`.
                 self.stats.mitigations_escalated += 1;
-                let mut o = JsonObject::new();
-                o.push_str("event", "mitigation_escalated")
-                    .push_str("tenant", tenant)
-                    .push_str("rung", engaged.rung.label())
-                    .push_str("reason", "engage");
-                self.push_mitigation_event(o);
+                self.push_mitigation_event(Event::MitigationEscalated {
+                    tenant,
+                    rung: engaged.rung,
+                    why: Escalation::Engage,
+                });
                 self.close_for_mitigation(owner, CloseReason::Escalated);
             }
         }
@@ -1399,62 +1459,40 @@ impl Engine {
         let now = self.next_seq;
         let updates = self.mitigation.sample_active(now, degraded);
         for u in updates {
-            let mut o = JsonObject::new();
-            match u.step {
+            let tenant = Arc::<str>::from(u.tenant);
+            let (event, close) = match u.step {
                 CaseStep::Hold => continue,
                 CaseStep::Confirming => {
-                    o.push_str("event", "mitigation_confirming")
-                        .push_str("tenant", u.tenant)
-                        .push_str("rung", u.rung.label());
+                    (Event::MitigationConfirming { tenant, rung: u.rung }, None)
                 }
                 CaseStep::Recovered { latency } => {
-                    o.push_str("event", "mitigation_recovered")
-                        .push_str("tenant", u.tenant)
-                        .push_str("rung", u.rung.label())
-                        .push_num("latency", latency as f64);
+                    (Event::MitigationRecovered { tenant, rung: u.rung, latency }, None)
                 }
-                CaseStep::Relapsed => {
-                    o.push_str("event", "mitigation_relapsed")
-                        .push_str("tenant", u.tenant)
-                        .push_str("rung", u.rung.label());
-                }
-                CaseStep::Climbed { rung } => {
-                    o.push_str("event", "mitigation_climbed")
-                        .push_str("tenant", u.tenant)
-                        .push_str("rung", rung.label());
-                }
+                CaseStep::Relapsed => (Event::MitigationRelapsed { tenant, rung: u.rung }, None),
+                CaseStep::Climbed { rung } => (Event::MitigationClimbed { tenant, rung }, None),
                 CaseStep::Evicted => {
                     self.stats.mitigations_escalated += 1;
-                    o.push_str("event", "mitigation_escalated")
-                        .push_str("tenant", u.tenant)
-                        .push_str("rung", u.rung.label())
-                        .push_str("reason", "budget");
-                    self.push_mitigation_event(o);
-                    self.close_for_mitigation(u.id, CloseReason::Escalated);
-                    continue;
+                    let event =
+                        Event::MitigationEscalated { tenant, rung: u.rung, why: Escalation::Budget };
+                    (event, Some(CloseReason::Escalated))
                 }
                 CaseStep::Confirmed { rung, latency } => {
                     self.stats.mitigations_escalated += 1;
                     self.stats.recovery_latency_ticks += latency;
-                    o.push_str("event", "mitigation_escalated")
-                        .push_str("tenant", u.tenant)
-                        .push_str("rung", rung.label())
-                        .push_str("reason", "confirmed")
-                        .push_num("latency", latency as f64);
+                    let why = Escalation::Confirmed { latency };
+                    (Event::MitigationEscalated { tenant, rung, why }, None)
                 }
                 CaseStep::Released { cost } => {
                     self.stats.mitigations_released += 1;
                     self.stats.false_quarantine_ticks += cost;
-                    o.push_str("event", "mitigation_released")
-                        .push_str("tenant", u.tenant)
-                        .push_str("reason", "verdict")
-                        .push_num("cost", cost as f64);
-                    self.push_mitigation_event(o);
-                    self.close_for_mitigation(u.id, CloseReason::Released);
-                    continue;
+                    let why = Release::Verdict { cost };
+                    (Event::MitigationReleased { tenant, why }, Some(CloseReason::Released))
                 }
+            };
+            self.push_mitigation_event(event);
+            if let Some(reason) = close {
+                self.close_for_mitigation(u.id, reason);
             }
-            self.push_mitigation_event(o);
         }
     }
 
@@ -1505,7 +1543,7 @@ impl Engine {
 
     /// Appends one engine-originated `mitigation_*` event under a fresh
     /// quiet arrival index; it merges into the log at the next flush.
-    fn push_mitigation_event(&mut self, payload: JsonObject) {
+    fn push_mitigation_event(&mut self, payload: Event) {
         let seq = self.alloc_seq_quiet();
         self.ingest_events.push(SessionEvent { seq, sub: SUB_INGEST, payload });
     }
@@ -1531,64 +1569,27 @@ impl Engine {
             }
         }
         let seq = self.alloc_seq_quiet();
-        let s = self.stats;
-        let mut o = JsonObject::new();
-        o.push_str("event", "engine_stats")
-            .push_num("sessions", self.sessions_opened as f64)
-            .push_num("open_sessions", self.open_count as f64)
-            .push_num("malformed", s.malformed as f64)
-            .push_num("resynced", s.resynced as f64)
-            .push_num("drops_backpressure", s.drops_backpressure as f64)
-            .push_num("drops_terminal", s.drops_terminal as f64)
-            .push_num("recoveries", s.recoveries as f64)
-            .push_num("idle_closed", s.idle_closed as f64)
-            .push_num("evicted", s.evicted as f64)
-            .push_num("reopened", s.reopened as f64)
-            .push_num("peak_queued", s.peak_queued as f64);
-        if self.mitigation.enabled() {
+        let payload = Event::EngineStats(Box::new(StatsLine {
+            sessions: self.sessions_opened,
+            open_sessions: self.open_count as u64,
+            stats: self.stats,
             // Mitigation counters appear only when the loop is live, so
             // detection-only logs are byte-identical to older runs.
-            o.push_num("mitigations_engaged", s.mitigations_engaged as f64)
-                .push_num("mitigations_released", s.mitigations_released as f64)
-                .push_num("mitigations_escalated", s.mitigations_escalated as f64)
-                .push_num("mitigations_aborted", s.mitigations_aborted as f64)
-                .push_num("mitigation_skipped", s.mitigation_skipped as f64)
-                .push_num("recovery_latency_ticks", s.recovery_latency_ticks as f64)
-                .push_num("false_quarantine_ticks", s.false_quarantine_ticks as f64);
-        }
-        if self.prof.enabled {
+            mitigation: self.mitigation.enabled(),
             // Wall-clock diagnostics (MEMDOS_ENGINE_PROF=1): these make
             // the stats line — and only the stats line — vary run to run.
-            let p = self.prof;
-            o.push_num("prof_decode_ns", p.decode_ns as f64)
-                .push_num("prof_decode_bin_ns", p.decode_bin_ns as f64)
-                .push_num("prof_dispatch_ns", p.dispatch_ns as f64)
-                .push_num("prof_step_ns", p.step_ns as f64)
-                .push_num("prof_merge_ns", p.merge_ns as f64)
-                .push_num("prof_write_ns", p.write_ns as f64);
-        }
-        let line =
-            render_event(&mut self.render, &SessionEvent { seq, sub: SUB_INGEST, payload: o });
+            prof: self.prof.enabled.then_some(self.prof),
+        }));
+        let line = render_event(&mut self.render, &SessionEvent { seq, sub: SUB_INGEST, payload });
         self.log.push(line);
     }
-}
-
-/// Serializes one event as a log line through the recycled [`LineBuf`]
-/// writer, with the global arrival index prepended as `seq`. Only the
-/// returned log line itself is allocated.
-fn render_event(buf: &mut LineBuf, ev: &SessionEvent) -> String {
-    buf.begin().field_u64("seq", ev.seq);
-    for (k, v) in ev.payload.entries() {
-        buf.field_value(k, v);
-    }
-    // lint:allow(hot-propagate) -- the emitted log line is the one permitted allocation per event; everything upstream renders into the recycled buffer
-    buf.end().to_string()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::session::SessionConfig;
+    use memdos_metrics::jsonl::JsonObject;
 
     fn fast_config(workers: usize, batch: usize) -> Config {
         Config {
@@ -1932,12 +1933,90 @@ mod tests {
     }
 
     #[test]
+    fn default_engine_stays_flat_under_one_tenants_churn() {
+        // Neither the ceiling nor the idle timeout is on, so nothing
+        // reads the recency heap and nothing may accumulate in it; the
+        // spare list recycles the one session's storage.
+        let mut engine = Engine::new(Config::default()).unwrap();
+        let cycles = |engine: &mut Engine, n: usize| {
+            for _ in 0..n {
+                engine.ingest_line(r#"{"tenant":"vm-0","access":1,"miss":2}"#);
+                engine.ingest_line(r#"{"tenant":"vm-0","ctl":"close"}"#);
+                engine.flush();
+            }
+        };
+        cycles(&mut engine, 10);
+        let after_10 = engine.resident_bytes();
+        cycles(&mut engine, 990);
+        assert_eq!(engine.stats().reopened, 999);
+        assert_eq!(engine.resident_bytes(), after_10, "resident bytes grew with churn");
+    }
+
+    /// vm-b's log lines after a prefix in which vm-a profiles, monitors
+    /// through an attack (quarantining when `quarantine_after` is set,
+    /// which shrinks it to a husk), then either closes — so vm-b's
+    /// session reuses vm-a's storage — or stays while an unrelated
+    /// record takes the close's arrival index, so vm-b opens fresh.
+    fn vm_b_lines(quarantine_after: u64, recycle: bool) -> Vec<String> {
+        let mut config = fast_config(1, 64);
+        config.session.quarantine_after = quarantine_after;
+        let mut engine = Engine::new(config).unwrap();
+        let sample = |tenant: &str, i: u64, attacked: bool| {
+            let access = if attacked { 100 } else { 1000 + i % 10 };
+            format!(r#"{{"tenant":"{tenant}","access":{access},"miss":{}}}"#, 100 + i % 5)
+        };
+        for i in 0..4_000u64 {
+            engine.ingest_line(&sample("vm-a", i, i >= 2_500));
+        }
+        engine.flush();
+        let a = engine.snapshot("vm-a").expect("vm-a is resident");
+        let expected = if quarantine_after > 0 {
+            SessionState::Quarantined
+        } else {
+            SessionState::Monitoring
+        };
+        assert_eq!(a.state, expected);
+        if recycle {
+            engine.ingest_line(r#"{"tenant":"vm-a","ctl":"close"}"#);
+        } else {
+            engine.ingest_line(r#"{"tenant":"vm-c","access":1,"miss":2}"#);
+        }
+        engine.flush();
+        assert_eq!(engine.spares.len(), usize::from(recycle));
+        for i in 0..4_000u64 {
+            engine.ingest_line(&sample("vm-b", i, i >= 2_500));
+        }
+        engine.ingest_line(r#"{"tenant":"vm-b","ctl":"close"}"#);
+        engine.finish();
+        assert!(engine.spares.len() <= 1 + usize::from(recycle));
+        engine
+            .log_lines()
+            .iter()
+            .filter(|l| l.contains(r#""tenant":"vm-b""#))
+            .cloned()
+            .collect()
+    }
+
+    #[test]
+    fn recycled_sessions_log_what_fresh_sessions_log() {
+        for quarantine_after in [0, 1] {
+            let fresh = vm_b_lines(quarantine_after, false);
+            assert!(fresh.iter().any(|l| l.contains(r#""event":"profile_ready""#)));
+            assert!(fresh.iter().any(|l| l.contains(r#""to":"alarm""#)));
+            assert_eq!(
+                vm_b_lines(quarantine_after, true),
+                fresh,
+                "quarantine_after={quarantine_after}"
+            );
+        }
+    }
+
+    #[test]
     fn merge_runs_orders_presorted_runs() {
         let mut engine = Engine::new(fast_config(1, 4)).unwrap();
         let ev = |seq: u64, sub: u32| {
-            let mut o = JsonObject::new();
-            o.push_str("event", "probe");
-            SessionEvent { seq, sub, payload: o }
+            let payload = Event::Malformed { reason: Cow::Borrowed("probe"), bytes: None };
+            SessionEvent { seq, sub, payload }
         };
         let mut runs = vec![
             vec![ev(0, 1), ev(3, 0), ev(9, 0)],
@@ -2078,6 +2157,7 @@ mod tests {
             "prof_step_ns",
             "prof_merge_ns",
             "prof_write_ns",
+            "prof_reclaim_ns",
         ] {
             assert!(profiled.contains(key), "missing {key} in {profiled}");
         }

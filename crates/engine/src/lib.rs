@@ -81,6 +81,7 @@ pub mod chaos;
 pub mod config;
 pub mod demo;
 pub mod engine;
+mod event;
 pub mod fleet;
 pub mod mitigation;
 pub mod protocol;

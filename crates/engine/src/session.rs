@@ -22,14 +22,21 @@
 //! Samples are queued in a bounded ring buffer between engine flushes;
 //! when the queue is full the [`DropPolicy`] decides which side loses,
 //! and every drop is logged so backpressure is visible, never silent.
+//! A new session reserves the queue to its bound (`queue_capacity`) up
+//! front.
+//!
+//! A closed session's storage is recycled: `Session::reopen` turns it
+//! into a fresh incarnation of any tenant in place, keeping the queue's
+//! and the profiler's buffers, so tenant churn does not allocate.
 
+use crate::event::{Event, SessionEvent};
 use memdos_core::config::SdsParams;
 use memdos_core::detector::{Detector, DetectorStep, Observation, ObservationBatch, Verdict};
 use memdos_core::profile::{Profiler, ProfilerConfig};
 use memdos_core::sds::Sds;
 use memdos_core::CoreError;
-use memdos_metrics::jsonl::JsonObject;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Lifecycle state of a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -229,20 +236,6 @@ pub(crate) enum Offered {
     },
 }
 
-/// One event produced by session processing, ordered globally by
-/// `(seq, sub)` — the arrival index of the input item that produced it,
-/// then emission order within that item.
-#[derive(Debug, Clone)]
-pub struct SessionEvent {
-    /// Global arrival index of the triggering input line.
-    pub seq: u64,
-    /// Emission order among events of the same input line.
-    pub sub: u32,
-    /// The serialized JSONL payload (without `seq` — appended by the
-    /// engine when writing the log).
-    pub payload: JsonObject,
-}
-
 /// A read-only introspection snapshot of one tenant session — the
 /// stable public surface for fleet observers (the `engine_fleet` bench,
 /// the `demo` summary, external monitoring), so nothing outside this
@@ -307,7 +300,9 @@ thread_local! {
 
 /// A per-tenant detection session.
 pub struct Session {
-    tenant: String,
+    /// The engine's interned tenant name, shared with its intern table
+    /// and every event this session logs.
+    tenant: Arc<str>,
     config: SessionConfig,
     state: SessionState,
     profiler: Option<Profiler>,
@@ -362,7 +357,7 @@ impl Session {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] for invalid `config`.
-    pub fn open(tenant: impl Into<String>, config: SessionConfig) -> Result<Self, CoreError> {
+    pub fn open(tenant: impl Into<Arc<str>>, config: SessionConfig) -> Result<Self, CoreError> {
         Session::open_generation(tenant, config, 0)
     }
 
@@ -374,23 +369,62 @@ impl Session {
     ///
     /// Returns [`CoreError::InvalidParameter`] for invalid `config`.
     pub fn open_generation(
-        tenant: impl Into<String>,
+        tenant: impl Into<Arc<str>>,
         config: SessionConfig,
         generation: u32,
     ) -> Result<Self, CoreError> {
         config.validate()?;
-        let profiler = Profiler::new(ProfilerConfig {
-            sds: config.sds,
-            ..ProfilerConfig::default()
-        })?;
-        Ok(Session {
-            tenant: tenant.into(),
+        let profiler = Profiler::new(profiler_config(&config))?;
+        let queue = VecDeque::with_capacity(config.queue_capacity);
+        Ok(Session::fresh(tenant.into(), config, profiler, queue, generation))
+    }
+
+    /// Turns this (closed, drained) session into incarnation
+    /// `generation` of `tenant`, in place: the result is
+    /// indistinguishable from [`Session::open_generation`] with this
+    /// session's config, but the sample queue and the profiler keep
+    /// their buffers. Only a session whose profiler is gone (it armed a
+    /// detector, or was shrunk to a husk) builds a new profiler; a
+    /// husk's queue, released by `shrink_terminal`, regrows as samples
+    /// arrive.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidParameter`] if a new profiler cannot
+    /// be built (unreachable for a config that opened a session).
+    // hot-path
+    pub(crate) fn reopen(&mut self, tenant: Arc<str>, generation: u32) -> Result<(), CoreError> {
+        let profiler = match self.profiler.take() {
+            Some(mut p) => {
+                p.reset();
+                p
+            }
+            None => Profiler::new(profiler_config(&self.config))?,
+        };
+        let queue = std::mem::take(&mut self.queue);
+        *self = Session::fresh(tenant, self.config, profiler, queue, generation);
+        Ok(())
+    }
+
+    /// A `Profiling` session around the given storage, with every
+    /// counter at zero — the one place a session's initial state is
+    /// spelled out, for opening and reopening alike.
+    fn fresh(
+        tenant: Arc<str>,
+        config: SessionConfig,
+        profiler: Profiler,
+        mut queue: VecDeque<Item>,
+        generation: u32,
+    ) -> Session {
+        queue.clear();
+        Session {
+            tenant,
             config,
             state: SessionState::Profiling,
             profiler: Some(profiler),
             sds: None,
             last_verdict: Verdict::Normal,
-            queue: VecDeque::with_capacity(config.queue_capacity),
+            queue,
             monitor_ticks: 0,
             ingested: 0,
             dropped: 0,
@@ -402,11 +436,17 @@ impl Session {
             baseline_access: 0.0,
             ewma_access: 0.0,
             quarantine_notice: None,
-        })
+        }
     }
 
     /// The tenant id this session monitors.
     pub fn tenant(&self) -> &str {
+        &self.tenant
+    }
+
+    /// The shared handle of the tenant name, for callers that keep it
+    /// past this session.
+    pub(crate) fn shared_tenant(&self) -> &Arc<str> {
         &self.tenant
     }
 
@@ -483,18 +523,18 @@ impl Session {
         }
     }
 
-    /// Estimated heap bytes this session keeps resident: the tenant
-    /// name, the sample queue, the profiler's smoothing buffers and the
-    /// boxed detector with its working set (via
-    /// [`Detector::resident_bytes_hint`]). Nothing stored inline is
-    /// counted — the `Session` struct, profiler included, lives in the
-    /// engine's slab slot, which the engine accounts for once. This is
-    /// a deterministic capacity-based accounting estimate, not an
-    /// allocator measurement — it exists so a ceiling/eviction decision
-    /// and the fleet bench read the same number on every run.
+    /// Estimated heap bytes this session keeps resident: the sample
+    /// queue, the profiler's smoothing buffers and the boxed detector
+    /// with its working set (via [`Detector::resident_bytes_hint`]).
+    /// Nothing stored inline or shared is counted — the `Session`
+    /// struct, profiler included, lives in the engine's slab slot (or
+    /// spare list), and the tenant name in its intern table, both of
+    /// which the engine accounts for once. This is a deterministic
+    /// capacity-based accounting estimate, not an allocator measurement
+    /// — it exists so a ceiling/eviction decision and the fleet bench
+    /// read the same number on every run.
     pub fn resident_bytes(&self) -> usize {
-        let mut bytes =
-            self.tenant.capacity() + self.queue.capacity() * std::mem::size_of::<Item>();
+        let mut bytes = self.queue.capacity() * std::mem::size_of::<Item>();
         if let Some(p) = &self.profiler {
             bytes += p.resident_bytes_hint().saturating_sub(std::mem::size_of::<Profiler>());
         }
@@ -587,11 +627,9 @@ impl Session {
             let mut sub = 0u32;
             if !self.opened_logged {
                 self.opened_logged = true;
-                let mut o = JsonObject::new();
-                o.push_str("event", "opened")
-                    .push_str("tenant", &self.tenant)
-                    .push_num("gen", self.generation as f64);
-                events.push(SessionEvent { seq, sub, payload: o });
+                let payload =
+                    Event::Opened { tenant: self.tenant.clone(), generation: self.generation };
+                events.push(SessionEvent { seq, sub, payload });
                 sub += 1;
             }
             match item {
@@ -602,14 +640,14 @@ impl Session {
                         continue;
                     }
                     self.state = SessionState::Closed;
-                    let mut o = JsonObject::new();
-                    o.push_str("event", "closed")
-                        .push_str("tenant", &self.tenant)
-                        .push_str("reason", reason.label())
-                        .push_num("ingested", self.ingested as f64)
-                        .push_num("dropped", self.dropped as f64)
-                        .push_num("alarms", self.alarms as f64);
-                    events.push(SessionEvent { seq, sub, payload: o });
+                    let payload = Event::Closed {
+                        tenant: self.tenant.clone(),
+                        reason,
+                        ingested: self.ingested,
+                        dropped: self.dropped,
+                        alarms: self.alarms,
+                    };
+                    events.push(SessionEvent { seq, sub, payload });
                 }
                 Item::Obs(_, obs) => match self.state {
                     SessionState::Profiling => {
@@ -635,14 +673,14 @@ impl Session {
     /// Feeds one profiling sample; once `profile_ticks` have arrived,
     /// finalises the profile and arms the detector, returning the
     /// `profile_ready` (or `profile_failed`) event payload.
-    fn step_profiling(&mut self, obs: Observation) -> Option<JsonObject> {
+    fn step_profiling(&mut self, obs: Observation) -> Option<Event> {
         let profiler = self.profiler.as_mut()?;
         profiler.observe(obs);
         if profiler.observations() < self.config.profile_ticks {
             return None;
         }
         let profiler = self.profiler.take()?;
-        let mut o = JsonObject::new();
+        let tenant = self.tenant.clone();
         match profiler
             .finish()
             .and_then(|profile| Ok((Sds::from_profile(&profile, &self.config.sds)?, profile)))
@@ -652,22 +690,18 @@ impl Session {
                 self.state = SessionState::Monitoring;
                 self.baseline_access = profile.access.mu;
                 self.ewma_access = profile.access.mu;
-                o.push_str("event", "profile_ready")
-                    .push_str("tenant", &self.tenant)
-                    .push_bool("periodic", profile.is_periodic());
-                if let Some(p) = &profile.periodicity {
-                    o.push_num("period_ma", p.period_ma);
-                }
+                Some(Event::ProfileReady {
+                    tenant,
+                    periodic: profile.is_periodic(),
+                    period_ma: profile.periodicity.as_ref().map(|p| p.period_ma),
+                })
             }
             Err(e) => {
                 self.state = SessionState::Closed;
-                o.push_str("event", "profile_failed")
-                    .push_str("tenant", &self.tenant)
-                    // lint:allow(hot-propagate) -- rendering the failure reason happens once, on the transition that closes the session
-                    .push_str("reason", e.to_string());
+                // lint:allow(hot-propagate) -- rendering the failure reason happens once, on the transition that closes the session
+                Some(Event::ProfileFailed { tenant, reason: e.to_string() })
             }
         }
-        Some(o)
     }
 
     /// Gathers the run of consecutive queued samples starting at
@@ -726,14 +760,13 @@ impl Session {
             self.monitor_ticks += 1;
             self.ewma_access += RECOVERY_ALPHA * (access_num - self.ewma_access);
             if !step.verdict.same_class(&self.last_verdict) {
-                let mut o = JsonObject::new();
-                o.push_str("event", "verdict")
-                    .push_str("tenant", &self.tenant)
-                    .push_str("detector", sds.name())
-                    .push_str("from", self.last_verdict.label())
-                    .push_str("to", step.verdict.label())
-                    .push_num("tick", self.monitor_ticks as f64);
-                events.push(SessionEvent { seq, sub, payload: o });
+                let payload = Event::Verdict {
+                    tenant: self.tenant.clone(),
+                    from: self.last_verdict,
+                    to: step.verdict,
+                    tick: self.monitor_ticks,
+                };
+                events.push(SessionEvent { seq, sub, payload });
                 sub += 1;
                 self.last_verdict = step.verdict;
             }
@@ -743,11 +776,9 @@ impl Session {
                     && self.alarms >= self.config.quarantine_after
                 {
                     self.state = SessionState::Quarantined;
-                    let mut o = JsonObject::new();
-                    o.push_str("event", "quarantined")
-                        .push_str("tenant", &self.tenant)
-                        .push_num("alarms", self.alarms as f64);
-                    events.push(SessionEvent { seq, sub, payload: o });
+                    let payload =
+                        Event::Quarantined { tenant: self.tenant.clone(), alarms: self.alarms };
+                    events.push(SessionEvent { seq, sub, payload });
                     self.quarantine_notice = Some(seq);
                     break;
                 }
@@ -758,31 +789,33 @@ impl Session {
 
     /// One `dropped` event payload (the engine logs it at the arrival
     /// index of the sample that overflowed the queue, coalescing bursts).
-    pub(crate) fn drop_event(&self, terminal: bool, burst: u64) -> JsonObject {
-        let mut o = JsonObject::new();
-        o.push_str("event", "dropped")
-            .push_str("tenant", &self.tenant)
-            .push_str("policy", self.config.drop_policy.label())
-            .push_bool("terminal", terminal)
-            .push_num("burst", burst as f64)
-            .push_num("total", self.dropped as f64);
-        o
+    pub(crate) fn drop_event(&self, terminal: bool, burst: u64) -> Event {
+        Event::Dropped {
+            tenant: self.tenant.clone(),
+            policy: self.config.drop_policy,
+            terminal,
+            burst,
+            total: self.dropped,
+        }
     }
 
     /// One `recovered` event payload: the queue admitted a sample again
     /// after a drop burst of `burst` samples.
-    pub(crate) fn recovered_event(&self, burst: u64) -> JsonObject {
-        let mut o = JsonObject::new();
-        o.push_str("event", "recovered")
-            .push_str("tenant", &self.tenant)
-            .push_num("burst", burst as f64);
-        o
+    pub(crate) fn recovered_event(&self, burst: u64) -> Event {
+        Event::Recovered { tenant: self.tenant.clone(), burst }
     }
+}
+
+/// The Stage-1 profiler configuration a session derives from its own.
+fn profiler_config(config: &SessionConfig) -> ProfilerConfig {
+    ProfilerConfig { sds: config.sds, ..ProfilerConfig::default() }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::render_event;
+    use memdos_metrics::jsonl::{JsonObject, LineBuf};
 
     fn fast_config() -> SessionConfig {
         SessionConfig {
@@ -806,16 +839,24 @@ mod tests {
         s.process_queued()
     }
 
+    /// The events as the log renders them, parsed back into objects.
+    fn lines(events: &[SessionEvent]) -> Vec<JsonObject> {
+        let mut buf = LineBuf::new();
+        events
+            .iter()
+            .map(|e| JsonObject::parse(&render_event(&mut buf, e)).expect("rendered line parses"))
+            .collect()
+    }
+
     #[test]
     fn lifecycle_profiling_to_monitoring() {
         let mut s = Session::open("vm-0", fast_config()).unwrap();
         assert_eq!(s.state(), SessionState::Profiling);
-        let events = feed(&mut s, 0, 2_000, flat_obs);
+        let events = lines(&feed(&mut s, 0, 2_000, flat_obs));
         assert_eq!(s.state(), SessionState::Monitoring);
-        let kinds: Vec<&str> =
-            events.iter().filter_map(|e| e.payload.get_str("event")).collect();
+        let kinds: Vec<&str> = events.iter().filter_map(|e| e.get_str("event")).collect();
         assert_eq!(kinds, ["opened", "profile_ready"]);
-        assert_eq!(events[1].payload.get("periodic").is_some(), true);
+        assert_eq!(events[1].get("periodic").is_some(), true);
     }
 
     #[test]
@@ -830,12 +871,9 @@ mod tests {
             access_num: 100.0,
             miss_num: 100.0,
         });
-        let alarms: Vec<&SessionEvent> = events
-            .iter()
-            .filter(|e| {
-                e.payload.get_str("event") == Some("verdict")
-                    && e.payload.get_str("to") == Some("alarm")
-            })
+        let alarms: Vec<JsonObject> = lines(&events)
+            .into_iter()
+            .filter(|e| e.get_str("event") == Some("verdict") && e.get_str("to") == Some("alarm"))
             .collect();
         assert!(!alarms.is_empty(), "collapse must raise an SDS alarm");
         assert!(s.alarms() >= 1);
@@ -858,9 +896,7 @@ mod tests {
             miss_num: 100.0,
         });
         assert_eq!(s.state(), SessionState::Quarantined);
-        assert!(events
-            .iter()
-            .any(|e| e.payload.get_str("event") == Some("quarantined")));
+        assert!(lines(&events).iter().any(|e| e.get_str("event") == Some("quarantined")));
         // Further samples are discarded, not processed.
         let before = s.dropped();
         s.offer(9_999, flat_obs(0));
@@ -872,12 +908,12 @@ mod tests {
         let mut s = Session::open("vm-0", fast_config()).unwrap();
         feed(&mut s, 0, 100, flat_obs);
         s.offer_close(100, CloseReason::Ctl);
-        let events = s.process_queued();
+        let events = lines(&s.process_queued());
         let closed = events
             .iter()
-            .find(|e| e.payload.get_str("event") == Some("closed"))
+            .find(|e| e.get_str("event") == Some("closed"))
             .expect("close event");
-        assert_eq!(closed.payload.get_f64("ingested"), Some(100.0));
+        assert_eq!(closed.get_f64("ingested"), Some(100.0));
         assert_eq!(s.state(), SessionState::Closed);
     }
 
@@ -926,6 +962,50 @@ mod tests {
         assert!(std::mem::size_of::<Session>() <= 776, "{}", std::mem::size_of::<Session>());
     }
 
+    /// A benign profile-and-monitor run, then a collapse: profile_ready,
+    /// verdict transitions, alarms.
+    fn story(s: &mut Session) -> Vec<JsonObject> {
+        let mut events = feed(s, 10_000, 2_500, flat_obs);
+        events.extend(feed(s, 12_500, 1_500, |_| Observation { access_num: 100.0, miss_num: 100.0 }));
+        s.offer_close(14_000, CloseReason::Ctl);
+        events.extend(s.process_queued());
+        lines(&events)
+    }
+
+    #[test]
+    fn reopened_sessions_log_what_fresh_sessions_log() {
+        let cfg = SessionConfig { quarantine_after: 1, ..fast_config() };
+        let fresh = story(&mut Session::open_generation("vm-b", cfg, 4).unwrap());
+        assert!(fresh.iter().any(|e| e.get_str("event") == Some("quarantined")));
+
+        // Source 1: a session that armed its detector and monitored
+        // (profiler released, queue grown) before it closed.
+        let mut monitored = Session::open("vm-a", cfg).unwrap();
+        feed(&mut monitored, 0, 3_000, flat_obs);
+        assert_eq!(monitored.state(), SessionState::Monitoring);
+        monitored.offer_close(3_000, CloseReason::Evicted);
+        monitored.process_queued();
+
+        // Source 2: a quarantined husk whose profiler and detector
+        // `shrink_terminal` dropped.
+        let mut husk = Session::open("vm-a", cfg).unwrap();
+        feed(&mut husk, 0, 2_000, flat_obs);
+        feed(&mut husk, 2_000, 2_000, |_| Observation { access_num: 100.0, miss_num: 100.0 });
+        assert_eq!(husk.state(), SessionState::Quarantined);
+        husk.shrink_terminal();
+        assert!(husk.profiler.is_none() && husk.sds.is_none());
+
+        // Source 3: a session still profiling, whose profiler is reset.
+        let mut profiling = Session::open("vm-a", cfg).unwrap();
+        feed(&mut profiling, 0, 700, flat_obs);
+
+        for (label, mut s) in [("monitored", monitored), ("husk", husk), ("profiling", profiling)] {
+            s.reopen(Arc::from("vm-b"), 4).unwrap();
+            assert_eq!((s.state(), s.generation(), s.ingested(), s.queued()), (SessionState::Profiling, 4, 0, 0));
+            assert_eq!(story(&mut s), fresh, "recycled from a {label} session");
+        }
+    }
+
     #[test]
     fn rejects_invalid_config() {
         let cfg = SessionConfig { profile_ticks: 0, ..SessionConfig::default() };
@@ -969,11 +1049,8 @@ mod tests {
         feed(&mut s, 0, 10, flat_obs);
         s.offer_close(10, CloseReason::Ctl);
         s.offer_close(11, CloseReason::Ctl);
-        let events = s.process_queued();
-        let closes = events
-            .iter()
-            .filter(|e| e.payload.get_str("event") == Some("closed"))
-            .count();
+        let events = lines(&s.process_queued());
+        let closes = events.iter().filter(|e| e.get_str("event") == Some("closed")).count();
         assert_eq!(closes, 1);
         assert_eq!(s.state(), SessionState::Closed);
     }
@@ -984,16 +1061,16 @@ mod tests {
         assert_eq!(s.generation(), 2);
         s.offer(0, flat_obs(0));
         s.offer_close(1, CloseReason::Idle);
-        let events = s.process_queued();
+        let events = lines(&s.process_queued());
         let opened = events
             .iter()
-            .find(|e| e.payload.get_str("event") == Some("opened"))
+            .find(|e| e.get_str("event") == Some("opened"))
             .expect("opened event");
-        assert_eq!(opened.payload.get_f64("gen"), Some(2.0));
+        assert_eq!(opened.get_f64("gen"), Some(2.0));
         let closed = events
             .iter()
-            .find(|e| e.payload.get_str("event") == Some("closed"))
+            .find(|e| e.get_str("event") == Some("closed"))
             .expect("closed event");
-        assert_eq!(closed.payload.get_str("reason"), Some("idle"));
+        assert_eq!(closed.get_str("reason"), Some("idle"));
     }
 }

@@ -86,14 +86,12 @@ impl JsonObject {
 
     /// Appends a numeric field.
     pub fn push_num(&mut self, key: &str, value: f64) -> &mut Self {
-        // lint:allow(hot-propagate) -- JsonObject builds per-transition session events, not per-sample lines; the sample path renders through LineBuf
         self.entries.push((key.to_string(), JsonValue::Num(value)));
         self
     }
 
     /// Appends a boolean field.
     pub fn push_bool(&mut self, key: &str, value: bool) -> &mut Self {
-        // lint:allow(hot-propagate) -- JsonObject builds per-transition session events, not per-sample lines; the sample path renders through LineBuf
         self.entries.push((key.to_string(), JsonValue::Bool(value)));
         self
     }
@@ -823,16 +821,6 @@ impl LineBuf {
         self
     }
 
-    /// Appends an already-typed [`JsonValue`] field.
-    // hot-path
-    pub fn field_value(&mut self, key: &str, value: &JsonValue) -> &mut Self {
-        match value {
-            JsonValue::Str(s) => self.field_str(key, s),
-            JsonValue::Num(n) => self.field_num(key, *n),
-            JsonValue::Bool(b) => self.field_bool(key, *b),
-        }
-    }
-
     /// Closes the line and returns it (no trailing newline). The buffer
     /// stays valid until the next [`LineBuf::begin`].
     // hot-path
@@ -1409,7 +1397,11 @@ mod tests {
         let mut buf = LineBuf::new();
         buf.begin();
         for (k, v) in obj.entries() {
-            buf.field_value(k, v);
+            match v {
+                JsonValue::Str(s) => buf.field_str(k, s),
+                JsonValue::Num(n) => buf.field_num(k, *n),
+                JsonValue::Bool(b) => buf.field_bool(k, *b),
+            };
         }
         assert_eq!(buf.end(), obj.to_line());
         // The buffer is reusable and begin() resets the separator state.

@@ -151,6 +151,18 @@ impl MovingAverage {
         }
     }
 
+    /// Returns the operator to its freshly constructed state, keeping
+    /// the ring buffer's allocation: the next push behaves exactly as
+    /// the first push into `MovingAverage::new(window, step)` would.
+    pub fn reset(&mut self) {
+        self.buf.clear();
+        self.head = 0;
+        self.seen = 0;
+        self.sum = 0.0;
+        self.since_emit = 0;
+        self.emitted = 0;
+    }
+
     /// The window mean from the running sum — `O(1)` per emission.
     fn mean(&self) -> f64 {
         self.sum / self.window as f64
@@ -314,6 +326,13 @@ impl Pipeline {
         self.ma.step()
     }
 
+    /// Returns the pipeline to its freshly constructed state, keeping
+    /// the MA ring buffer's allocation (see [`MovingAverage::reset`]).
+    pub fn reset(&mut self) {
+        self.ma.reset();
+        self.ewma.reset();
+    }
+
     /// Heap bytes held by the pipeline (the MA ring buffer; the EWMA is
     /// two scalars). See [`MovingAverage::resident_bytes_hint`].
     pub fn resident_bytes_hint(&self) -> usize {
@@ -411,6 +430,28 @@ mod tests {
         // 1 at sample 10, then one per 5 samples: 1 + (100 - 10)/5 = 19.
         assert_eq!(count, 19);
         assert_eq!(p.emitted(), 19);
+    }
+
+    #[test]
+    fn reset_then_feed_matches_a_fresh_operator_bit_for_bit() {
+        let signal = |i: u64, phase: f64| (i as f64 * 0.37 + phase).sin() * 1e3 + 1.0 / 3.0;
+        for (window, step) in [(7, 3), (60, 10), (4, 4)] {
+            let mut recycled = Pipeline::new(window, step, 0.3).unwrap();
+            for i in 0..1_003 {
+                recycled.push(signal(i, 0.5));
+            }
+            let capacity = recycled.resident_bytes_hint();
+            recycled.reset();
+            assert_eq!(recycled.emitted(), 0);
+            assert_eq!(recycled.resident_bytes_hint(), capacity, "reset keeps the buffer");
+            let mut fresh = Pipeline::new(window, step, 0.3).unwrap();
+            for i in 0..517 {
+                let (a, b) = (recycled.push(signal(i, 2.0)), fresh.push(signal(i, 2.0)));
+                let bits = |s: Option<Smoothed>| s.map(|s| (s.ma.to_bits(), s.ewma.to_bits()));
+                assert_eq!(bits(a), bits(b), "W={window} dW={step} sample {i}");
+            }
+            assert_eq!(recycled.emitted(), fresh.emitted());
+        }
     }
 
     #[test]

@@ -52,6 +52,28 @@ fn replay(lines: &[String], workers: usize) -> (Vec<String>, memdos::engine::eng
     (engine.log_lines().to_vec(), engine.stats(), engine.open_sessions())
 }
 
+/// FNV-1a 64 over the log, one `\n` after each line.
+fn digest(log: &[String]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for line in log {
+        for &b in line.as_bytes().iter().chain(b"\n") {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn fleet_log_matches_its_pinned_digest() {
+    // Pins the exact bytes, not just worker invariance: a change to how
+    // sessions are stored, recycled or rendered must leave the log of
+    // this eviction-heavy scenario byte-identical.
+    let (log, _, _) = replay(fleet_lines(), 1);
+    assert_eq!(log.len(), 280_659);
+    assert_eq!(digest(&log), 0x4e80_536e_1de5_57c0, "fleet log bytes changed");
+}
+
 #[test]
 fn fleet_replay_is_byte_identical_across_workers_including_evictions() {
     let lines = fleet_lines();
