@@ -6,19 +6,30 @@
 //! queue. Every `batch` lines the engine **flushes**: the sessions that
 //! queued work (tracked in a duplicate-free dirty list — a fleet host
 //! holds tens of thousands of sessions and must never scan them all per
-//! flush) are sharded across the persistent [`memdos_runner::ShardPool`]
-//! workers, each drains its queue sequentially into a per-shard run, and
-//! the runs are merged into the log in `(seq, sub)` order.
+//! flush) drain their queues and the produced events go to the log in
+//! `(seq, sub)` order. With one worker (or one dirty session) each
+//! session drains where it sits in its slab slot; otherwise the dirty
+//! sessions are lent out of the slab and sharded across the persistent
+//! [`memdos_runner::ShardPool`] workers, each drains its queue
+//! sequentially into a per-shard run, and the runs are merged. Either
+//! way, one settle pass then walks the dirty list over the slab slots
+//! (quarantine notices, retirement, husk shrink, the terminal FIFO).
 //!
 //! ## Session storage at fleet scale
 //!
 //! Sessions live in an owner-checked slab (`engine::slab`) addressed by
 //! dense `u32` slots; the tenant table maps the interned [`TenantId`] to
-//! the slab slot, so the hot routing path performs one `BTreeMap` name
-//! lookup and two vector index hops — no per-session boxing, no hashing.
+//! the slab slot, so the hot routing path performs one probe of the
+//! hashed intern index and two vector index hops — no per-session
+//! boxing, no name search. The intern index is an open-addressing table
+//! of `u32` ids (FNV-1a 64 over the name, fixed and seedless, linear
+//! probing, load at most ½) whose probes compare against the tenant
+//! slot's name, so the name exists once. Tenant names come from the
+//! host-side collector, not from guests, so the hash needs no flood
+//! resistance.
 //! A tenant name is allocated once, on first contact, as an `Arc<str>`
-//! shared by the intern table, the tenant slot, every incarnation's
-//! session and every event that names the tenant.
+//! shared by the tenant slot, every incarnation's session and every
+//! event that names the tenant.
 //! Closed incarnations are reclaimed at the flush that drains their
 //! final events (their slot returns to a LIFO free list; final counters
 //! are retained for [`Engine::snapshots`]) and their storage goes to a
@@ -68,7 +79,7 @@
 //! Each line decodes through the one record parser,
 //! [`parse_record_borrowed`](jsonl::parse_record_borrowed): tenant
 //! names stay `&str` slices of the input line (escaped ones decode into
-//! a reused scratch buffer) and route through the intern table
+//! a reused scratch buffer) and route through the intern index
 //! ([`TenantId`]) without touching the heap. Lines it rejects go
 //! through [`jsonl::resync_line`] recovery.
 //!
@@ -109,7 +120,7 @@ use memdos_metrics::jsonl::{self, LineBuf, LineFramer, Piece, RawKind, Segment};
 use memdos_runner::ShardPool;
 use std::borrow::Cow;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::io::BufRead;
 use std::sync::Arc;
 
@@ -175,7 +186,7 @@ pub(crate) struct StageProf {
     /// Binary-stream decoding (frame scan, checksum, resync) when the
     /// reader negotiated the binary wire format.
     pub(crate) decode_bin_ns: u64,
-    /// Record → session routing (intern lookup, offer, drop policy).
+    /// Record → session routing (intern probe, offer, drop policy).
     pub(crate) dispatch_ns: u64,
     /// Session queue draining (detector stepping) across the pool.
     pub(crate) step_ns: u64,
@@ -186,9 +197,13 @@ pub(crate) struct StageProf {
     /// Event rendering and log append (inline path; the pooled path
     /// bills its fused merge+render loop to `merge_ns`).
     pub(crate) write_ns: u64,
-    /// The flush's session bookkeeping around the other stages: lending
-    /// dirty sessions out of the slab, returning, retiring and
-    /// recycling them, the idle scan and the mitigation step.
+    /// The flush's session bookkeeping around the other stages: settling
+    /// the drained sessions in their slab slots (quarantine notices,
+    /// retiring and recycling, husk shrink, the terminal FIFO), the idle
+    /// scan and the mitigation step — plus, on the pooled path only,
+    /// lending the dirty sessions out of the slab and restoring them.
+    /// The inline path drains sessions in place and bills that to
+    /// `step_ns`.
     pub(crate) reclaim_ns: u64,
 }
 
@@ -230,11 +245,106 @@ impl TenantId {
     }
 }
 
+/// The tenant-name intern index: an open-addressing hash table of
+/// [`TenantId`]s with linear probing. The names stay in the engine's
+/// tenant slots; a probe compares against `slots[id].name`. Ids are
+/// dense and never freed, so there is no deletion, and a resize
+/// re-places the ids in id order, so the layout is a pure function of
+/// the order names were first seen. `HashMap` is banned in the
+/// deterministic crates (xtask lint L2), and a fixed, seedless hash
+/// keeps even the unobservable layout reproducible.
+#[derive(Debug, Default)]
+struct InternIndex {
+    /// Power-of-two bucket array (empty until the first tenant);
+    /// [`InternIndex::EMPTY`] marks a free bucket. Load stays at or
+    /// below ½, so every probe sequence reaches a free bucket.
+    buckets: Vec<u32>,
+}
+
+impl InternIndex {
+    /// Free-bucket marker (no tenant id reaches it: ids are `u32`
+    /// indices into the tenant slot table).
+    const EMPTY: u32 = u32::MAX;
+    /// Bucket count of the first table.
+    const MIN_BUCKETS: usize = 16;
+
+    /// The home bucket of `name` in a table of `mask + 1` buckets:
+    /// FNV-1a 64 over the UTF-8 bytes, with the high half folded into
+    /// the low bits the mask keeps.
+    fn home(name: &str, mask: usize) -> usize {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in name.as_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        (h ^ (h >> 32)) as usize & mask
+    }
+
+    /// The id interned under `name`, if any.
+    // hot-path
+    fn find(&self, name: &str, slots: &[TenantSlot]) -> Option<TenantId> {
+        let mask = self.buckets.len().checked_sub(1)?;
+        let mut at = Self::home(name, mask);
+        for _ in 0..self.buckets.len() {
+            let id = *self.buckets.get(at)?;
+            if id == Self::EMPTY {
+                return None;
+            }
+            if slots.get(id as usize).is_some_and(|slot| &*slot.name == name) {
+                return Some(TenantId(id));
+            }
+            at = (at + 1) & mask;
+        }
+        None
+    }
+
+    /// Indexes the newest tenant, `slots.last()`. Ids are dense, so the
+    /// index always holds exactly the ids `0..slots.len()`; growing
+    /// re-places the older ones in id order first.
+    fn push(&mut self, slots: &[TenantSlot]) {
+        let Some(newest) = slots.len().checked_sub(1) else {
+            return;
+        };
+        if slots.len() * 2 > self.buckets.len() {
+            let len = (slots.len() * 2).next_power_of_two().max(Self::MIN_BUCKETS);
+            self.buckets.clear();
+            self.buckets.resize(len, Self::EMPTY);
+            for id in 0..newest {
+                self.place(id as u32, slots);
+            }
+        }
+        self.place(newest as u32, slots);
+    }
+
+    /// Puts `id` into the first free bucket of its probe sequence.
+    fn place(&mut self, id: u32, slots: &[TenantSlot]) {
+        let (Some(slot), Some(mask)) = (slots.get(id as usize), self.buckets.len().checked_sub(1))
+        else {
+            return;
+        };
+        let mut at = Self::home(&slot.name, mask);
+        for _ in 0..self.buckets.len() {
+            match self.buckets.get_mut(at) {
+                Some(bucket) if *bucket == Self::EMPTY => {
+                    *bucket = id;
+                    return;
+                }
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// Heap bytes of the bucket array.
+    fn resident_bytes(&self) -> usize {
+        self.buckets.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
 /// Binary-protocol tenant directory for one ingest stream: wire id →
 /// tenant name, as bound by [`BinFrame::Define`] frames. `cached`
 /// memoises the engine's interned [`TenantId`] — ids are stable for the
 /// engine's lifetime, so once warm a sample routes with two vector hops
-/// and no `BTreeMap` name lookup at all.
+/// and no intern-index probe at all.
 #[derive(Debug, Default)]
 struct WireTable {
     slots: Vec<Option<WireEntry>>,
@@ -262,8 +372,8 @@ struct RetiredSession {
 /// break the worker-count determinism guarantee).
 #[derive(Debug)]
 struct TenantSlot {
-    /// The interned name, shared with the intern-table key and every
-    /// incarnation's session and events.
+    /// The interned name, shared with every incarnation's session and
+    /// events; the intern index probes compare against it.
     name: Arc<str>,
     /// Slab slot of the current incarnation; `None` once it was closed,
     /// drained and reclaimed.
@@ -282,16 +392,31 @@ struct TenantSlot {
     terminal_queued: bool,
 }
 
+impl TenantSlot {
+    /// A first-contact slot: no session yet, generation 0.
+    fn new(name: Arc<str>, seq: u64) -> Self {
+        TenantSlot {
+            name,
+            session: None,
+            last_seen: seq,
+            closed_at_ingest: false,
+            generation: 0,
+            retired: None,
+            terminal_queued: false,
+        }
+    }
+}
+
 /// The multi-tenant streaming detection engine.
 pub struct Engine {
     config: Config,
     /// Owner-checked session storage; slots are recycled across tenant
     /// churn. See the module docs on fleet-scale storage.
     slab: Slab<Session>,
-    /// Tenant-name intern table: name → dense [`TenantId`]. Consulted
-    /// once per record; every later step keys on the `Copy` id. The
-    /// name is allocated once, on first contact, and shared from here.
-    ids: BTreeMap<Arc<str>, TenantId>,
+    /// Tenant-name intern index: name → dense [`TenantId`]. Probed once
+    /// per record; every later step keys on the `Copy` id. It holds
+    /// only ids: the name lives in the tenant slot.
+    ids: InternIndex,
     /// Routing state per interned tenant, indexed by [`TenantId`].
     slots: Vec<TenantSlot>,
     /// Slab slots that queued work since the last flush, in first-queue
@@ -331,7 +456,7 @@ pub struct Engine {
     /// Recycled flush-event buffer for the inline path.
     events_buf: Vec<SessionEvent>,
     /// Recycled working set of sessions lent out of the slab for a
-    /// flush, with their `(slab slot, owner)` keys alongside.
+    /// pooled flush, with their `(slab slot, owner)` keys alongside.
     scratch: Vec<Session>,
     scratch_meta: Vec<(u32, u32)>,
     /// Recycled per-shard run buffers for the pooled path.
@@ -349,7 +474,7 @@ pub struct Engine {
     /// The mitigation response loop: per-tenant cases, rung memory and
     /// the pending control actions for the enclosing driver.
     mitigation: Coordinator,
-    /// Quarantine notices collected at put-back time, consumed by the
+    /// Quarantine notices collected at settle time, consumed by the
     /// mitigation step at the end of the same flush:
     /// `(tenant id, notice seq, tenant name)`.
     notices: Vec<(u32, u64, Arc<str>)>,
@@ -394,7 +519,7 @@ impl Engine {
         Ok(Engine {
             config,
             slab: Slab::new(),
-            ids: BTreeMap::new(),
+            ids: InternIndex::default(),
             slots: Vec::new(),
             dirty: Vec::new(),
             lru: BinaryHeap::new(),
@@ -456,21 +581,24 @@ impl Engine {
     /// working set; reclaimed tenants report the retained final
     /// accounting with `live: false`. This is the stable introspection
     /// surface (see DESIGN.md) — the fleet bench and the CLI summary
-    /// consume it instead of session internals.
+    /// consume it instead of session internals. The name order is
+    /// sorted at call time (a cold path; the ingest path keeps no
+    /// ordered index).
     pub fn snapshots(&self) -> impl Iterator<Item = SessionSnapshot<'_>> {
-        self.ids.iter().filter_map(move |(name, &id)| self.snapshot_of(name, id))
+        let mut order: Vec<u32> = (0..self.slots.len() as u32).collect();
+        order.sort_unstable_by_key(|&id| self.slots.get(id as usize).map(|slot| &slot.name));
+        order.into_iter().filter_map(move |id| self.snapshot_of(TenantId(id)))
     }
 
     /// The snapshot for one tenant, if it was ever seen.
     pub fn snapshot(&self, tenant: &str) -> Option<SessionSnapshot<'_>> {
-        let (name, &id) = self.ids.get_key_value(tenant)?;
-        self.snapshot_of(name, id)
+        self.snapshot_of(self.tenant_id(tenant)?)
     }
 
     /// One interned tenant's snapshot: its live session's, with the
     /// mitigation case attached, or else the retained final accounting
     /// of its last reclaimed incarnation.
-    fn snapshot_of<'a>(&'a self, name: &'a str, id: TenantId) -> Option<SessionSnapshot<'a>> {
+    fn snapshot_of(&self, id: TenantId) -> Option<SessionSnapshot<'_>> {
         let slot = self.slots.get(id.index())?;
         if let Some(s) = slot.session.and_then(|idx| self.slab.get(idx, id.0)) {
             let mut snap = s.snapshot();
@@ -479,7 +607,7 @@ impl Engine {
         }
         let r = slot.retired?;
         Some(SessionSnapshot {
-            tenant: name,
+            tenant: &slot.name,
             generation: r.generation,
             state: SessionState::Closed,
             live: false,
@@ -496,16 +624,17 @@ impl Engine {
     /// Estimated resident heap bytes of the session fleet: every live
     /// and spare session's heap working set
     /// ([`Session::resident_bytes`]), the slab slots and spare list that
-    /// hold the session structs inline, the interned names and the
-    /// engine's per-tenant tables. Deterministic capacity accounting —
-    /// the number the fleet bench reports and the ceiling is judged
-    /// against — not an allocator measurement.
+    /// hold the session structs inline, the interned names, the intern
+    /// index's buckets and the engine's per-tenant tables. Deterministic
+    /// capacity accounting — the number the fleet bench reports and the
+    /// ceiling is judged against — not an allocator measurement.
     pub fn resident_bytes(&self) -> usize {
         let live = self.slab.iter().map(|(_, s)| s);
         let sessions: usize = live.chain(&self.spares).map(Session::resident_bytes).sum();
-        let names: usize = self.ids.keys().map(|k| k.len()).sum();
+        let names: usize = self.slots.iter().map(|slot| slot.name.len()).sum();
         sessions
             + names
+            + self.ids.resident_bytes()
             + self.slab.capacity() * std::mem::size_of::<Option<(u32, bool, Session)>>()
             + self.spares.capacity() * std::mem::size_of::<Session>()
             + self.slots.len() * std::mem::size_of::<TenantSlot>()
@@ -895,7 +1024,7 @@ impl Engine {
     /// Resolves `tenant` to its interned id without allocating.
     // hot-path
     fn tenant_id(&self, tenant: &str) -> Option<TenantId> {
-        self.ids.get(tenant).copied()
+        self.ids.find(tenant, &self.slots)
     }
 
     /// Looks up (or opens, or reopens after churn/eviction) the session
@@ -985,16 +1114,8 @@ impl Engine {
                     Some(id) => id.0,
                     None => {
                         let id = TenantId(self.slots.len() as u32);
-                        self.slots.push(TenantSlot {
-                            name: name.clone(),
-                            session: None,
-                            last_seen: seq,
-                            closed_at_ingest: false,
-                            generation: 0,
-                            retired: None,
-                            terminal_queued: false,
-                        });
-                        self.ids.insert(name, id);
+                        self.slots.push(TenantSlot::new(name, seq));
+                        self.ids.push(&self.slots);
                         id.0
                     }
                 };
@@ -1124,105 +1245,128 @@ impl Engine {
         self.ingest_events.push(SessionEvent { seq, sub: SUB_INGEST, payload });
     }
 
-    /// Dispatches the dirty sessions' queued items across the persistent
-    /// worker pool and appends the produced events to the log in
-    /// `(seq, sub)` order, then reclaims closed incarnations and applies
-    /// the idle timeout. Only sessions that queued work are touched — a
-    /// 50k-tenant fleet with a handful of active tenants pays for the
-    /// handful. All working buffers are recycled, so a steady-state
-    /// flush performs no per-flush allocations beyond the log lines
-    /// themselves.
+    /// Drains the dirty sessions' queued items — in place on the inline
+    /// path, across the persistent worker pool otherwise — and appends
+    /// the produced events to the log in `(seq, sub)` order, then
+    /// settles every drained session ([`Engine::settle`]) and applies
+    /// the idle timeout and the mitigation step. Only sessions that
+    /// queued work are touched — a 50k-tenant fleet with a handful of
+    /// active tenants pays for the handful. All working buffers are
+    /// recycled, so a steady-state flush performs no per-flush
+    /// allocations beyond the log lines themselves.
     pub fn flush(&mut self) {
         if self.pending == 0 && self.ingest_events.is_empty() && self.dirty.is_empty() {
             return;
         }
         self.pending = 0;
-        let t_lend = self.prof.start();
-        // Lend the flush's working set out of the slab, in the
+        if self.effective_workers <= 1 || self.dirty.len() <= 1 {
+            self.drain_inline();
+        } else {
+            self.drain_pooled();
+        }
+        // Settle each drained session where it sits, in the
         // (deterministic) order sessions first queued work.
+        let t_reclaim = self.prof.start();
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for &idx in &dirty {
+            self.settle(idx);
+        }
+        dirty.clear();
+        self.dirty = dirty;
+        self.check_idle();
+        self.step_mitigation();
+        let d = self.prof.lap(t_reclaim);
+        self.prof.reclaim_ns += d;
+    }
+
+    /// The inline flush: a single worker (or session) would serialise
+    /// through the pool anyway, so each dirty session drains where it
+    /// sits in its slab slot, in first-queue order — no session struct
+    /// moves and no channel machinery runs — then the flush's events
+    /// are sorted and rendered.
+    fn drain_inline(&mut self) {
+        let t0 = self.prof.start();
+        let mut events = std::mem::take(&mut self.events_buf);
+        let mut queued: u64 = 0;
+        for &idx in &self.dirty {
+            if let Some((_, session)) = self.slab.flush_mut(idx) {
+                queued += session.queued() as u64;
+                session.process_queued_into(&mut events);
+            }
+        }
+        self.stats.peak_queued = self.stats.peak_queued.max(queued);
+        let d = self.prof.lap(t0);
+        self.prof.step_ns += d;
+        events.append(&mut self.ingest_events);
+        // `(seq, sub)` keys are unique, so this imposes the one total
+        // order.
+        let t1 = self.prof.start();
+        events.sort_by_key(|e| (e.seq, e.sub));
+        let d = self.prof.lap(t1);
+        self.prof.merge_ns += d;
+        let t2 = self.prof.start();
+        for ev in &events {
+            let line = render_event(&mut self.render, ev);
+            self.log.push(line);
+        }
+        let d = self.prof.lap(t2);
+        self.prof.write_ns += d;
+        events.clear();
+        self.events_buf = events;
+    }
+
+    /// The pooled flush: the dirty sessions are lent out of the slab in
+    /// first-queue order, sharded across the workers, K-way merged into
+    /// the log and restored to their slots for the settle pass.
+    fn drain_pooled(&mut self) {
+        let t_lend = self.prof.start();
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut meta = std::mem::take(&mut self.scratch_meta);
         let mut queued: u64 = 0;
-        for di in 0..self.dirty.len() {
-            let Some(&idx) = self.dirty.get(di) else {
-                break;
-            };
+        for &idx in &self.dirty {
             if let Some((owner, session)) = self.slab.lend(idx) {
                 queued += session.queued() as u64;
                 meta.push((idx, owner));
                 scratch.push(session);
             }
         }
-        self.dirty.clear();
         self.stats.peak_queued = self.stats.peak_queued.max(queued);
         let d = self.prof.lap(t_lend);
         self.prof.reclaim_ns += d;
         let t0 = self.prof.start();
-        if self.effective_workers <= 1 || scratch.len() <= 1 {
-            // A single worker (or session) would serialise through the
-            // pool anyway; keep the channel machinery out of the path.
-            let mut events = std::mem::take(&mut self.events_buf);
-            for s in scratch.iter_mut() {
-                s.process_queued_into(&mut events);
-            }
-            let d = self.prof.lap(t0);
-            self.prof.step_ns += d;
-            events.append(&mut self.ingest_events);
-            // `(seq, sub)` keys are unique, so this imposes the one
-            // total order.
-            let t1 = self.prof.start();
-            events.sort_by_key(|e| (e.seq, e.sub));
-            let d = self.prof.lap(t1);
-            self.prof.merge_ns += d;
-            let t2 = self.prof.start();
-            for ev in &events {
-                let line = render_event(&mut self.render, ev);
-                self.log.push(line);
-            }
-            let d = self.prof.lap(t2);
-            self.prof.write_ns += d;
-            events.clear();
-            self.events_buf = events;
-        } else {
-            let workers = self.effective_workers;
-            let pool = self.pool.get_or_insert_with(|| {
-                ShardPool::with_finish(
-                    workers,
-                    |s: &mut Session, out: &mut Vec<SessionEvent>| s.process_queued_into(out),
-                    // Each worker sorts its own runs, so the engine only
-                    // merges (see the module docs on the hierarchical
-                    // merge).
-                    |run: &mut Vec<SessionEvent>| run.sort_by_key(|e| (e.seq, e.sub)),
-                )
-            });
-            let mut runs = std::mem::take(&mut self.runs);
-            pool.run_sharded_runs(&mut scratch, &mut runs);
-            let d = self.prof.lap(t0);
-            self.prof.step_ns += d;
-            let t1 = self.prof.start();
-            runs.push(std::mem::take(&mut self.ingest_events));
-            self.merge_runs(&mut runs);
-            // The ingest run went in last and `merge_runs` does not
-            // reorder the run list; reclaim its capacity.
-            if let Some(ingest) = runs.pop() {
-                self.ingest_events = ingest;
-            }
-            let d = self.prof.lap(t1);
-            self.prof.merge_ns += d;
-            self.runs = runs;
+        let workers = self.effective_workers;
+        let pool = self.pool.get_or_insert_with(|| {
+            ShardPool::with_finish(
+                workers,
+                |s: &mut Session, out: &mut Vec<SessionEvent>| s.process_queued_into(out),
+                // Each worker sorts its own runs, so the engine only
+                // merges (see the module docs on the hierarchical
+                // merge).
+                |run: &mut Vec<SessionEvent>| run.sort_by_key(|e| (e.seq, e.sub)),
+            )
+        });
+        let mut runs = std::mem::take(&mut self.runs);
+        pool.run_sharded_runs(&mut scratch, &mut runs);
+        let d = self.prof.lap(t0);
+        self.prof.step_ns += d;
+        let t1 = self.prof.start();
+        runs.push(std::mem::take(&mut self.ingest_events));
+        self.merge_runs(&mut runs);
+        // The ingest run went in last and `merge_runs` does not
+        // reorder the run list; reclaim its capacity.
+        if let Some(ingest) = runs.pop() {
+            self.ingest_events = ingest;
         }
-        // Return sessions to the slab; reclaim closed-at-ingest
-        // incarnations (slot to the free list, final counters retained,
-        // storage kept as a spare).
-        let t_reclaim = self.prof.start();
+        let d = self.prof.lap(t1);
+        self.prof.merge_ns += d;
+        self.runs = runs;
+        let t_restore = self.prof.start();
         for ((idx, owner), session) in meta.drain(..).zip(scratch.drain(..)) {
-            self.put_back(idx, owner, session);
+            self.slab.restore(idx, owner, session);
         }
         self.scratch = scratch;
         self.scratch_meta = meta;
-        self.check_idle();
-        self.step_mitigation();
-        let d = self.prof.lap(t_reclaim);
+        let d = self.prof.lap(t_restore);
         self.prof.reclaim_ns += d;
     }
 
@@ -1264,20 +1408,29 @@ impl Engine {
         }
     }
 
-    /// Returns one lent session to the slab after a flush, or retires
-    /// it: a closed incarnation whose close the ingest side decided is
-    /// fully drained now, so its slot is reclaimed, its final counters
-    /// retained for snapshots and its storage kept as a spare. A session
-    /// closed worker-side only (failed profile) stays resident — later
-    /// samples must still drop against its policy — but shrunk to a
-    /// husk.
-    fn put_back(&mut self, idx: u32, owner: u32, mut session: Session) {
+    /// Settles one drained session in its slab slot — the one
+    /// post-drain routine both flush paths share. A pending quarantine
+    /// notice goes to the mitigation step. A closed incarnation whose
+    /// close the ingest side decided is fully drained now, so it
+    /// retires: its final counters are retained for snapshots and its
+    /// storage moves to the spare list ([`Engine::retire`]). A closed
+    /// incarnation the tenant already superseded (it reopened before
+    /// this one drained) just retires. Anything else stays resident,
+    /// shrunk to a husk if terminal; a session closed worker-side only
+    /// (failed profile) must still drop later samples against its
+    /// policy, and a terminal session joins the terminal FIFO the
+    /// ceiling eviction drains first.
+    fn settle(&mut self, idx: u32) {
+        let Some((owner, session)) = self.slab.flush_mut(idx) else {
+            return;
+        };
         if let Some(seq) = session.take_quarantine_notice() {
             if self.mitigation.enabled() {
                 self.notices.push((owner, seq, session.shared_tenant().clone()));
             }
         }
-        let closed = session.state() == SessionState::Closed;
+        let state = session.state();
+        let closed = state == SessionState::Closed;
         let (is_current, closing) = match self.slots.get(owner as usize) {
             Some(slot) => (slot.session == Some(idx), slot.closed_at_ingest),
             None => (false, false),
@@ -1292,24 +1445,19 @@ impl Engine {
                 });
                 slot.session = None;
             }
-            self.slab.release(idx);
             if let Some(case) = self.mitigation.on_session_closed(owner) {
                 if !case.state().terminal() {
                     self.aborted_cases.push(session.shared_tenant().clone());
                 }
             }
-            self.recycle(session);
+            self.retire(idx);
         } else if closed && !is_current {
-            // A superseded incarnation: the tenant reopened before this
-            // one drained. The live incarnation owns the tenant's state;
-            // just free the slot.
-            self.slab.release(idx);
-            self.recycle(session);
+            // A superseded incarnation: the live incarnation owns the
+            // tenant's state; just free the slot.
+            self.retire(idx);
         } else {
-            let terminal =
-                matches!(session.state(), SessionState::Quarantined | SessionState::Closed);
             session.shrink_terminal();
-            self.slab.restore(idx, owner, session);
+            let terminal = matches!(state, SessionState::Quarantined | SessionState::Closed);
             if terminal && is_current && !closing {
                 if let Some(slot) = self.slots.get_mut(owner as usize) {
                     if !slot.terminal_queued {
@@ -1321,9 +1469,14 @@ impl Engine {
         }
     }
 
-    /// Keeps a released session's storage for the next open, up to the
-    /// spare bound (`config.batch`); past it the session is dropped.
-    fn recycle(&mut self, session: Session) {
+    /// Frees a retired session's slab slot and moves its storage — the
+    /// one move a session makes after it opened — to the spare list for
+    /// the next open, up to the spare bound (`config.batch`); past it
+    /// the session is dropped.
+    fn retire(&mut self, idx: u32) {
+        let Some(session) = self.slab.remove(idx) else {
+            return;
+        };
         if self.spares.len() < self.config.batch {
             self.spares.push(session);
         }
@@ -1888,10 +2041,11 @@ mod tests {
         engine.ingest_line(r#"{"tenant":"vm-live","access":1,"miss":2}"#);
         engine.ingest_line(r#"{"tenant":"vm-gone","access":1,"miss":2}"#);
         engine.ingest_line(r#"{"tenant":"vm-gone","ctl":"close"}"#);
+        engine.ingest_line(r#"{"tenant":"vm-alpha","access":1,"miss":2}"#);
         engine.finish();
-        let snaps: Vec<_> = engine.snapshots().collect();
-        assert_eq!(snaps.len(), 2);
-        // Name order: vm-gone, vm-live.
+        // Interned out of name order; snapshots come back in name order.
+        let names: Vec<&str> = engine.snapshots().map(|snap| snap.tenant).collect();
+        assert_eq!(names, ["vm-alpha", "vm-gone", "vm-live"]);
         let gone = engine.snapshot("vm-gone").expect("retired snapshot");
         assert!(!gone.live);
         assert_eq!(gone.state, SessionState::Closed);
@@ -1952,15 +2106,21 @@ mod tests {
         assert_eq!(engine.resident_bytes(), after_10, "resident bytes grew with churn");
     }
 
-    /// vm-b's log lines after a prefix in which vm-a profiles, monitors
-    /// through an attack (quarantining when `quarantine_after` is set,
-    /// which shrinks it to a husk), then either closes — so vm-b's
-    /// session reuses vm-a's storage — or stays while an unrelated
-    /// record takes the close's arrival index, so vm-b opens fresh.
-    fn vm_b_lines(quarantine_after: u64, recycle: bool) -> Vec<String> {
-        let mut config = fast_config(1, 64);
-        config.session.quarantine_after = quarantine_after;
+    /// The finished engine after a prefix in which vm-a profiles,
+    /// monitors through an attack (quarantining when
+    /// `config.session.quarantine_after` is set, which shrinks it to a
+    /// husk), then either closes — so vm-b's session reuses vm-a's
+    /// storage — or stays while an unrelated record takes the close's
+    /// arrival index, so vm-b opens fresh; vm-b then runs the same
+    /// script. `workers` overrides the flush width (see
+    /// [`run_forced`]). With mitigation on, the loop releases and
+    /// reopens vm-a mid-script, so the prefix's state checks apply only
+    /// without it.
+    fn vm_b_run(config: Config, workers: usize, recycle: bool) -> Engine {
+        let checked = !config.mitigation.enabled;
+        let quarantine_after = config.session.quarantine_after;
         let mut engine = Engine::new(config).unwrap();
+        engine.effective_workers = workers;
         let sample = |tenant: &str, i: u64, attacked: bool| {
             let access = if attacked { 100 } else { 1000 + i % 10 };
             format!(r#"{{"tenant":"{tenant}","access":{access},"miss":{}}}"#, 100 + i % 5)
@@ -1969,27 +2129,40 @@ mod tests {
             engine.ingest_line(&sample("vm-a", i, i >= 2_500));
         }
         engine.flush();
-        let a = engine.snapshot("vm-a").expect("vm-a is resident");
-        let expected = if quarantine_after > 0 {
-            SessionState::Quarantined
-        } else {
-            SessionState::Monitoring
-        };
-        assert_eq!(a.state, expected);
+        if checked {
+            let a = engine.snapshot("vm-a").expect("vm-a is resident");
+            let expected = if quarantine_after > 0 {
+                SessionState::Quarantined
+            } else {
+                SessionState::Monitoring
+            };
+            assert_eq!(a.state, expected);
+        }
         if recycle {
             engine.ingest_line(r#"{"tenant":"vm-a","ctl":"close"}"#);
         } else {
             engine.ingest_line(r#"{"tenant":"vm-c","access":1,"miss":2}"#);
         }
         engine.flush();
-        assert_eq!(engine.spares.len(), usize::from(recycle));
+        if checked {
+            assert_eq!(engine.spares.len(), usize::from(recycle));
+        }
         for i in 0..4_000u64 {
             engine.ingest_line(&sample("vm-b", i, i >= 2_500));
         }
         engine.ingest_line(r#"{"tenant":"vm-b","ctl":"close"}"#);
         engine.finish();
-        assert!(engine.spares.len() <= 1 + usize::from(recycle));
+        if checked {
+            assert!(engine.spares.len() <= 1 + usize::from(recycle));
+        }
         engine
+    }
+
+    /// vm-b's log lines from [`vm_b_run`] on the inline path.
+    fn vm_b_lines(quarantine_after: u64, recycle: bool) -> Vec<String> {
+        let mut config = fast_config(1, 64);
+        config.session.quarantine_after = quarantine_after;
+        vm_b_run(config, 1, recycle)
             .log_lines()
             .iter()
             .filter(|l| l.contains(r#""tenant":"vm-b""#))
@@ -2009,6 +2182,122 @@ mod tests {
                 "quarantine_after={quarantine_after}"
             );
         }
+    }
+
+    /// Replays `lines` with the flush width forced to `workers`.
+    /// `Engine::new` clamps `config.workers` to the host's cores, so on a
+    /// one-vCPU host every worker-count comparison would otherwise run
+    /// the inline path against itself.
+    fn run_forced(config: Config, workers: usize, lines: &[String]) -> Engine {
+        let mut engine = Engine::new(config).unwrap();
+        engine.effective_workers = workers;
+        for line in lines {
+            engine.ingest_line(line);
+        }
+        engine.finish();
+        engine
+    }
+
+    #[test]
+    fn pooled_and_inline_flushes_write_identical_logs() {
+        // A 3,000-tenant fleet under a 256-session ceiling: evictions,
+        // reopens and spare recycling at every flush.
+        let fleet = crate::fleet::fleet_jsonl(&memdos_sim::fleet::FleetConfig {
+            tenants: 3_000,
+            span_ticks: 512,
+            zipf_s: 1.1,
+            min_interval: 4,
+            max_interval: 64,
+            churn: 0.2,
+            seed: 0xF1EE7,
+            attack: None,
+        })
+        .expect("fleet config is valid");
+        let config = crate::fleet::fleet_engine_config(1, 256);
+        let inline = run_forced(config, 1, &fleet);
+        let pooled = run_forced(config, 4, &fleet);
+        assert!(inline.pool.is_none() && pooled.pool.is_some(), "both flush paths ran");
+        assert!(inline.stats().evicted > 0 && inline.stats().reopened > 0);
+        assert_eq!(pooled.stats(), inline.stats());
+        assert_eq!(pooled.log_lines(), inline.log_lines(), "fleet log differs");
+
+        // Two tenants through attack, quarantine and the mitigation loop:
+        // a quarantine husk, its notice, the terminal FIFO, and a release
+        // whose close drains in the same flush as vm-b's samples.
+        let mut config = fast_config(1, 64);
+        config.session.quarantine_after = 1;
+        config.mitigation = crate::config::MitigationPolicy::enabled();
+        let inline = vm_b_run(config, 1, false);
+        let pooled = vm_b_run(config, 4, false);
+        assert!(pooled.pool.is_some(), "the pooled path ran");
+        assert_eq!(inline.stats().mitigations_engaged, 1);
+        assert_eq!(inline.stats().mitigations_released, 1);
+        assert_eq!(pooled.stats(), inline.stats());
+        assert_eq!(pooled.log_lines(), inline.log_lines(), "mitigation log differs");
+    }
+
+    #[test]
+    fn intern_index_resolves_every_name_across_resizes() {
+        // Plain, JSON-escaped and non-ASCII names, shuffled.
+        let mut names: Vec<String> = (0..10_000u32)
+            .map(|i| match i % 4 {
+                0 => format!("vm-{i:05}"),
+                1 => format!("tenant \"{i}\"\\\n\t"),
+                2 => format!("vm-é-{i}-雲"),
+                _ => format!("{i}"),
+            })
+            .collect();
+        let mut state: u64 = 0x5EED_1234;
+        for i in (1..names.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            names.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        // Put two names that share a home bucket in the first table at
+        // the front, so they probe against each other from the start.
+        let mask = InternIndex::MIN_BUCKETS - 1;
+        let first = InternIndex::home(&names[0], mask);
+        let partner = (1..names.len())
+            .find(|&i| InternIndex::home(&names[i], mask) == first)
+            .expect("some name shares the first name's bucket");
+        names.swap(1, partner);
+
+        let mut slots = Vec::new();
+        let mut index = InternIndex::default();
+        assert_eq!(index.find("vm-00000", &slots), None, "an empty index misses");
+        let mut sizes = vec![];
+        for (n, name) in names.iter().enumerate() {
+            slots.push(TenantSlot::new(Arc::from(name.as_str()), 0));
+            index.push(&slots);
+            assert!(slots.len() * 2 <= index.buckets.len(), "load above 1/2");
+            if sizes.last() != Some(&index.buckets.len()) {
+                sizes.push(index.buckets.len());
+                // Right after a resize, every name so far still resolves.
+                for (id, earlier) in names.iter().enumerate().take(n + 1) {
+                    assert_eq!(index.find(earlier, &slots), Some(TenantId(id as u32)));
+                }
+            }
+            if n == 1 {
+                assert_eq!(index.buckets.len(), InternIndex::MIN_BUCKETS);
+                assert_eq!(index.find(&names[0], &slots), Some(TenantId(0)));
+                assert_eq!(index.find(&names[1], &slots), Some(TenantId(1)));
+            }
+        }
+        assert_eq!(sizes.first(), Some(&InternIndex::MIN_BUCKETS));
+        assert!(sizes.len() >= 5, "only {} table sizes", sizes.len());
+        for (id, name) in names.iter().enumerate() {
+            assert_eq!(index.find(name, &slots), Some(TenantId(id as u32)), "{name:?}");
+        }
+        for unknown in ["", "vm-10000", "vm-é-10001-雲", "tenant", "vm-0000", "10000"] {
+            assert_eq!(index.find(unknown, &slots), None, "{unknown:?}");
+        }
+        // The layout is a pure function of the interning order.
+        let mut again = InternIndex::default();
+        for n in 1..=slots.len() {
+            again.push(&slots[..n]);
+        }
+        assert_eq!(again.buckets, index.buckets);
     }
 
     #[test]

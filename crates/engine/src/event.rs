@@ -3,7 +3,7 @@
 //! Every line the engine logs starts life as an [`Event`]: one variant
 //! per event kind, holding exactly the values the line carries. The
 //! tenant name is the engine's interned `Arc<str>`, shared with the
-//! intern table and the session, so building an event allocates
+//! tenant slot and the session, so building an event allocates
 //! nothing. [`render_event`] is one `match` that writes each variant's
 //! fields straight into the recycled [`LineBuf`], in a fixed key order;
 //! the log line it returns is the only allocation per event.

@@ -300,7 +300,7 @@ thread_local! {
 
 /// A per-tenant detection session.
 pub struct Session {
-    /// The engine's interned tenant name, shared with its intern table
+    /// The engine's interned tenant name, shared with its tenant slot
     /// and every event this session logs.
     tenant: Arc<str>,
     config: SessionConfig,
@@ -528,7 +528,7 @@ impl Session {
     /// with its working set (via [`Detector::resident_bytes_hint`]).
     /// Nothing stored inline or shared is counted — the `Session`
     /// struct, profiler included, lives in the engine's slab slot (or
-    /// spare list), and the tenant name in its intern table, both of
+    /// spare list), and the tenant name in its tenant slot, both of
     /// which the engine accounts for once. This is a deterministic
     /// capacity-based accounting estimate, not an allocator measurement
     /// — it exists so a ceiling/eviction decision and the fleet bench

@@ -15,6 +15,13 @@
 //! The slab also tracks a per-slot `dirty` flag so the engine can keep
 //! a duplicate-free list of sessions that queued work since the last
 //! flush without scanning all 50k slots (see `engine::flush`).
+//!
+//! A flush works on sessions where they sit ([`Slab::flush_mut`]): the
+//! inline path drains each dirty entry in place and every flush settles
+//! it in place, so a session struct moves only when it retires
+//! ([`Slab::remove`], into the engine's spare list). Only the pooled
+//! path, which hands sessions to worker threads, moves them out
+//! ([`Slab::lend`]) and back ([`Slab::restore`]).
 
 /// A slot store with owner-stamped entries and a LIFO free list.
 ///
@@ -28,7 +35,7 @@ pub(crate) struct Slab<T> {
     /// function of the release order.
     free: Vec<u32>,
     /// Number of live entries (slots holding `Some`, plus slots lent
-    /// out via [`Slab::lend`] and not yet restored or released).
+    /// out via [`Slab::lend`] and not yet restored).
     live: usize,
 }
 
@@ -109,11 +116,33 @@ impl<T> Slab<T> {
         }
     }
 
-    /// Moves the entry's value out for flush processing, leaving the
-    /// slot allocated but empty, and clears the dirty flag. The caller
-    /// must either [`Slab::restore`] the value or [`Slab::release`] the
-    /// slot before the next insert/lookup cycle; while lent, lookups on
-    /// this index miss.
+    /// Borrows the live entry at `idx` together with its owner for
+    /// flush work — an in-place drain or the settle pass — and clears
+    /// its dirty flag. For the engine's walk over its own dirty list,
+    /// whose indices cannot go stale within one flush interval (slots
+    /// are freed only by that walk).
+    pub(crate) fn flush_mut(&mut self, idx: u32) -> Option<(u32, &mut T)> {
+        match self.slots.get_mut(idx as usize) {
+            Some(Some(e)) => {
+                e.dirty = false;
+                Some((e.owner, &mut e.value))
+            }
+            _ => None,
+        }
+    }
+
+    /// Moves the live entry's value out and frees its slot for reuse.
+    pub(crate) fn remove(&mut self, idx: u32) -> Option<T> {
+        let entry = self.slots.get_mut(idx as usize)?.take()?;
+        self.free.push(idx);
+        self.live = self.live.saturating_sub(1);
+        Some(entry.value)
+    }
+
+    /// Moves the entry's value out so a worker thread can process it,
+    /// leaving the slot allocated but empty, and clears the dirty flag.
+    /// The caller must [`Slab::restore`] the value before the next
+    /// insert/lookup cycle; while lent, lookups on this index miss.
     pub(crate) fn lend(&mut self, idx: u32) -> Option<(u32, T)> {
         match self.slots.get_mut(idx as usize) {
             Some(slot @ Some(_)) => slot.take().map(|e| (e.owner, e.value)),
@@ -129,17 +158,6 @@ impl<T> Slab<T> {
                 dirty: false,
                 value,
             });
-        }
-    }
-
-    /// Frees a slot whose value was lent out and will not return,
-    /// making the index available for reuse.
-    pub(crate) fn release(&mut self, idx: u32) {
-        if let Some(slot) = self.slots.get_mut(idx as usize) {
-            if slot.is_none() {
-                self.free.push(idx);
-                self.live = self.live.saturating_sub(1);
-            }
         }
     }
 
@@ -164,11 +182,30 @@ mod tests {
         assert_eq!(slab.len(), 2);
         assert_eq!(slab.get(a, 0).map(String::as_str), Some("a"));
         assert_eq!(slab.get(b, 1).map(String::as_str), Some("b"));
+        assert_eq!(
+            slab.flush_mut(a).map(|(o, v)| (o, v.clone())),
+            Some((0, "a".to_string()))
+        );
+        assert_eq!(slab.remove(a).as_deref(), Some("a"));
+        assert!(slab.get(a, 0).is_none(), "removed slot must miss");
+        assert!(
+            slab.remove(a).is_none(),
+            "a freed slot is not removed twice"
+        );
+        assert_eq!(slab.len(), 1);
+    }
+
+    #[test]
+    fn lend_and_restore_keep_the_slot() {
+        let mut slab: Slab<String> = Slab::new();
+        let a = slab.insert(0, "a".to_string());
         let (owner, v) = slab.lend(a).unwrap();
         assert_eq!((owner, v.as_str()), (0, "a"));
         assert!(slab.get(a, 0).is_none(), "lent slot must miss");
-        slab.release(a);
-        assert_eq!(slab.len(), 1);
+        assert_eq!(slab.len(), 1, "a lent entry stays live");
+        slab.restore(a, owner, v);
+        assert_eq!(slab.get(a, 0).map(String::as_str), Some("a"));
+        assert_eq!(slab.capacity(), 1);
     }
 
     #[test]
@@ -176,10 +213,8 @@ mod tests {
         let mut slab: Slab<u64> = Slab::new();
         let a = slab.insert(0, 10);
         let b = slab.insert(1, 11);
-        slab.lend(a);
-        slab.release(a);
-        slab.lend(b);
-        slab.release(b);
+        slab.remove(a);
+        slab.remove(b);
         // LIFO: b's slot (freed last) is handed out first.
         assert_eq!(slab.insert(2, 12), b);
         assert_eq!(slab.insert(3, 13), a);
@@ -190,8 +225,7 @@ mod tests {
     fn stale_index_never_aliases_new_owner() {
         let mut slab: Slab<u64> = Slab::new();
         let idx = slab.insert(7, 70);
-        slab.lend(idx);
-        slab.release(idx);
+        slab.remove(idx);
         let reused = slab.insert(9, 90);
         assert_eq!(idx, reused);
         // The old owner's handle misses; the new owner's hits.
@@ -201,11 +235,13 @@ mod tests {
     }
 
     #[test]
-    fn dirty_flag_dedupes_and_resets_on_lend() {
+    fn dirty_flag_dedupes_and_resets_on_drain_or_lend() {
         let mut slab: Slab<u64> = Slab::new();
         let idx = slab.insert(0, 1);
         assert!(slab.mark_dirty(idx), "first mark reports clean->dirty");
         assert!(!slab.mark_dirty(idx), "second mark is a no-op");
+        assert_eq!(slab.flush_mut(idx).map(|(_, v)| *v), Some(1));
+        assert!(slab.mark_dirty(idx), "an in-place drain clears the flag");
         let (owner, v) = slab.lend(idx).unwrap();
         slab.restore(idx, owner, v);
         assert!(slab.mark_dirty(idx), "restore clears the flag");
@@ -217,8 +253,7 @@ mod tests {
         let a = slab.insert(0, 10);
         let _b = slab.insert(1, 11);
         let _c = slab.insert(2, 12);
-        slab.lend(a);
-        slab.release(a);
+        slab.remove(a);
         let got: Vec<(u32, u64)> = slab.iter().map(|(i, v)| (i, *v)).collect();
         assert_eq!(got, vec![(1, 11), (2, 12)]);
     }
