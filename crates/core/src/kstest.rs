@@ -39,7 +39,7 @@ enum KsPhase {
 }
 
 /// The KStest baseline detector.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct KsTestDetector {
     params: KsTestParams,
     /// Ticks since the detector started.

@@ -325,34 +325,16 @@ impl ExperimentConfig {
     /// [`Scheme::SdsP`] but the profile is not periodic, and propagates
     /// profiling/construction errors.
     pub fn run_scheme(&self, scheme: Scheme, run: u64) -> Result<RunOutcome, CoreError> {
-        if scheme.is_passive() {
-            let mut outcomes = self.run_passive(run, |p| {
+        let mut outcomes = if scheme.is_passive() {
+            self.passive_sweep(&[self.attack], run, |p| {
                 Ok(vec![(scheme, scheme.arm(p, &self.sds_params)?)])
-            })?;
-            // lint:allow(panic) -- one scheme armed records exactly one outcome.
-            return Ok(outcomes.pop().expect("one armed scheme"));
-        }
-        // KStest: its reference collection throttles the co-resident
-        // VMs, so it steps live against its own server.
-        let (mut server, victim) = self.build_server(run);
-        server.set_monitor_tax(self.ks_tax_cycles);
-        let profile = self.run_profile_stage(&mut server, victim)?;
-        let mut detector = KsTestDetector::new(self.ks_params)?;
-        let monitored = self.stages.benign_ticks + self.stages.attack_ticks;
-        let mut alarm = Vec::with_capacity(monitored as usize);
-        let mut activations = Vec::new();
-        throttled_run(&mut detector, &mut server, victim, monitored, |t, step, det| {
-            if step.became_active {
-                activations.push(t);
-            }
-            alarm.push(det.alarm_active());
-        })?;
-        Ok(RunOutcome {
-            scheme,
-            alarm,
-            activations,
-            profile_periodic: profile.is_periodic(),
-        })
+            })?
+            .concat()
+        } else {
+            self.kstest_attack_sweep(&[self.attack], run)?
+        };
+        // lint:allow(panic) -- one attack with one armed scheme records exactly one outcome.
+        Ok(outcomes.pop().expect("one armed scheme"))
     }
 
     /// Runs all passive schemes plus KStest for run `run`, reusing one
@@ -363,30 +345,184 @@ impl ExperimentConfig {
     ///
     /// Propagates profiling errors.
     pub fn run_all_schemes(&self, run: u64) -> Result<Vec<RunOutcome>, CoreError> {
-        let mut outcomes = self.run_passive(run, |p| {
-            let schemes: &[Scheme] = if p.is_periodic() {
-                &[Scheme::Sds, Scheme::SdsB, Scheme::SdsP]
-            } else {
-                &[Scheme::Sds, Scheme::SdsB]
-            };
-            schemes.iter().map(|&s| Ok((s, s.arm(p, &self.sds_params)?))).collect()
-        })?;
+        let mut outcomes = self.passive_attack_sweep(&[self.attack], run)?.concat();
         // KStest drives its own server (it throttles).
-        outcomes.push(self.run_scheme(Scheme::KsTest, run)?);
+        outcomes.extend(self.kstest_attack_sweep(&[self.attack], run)?);
         Ok(outcomes)
     }
 
-    /// Runs stages 1–3 live on one server execution (SDS monitoring tax
-    /// applied) through [`passive_run`], with the schemes `arm` picks.
-    fn run_passive(
+    /// The passive schemes applicable to a profile, in outcome order:
+    /// SDS, SDS/B, and SDS/P when the profile is periodic.
+    fn arm_passive(&self, p: &Profile) -> Result<Vec<(Scheme, Box<dyn Detector>)>, CoreError> {
+        let schemes: &[Scheme] = if p.is_periodic() {
+            &[Scheme::Sds, Scheme::SdsB, Scheme::SdsP]
+        } else {
+            &[Scheme::Sds, Scheme::SdsB]
+        };
+        schemes.iter().map(|&s| Ok((s, s.arm(p, &self.sds_params)?))).collect()
+    }
+
+    /// [`ExperimentConfig::run_all_schemes`]'s passive outcomes for run
+    /// `run` under every attack in `attacks`, in `attacks` order, from
+    /// one simulation of the attack-free stages 1–2 (see
+    /// [`ExperimentConfig::fork_at_launch`]). Each attack's outcomes
+    /// equal a from-scratch run of that attack. `self.attack` only picks
+    /// the payload the prefix is built with.
+    ///
+    /// # Errors
+    ///
+    /// Propagates profiling errors.
+    pub fn passive_attack_sweep(
         &self,
+        attacks: &[AttackKind],
         run: u64,
-        arm: impl FnOnce(&Profile) -> Result<Vec<(Scheme, Box<dyn Detector>)>, CoreError>,
+    ) -> Result<Vec<Vec<RunOutcome>>, CoreError> {
+        self.passive_sweep(attacks, run, |p| self.arm_passive(p))
+    }
+
+    /// KStest's outcome for run `run` under every attack in `attacks`,
+    /// in `attacks` order. KStest throttles the server, so its prefix
+    /// cannot be replayed from a capture: the forks carry the detector
+    /// (reference windows, rejection streak, alarm so far) and the
+    /// server's pause state across the attack launch, and the monitored
+    /// tick index runs on. Each attack's outcome equals a from-scratch
+    /// run of that attack.
+    ///
+    /// # Errors
+    ///
+    /// Propagates profiling and parameter errors.
+    pub fn kstest_attack_sweep(
+        &self,
+        attacks: &[AttackKind],
+        run: u64,
     ) -> Result<Vec<RunOutcome>, CoreError> {
-        let (mut server, victim) = self.build_server(run);
-        server.set_monitor_tax(self.sds_tax_cycles);
-        let feed = live(&mut server, victim, self.stages.total_ticks());
-        passive_run(&self.sds_params, self.stages.profile_ticks, feed, arm)
+        let benign = self.stages.benign_ticks;
+        let attack = self.stages.attack_ticks;
+        self.fork_at_launch(
+            attacks,
+            run,
+            self.ks_tax_cycles,
+            |server, victim| {
+                let profile = self.run_profile_stage(server, victim)?;
+                let mut det = KsTestDetector::new(self.ks_params)?;
+                let mut head = RunOutcome {
+                    scheme: Scheme::KsTest,
+                    alarm: Vec::with_capacity(benign as usize),
+                    activations: Vec::new(),
+                    profile_periodic: profile.is_periodic(),
+                };
+                throttled_run(&mut det, server, victim, 0..benign, record_ks(&mut head))?;
+                Ok((det, head))
+            },
+            |(det, head), server, victim| {
+                let mut det = det.clone();
+                let mut out = head.clone();
+                out.alarm.reserve_exact(attack as usize);
+                let ticks = benign..benign + attack;
+                throttled_run(&mut det, server, victim, ticks, record_ks(&mut out))?;
+                Ok(out)
+            },
+        )
+    }
+
+    /// The passive schemes `arm` picks, for every attack in `attacks`:
+    /// the victim's stage-1/2 observations are simulated once (SDS
+    /// monitoring tax applied) and kept; each attack streams them,
+    /// followed by its forked server's live attack stage, through
+    /// [`passive_run`].
+    fn passive_sweep(
+        &self,
+        attacks: &[AttackKind],
+        run: u64,
+        arm: impl Fn(&Profile) -> Result<Vec<(Scheme, Box<dyn Detector>)>, CoreError>,
+    ) -> Result<Vec<Vec<RunOutcome>>, CoreError> {
+        let prefix_ticks = self.stages.attack_start();
+        let attack_ticks = self.stages.attack_ticks;
+        self.fork_at_launch(
+            attacks,
+            run,
+            self.sds_tax_cycles,
+            |server, victim| live(server, victim, prefix_ticks).collect::<Result<Vec<_>, _>>(),
+            |prefix, server, victim| {
+                let feed = prefix.iter().copied().map(Ok).chain(live(server, victim, attack_ticks));
+                passive_run(&self.sds_params, self.stages.profile_ticks, feed, &arm)
+            },
+        )
+    }
+
+    /// The one fork: builds run `run`'s server (monitoring tax `tax`),
+    /// lets `prefix` simulate the attack-free stages 1–2 — exactly
+    /// `stages.attack_start()` ticks — and then continues that state
+    /// once per attack in `attacks`, handing `suffix` the prefix's
+    /// result and a server whose parked attacker now carries the
+    /// attack's payload. Results follow `attacks` order.
+    ///
+    /// The attacker VM is parked (and serial — see
+    /// [`ExperimentConfig::build_server_with_attacker`]) until the
+    /// launch, so no tick of the prefix depends on the payload: each
+    /// continuation is byte-identical to a from-scratch run of its
+    /// attack. Every continuation but the last runs on the live server
+    /// while a snapshot ([`Server::try_clone`], its LLC copied without
+    /// the presence directory) waits to become the next one; a single
+    /// attack never clones.
+    fn fork_at_launch<P, R, E>(
+        &self,
+        attacks: &[AttackKind],
+        run: u64,
+        tax: u64,
+        prefix: impl FnOnce(&mut Server, VmId) -> Result<P, E>,
+        mut suffix: impl FnMut(&P, &mut Server, VmId) -> Result<R, E>,
+    ) -> Result<Vec<R>, E> {
+        let mut out = Vec::with_capacity(attacks.len());
+        let Some((&last, rest)) = attacks.split_last() else {
+            return Ok(out);
+        };
+        let (mut server, victim, attacker) = self.build_server_with_attacker(run);
+        server.set_monitor_tax(tax);
+        let state = prefix(&mut server, victim)?;
+        debug_assert_eq!(server.current_tick(), self.stages.attack_start());
+        for &attack in rest {
+            // lint:allow(panic) -- every program build_server installs
+            // (PhaseMachine, Scheduled, the attack payloads) supports
+            // clone_box; a None here is a regression in one of them.
+            let snapshot = server.try_clone().expect("experiment programs are cloneable");
+            self.retarget(&mut server, attacker, attack);
+            out.push(suffix(&state, &mut server, victim)?);
+            server = snapshot;
+        }
+        self.retarget(&mut server, attacker, last);
+        out.push(suffix(&state, &mut server, victim)?);
+        Ok(out)
+    }
+
+    /// Re-targets the parked attacker of a server built for
+    /// `self.attack` to `attack`: swaps the payload and its thread
+    /// count. The parked path never touched the old payload, and the
+    /// serial window covers the whole prefix, so the continuation
+    /// matches a from-scratch run of `attack`.
+    fn retarget(&self, server: &mut Server, attacker: VmId, attack: AttackKind) {
+        if attack == self.attack {
+            return;
+        }
+        let geometry = server.config().geometry;
+        let scheduled = server
+            .program_mut(attacker)
+            .and_then(|p| p.as_any_mut())
+            .and_then(|a| a.downcast_mut::<Scheduled<Box<dyn VmProgram>>>());
+        // lint:allow(panic) -- build_server installs exactly this
+        // wrapper type around the attacker.
+        scheduled.expect("attacker is Scheduled").swap_inner(attack.build(geometry));
+        server.set_vm_parallelism(attacker, attack.default_parallelism());
+    }
+}
+
+/// Records one monitored KStest tick into `out`.
+fn record_ks(out: &mut RunOutcome) -> impl FnMut(u64, DetectorStep, &KsTestDetector) + '_ {
+    move |t, step, det| {
+        if step.became_active {
+            out.activations.push(t);
+        }
+        out.alarm.push(det.alarm_active());
     }
 }
 
@@ -470,18 +606,19 @@ fn passive_run<D: Detector>(
     Ok(outcomes)
 }
 
-/// The one live KStest loop: steps `det` over the next `ticks` ticks of
-/// `server`, applying the throttle requests its protocol makes (pausing
-/// the other VMs while it collects its reference), and hands each
-/// tick's index and step to `record`.
+/// The one live KStest loop: steps `det` over the next `ticks.len()`
+/// ticks of `server`, applying the throttle requests its protocol makes
+/// (pausing the other VMs while it collects its reference), and hands
+/// each tick's index — counted on from `ticks.start`, so a forked run
+/// continues its timeline — and step to `record`.
 fn throttled_run(
     det: &mut KsTestDetector,
     server: &mut Server,
     victim: VmId,
-    ticks: u64,
+    ticks: std::ops::Range<u64>,
     mut record: impl FnMut(u64, DetectorStep, &KsTestDetector),
 ) -> Result<(), CoreError> {
-    for t in 0..ticks {
+    for t in ticks {
         let step = det.on_observation(sample(server, victim)?);
         match step.throttle {
             Some(ThrottleRequest::PauseOthers) => server.pause_all_except(victim),
@@ -575,66 +712,34 @@ impl ExperimentConfig {
     }
 
     /// Captures one run per attack in `attacks`, sharing the stage-1/2
-    /// simulation prefix across all of them.
-    ///
-    /// The attacker VM is parked (and serial — see
-    /// [`ExperimentConfig::build_server_with_attacker`]) until
-    /// `stages.attack_start()`, so every tick before that point is
-    /// independent of which payload stage 3 will launch. The sweep
-    /// exploits that: it simulates the prefix **once**, then forks the
-    /// server per attack, swaps the parked attacker's payload and thread
-    /// count in place, and simulates only the attack stage. Output is
+    /// simulation prefix across all of them through
+    /// [`ExperimentConfig::fork_at_launch`]: the prefix is simulated
+    /// **once**, and only the attack stage per attack. Output is
     /// byte-identical to calling [`ExperimentConfig::capture_run`] once
     /// per attack (pinned by `capture_sweep_matches_per_attack_runs`),
     /// at roughly `prefix/total` less simulation per extra attack.
     ///
-    /// `self.attack` is ignored; results follow `attacks` order.
+    /// `self.attack` only picks the payload the prefix is built with;
+    /// results follow `attacks` order.
     pub fn capture_attack_sweep(&self, attacks: &[AttackKind], run: u64) -> Vec<CapturedRun> {
-        if attacks.is_empty() {
-            return Vec::new();
-        }
-        let (mut server, victim, attacker) = self.build_server_with_attacker(run);
-        server.set_monitor_tax(self.sds_tax_cycles);
-        let geometry = server.config().geometry;
         let prefix_ticks = self.stages.attack_start();
-        let suffix_ticks = self.stages.total_ticks() - prefix_ticks;
-        let prefix: Vec<Observation> = capture(&mut server, victim, prefix_ticks).collect();
-
-        let mut out = Vec::with_capacity(attacks.len());
-        let mut warm = Some(server);
-        for (k, &attack) in attacks.iter().enumerate() {
-            // lint:allow(panic) -- `warm` is refilled on every iteration
-            // but the last, which consumes it.
-            let base = warm.take().expect("warm prefix server");
-            let mut fork = if k + 1 < attacks.len() {
-                // lint:allow(panic) -- every program build_server installs
-                // (PhaseMachine, Scheduled, the attack payloads) supports
-                // clone_box; a None here is a regression in one of them.
-                let fork = base.try_clone().expect("experiment programs are cloneable");
-                warm = Some(base);
-                fork
-            } else {
-                base
-            };
-
-            // Re-target the parked attacker: swap the payload and its
-            // thread count. The parked path never touched the old
-            // payload, and the serial window covers the whole prefix, so
-            // the continuation matches a from-scratch run of `attack`.
-            let scheduled = fork
-                .program_mut(attacker)
-                .and_then(|p| p.as_any_mut())
-                .and_then(|a| a.downcast_mut::<Scheduled<Box<dyn VmProgram>>>());
-            // lint:allow(panic) -- build_server installs exactly this
-            // wrapper type around the attacker.
-            scheduled.expect("attacker is Scheduled").swap_inner(attack.build(geometry));
-            fork.set_vm_parallelism(attacker, attack.default_parallelism());
-
-            let mut observations = prefix.clone();
-            observations.extend(capture(&mut fork, victim, suffix_ticks));
-            out.push(CapturedRun { stages: self.stages, observations });
+        let total = self.stages.total_ticks();
+        let swept = self.fork_at_launch::<_, _, std::convert::Infallible>(
+            attacks,
+            run,
+            self.sds_tax_cycles,
+            |server, victim| Ok(capture(server, victim, prefix_ticks).collect::<Vec<_>>()),
+            |prefix, server, victim| {
+                let mut observations = Vec::with_capacity(total as usize);
+                observations.extend_from_slice(prefix);
+                observations.extend(capture(server, victim, total - prefix_ticks));
+                Ok(CapturedRun { stages: self.stages, observations })
+            },
+        );
+        match swept {
+            Ok(runs) => runs,
+            Err(never) => match never {},
         }
-        out
     }
 }
 
@@ -710,7 +815,7 @@ pub fn kstest_benign_run(
     let mut rounds = Vec::new();
     let mut tests_seen = 0;
     let mut interval_alarmed = vec![false; ticks.div_ceil(ks_params.l_r_ticks) as usize];
-    throttled_run(&mut det, &mut server, victim, ticks, |t, _, det| {
+    throttled_run(&mut det, &mut server, victim, 0..ticks, |t, _, det| {
         if det.tests_run() > tests_seen {
             tests_seen = det.tests_run();
             rounds.push(KsRound { tick: t, rejected: det.last_rejected().unwrap_or(false) });
@@ -758,7 +863,9 @@ mod tests {
 
     /// The fork-based attack sweep must be byte-identical to running
     /// each attack from scratch — the contract that makes shared-prefix
-    /// capture legitimate for the sensitivity studies.
+    /// capture legitimate for the sensitivity studies. Both prefix
+    /// payloads, so each attack is re-targeted once on the live server
+    /// and once on the snapshot.
     #[test]
     fn capture_sweep_matches_per_attack_runs() {
         let stages = StageConfig {
@@ -768,22 +875,30 @@ mod tests {
             interval_ticks: 100,
             grace_ticks: 100,
         };
-        let base = ExperimentConfig { stages, seed: 0x5EED_CAFE, ..ExperimentConfig::default() };
         let attacks = AttackKind::ALL;
-        let swept = base.capture_attack_sweep(&attacks, 3);
-        assert_eq!(swept.len(), attacks.len());
-        for (attack, sweep_run) in attacks.iter().zip(&swept) {
-            let scratch =
-                ExperimentConfig { attack: *attack, ..base.clone() }.capture_run(3);
-            assert_eq!(sweep_run.observations.len(), scratch.observations.len());
-            for (t, (a, b)) in
-                sweep_run.observations.iter().zip(&scratch.observations).enumerate()
-            {
-                assert!(
-                    a.access_num.to_bits() == b.access_num.to_bits()
-                        && a.miss_num.to_bits() == b.miss_num.to_bits(),
-                    "{attack}: tick {t} diverged: sweep {a:?} vs scratch {b:?}"
-                );
+        for prefix_attack in attacks {
+            let base = ExperimentConfig {
+                attack: prefix_attack,
+                stages,
+                seed: 0x5EED_CAFE,
+                ..ExperimentConfig::default()
+            };
+            let swept = base.capture_attack_sweep(&attacks, 3);
+            assert_eq!(swept.len(), attacks.len());
+            for (attack, sweep_run) in attacks.iter().zip(&swept) {
+                let scratch =
+                    ExperimentConfig { attack: *attack, ..base.clone() }.capture_run(3);
+                assert_eq!(sweep_run.observations.len(), scratch.observations.len());
+                for (t, (a, b)) in
+                    sweep_run.observations.iter().zip(&scratch.observations).enumerate()
+                {
+                    assert!(
+                        a.access_num.to_bits() == b.access_num.to_bits()
+                            && a.miss_num.to_bits() == b.miss_num.to_bits(),
+                        "prefix {prefix_attack}, {attack}: tick {t} diverged: \
+                         sweep {a:?} vs scratch {b:?}"
+                    );
+                }
             }
         }
     }

@@ -14,8 +14,10 @@
 //! * every cell's seed derives only from `(base seed, run index)` via
 //!   `memdos_stats::rng::derive_seed` (through
 //!   `ExperimentConfig::run_seed`), never from execution order;
-//! * each cell runs on its own simulator instance, so cells share no
-//!   mutable state; and
+//! * each job runs on its own simulator instance — one per
+//!   `(app, run, side)` in [`run_grid`], the side being the passive
+//!   schemes or KStest, whose attacks fork that instance's attack-free
+//!   prefix in a fixed order — so jobs share no mutable state; and
 //! * results are collected tagged with their input index and re-assembled
 //!   in input order, so downstream aggregation sees the exact sequence a
 //!   sequential loop would have produced.
@@ -31,10 +33,9 @@
 //! positive integer) also falls back, and [`threads_config`] reports the
 //! problem as a diagnostic string so long-running callers (the engine
 //! binary, xtask) can surface it once instead of silently ignoring the
-//! variable. Each experiment cell is single-threaded and simulates
-//! ~60 s of cloud time per wall-clock second per core, so grid
-//! throughput scales near-linearly until the cell count or the core
-//! count is exhausted.
+//! variable. Each job is single-threaded and simulates ~60 s of cloud
+//! time per wall-clock second per core, so grid throughput scales
+//! near-linearly until the job count or the core count is exhausted.
 
 #![forbid(unsafe_code)]
 
@@ -182,9 +183,9 @@ where
     })
 }
 
-/// One (application × attack × run) cell of the evaluation grid. All
-/// schemes applicable to the cell are executed together, exactly as the
-/// sequential engine does (passive schemes share one server execution).
+/// One (application × attack × run) cell of the evaluation grid. Its
+/// [`CellOutcome`] holds every applicable scheme's outcome, as
+/// [`ExperimentConfig::run_all_schemes`] gives them for the cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GridCell {
     /// Application under protection.
@@ -224,12 +225,23 @@ pub fn grid(apps: &[Application], attacks: &[AttackKind], runs: u64) -> Vec<Grid
 ///
 /// `base` supplies everything but the per-cell `app`/`attack`/`stages`;
 /// results come back in [`grid`] order and are bit-identical to what a
-/// sequential loop over the same grid would produce (see the crate docs
-/// for why).
+/// sequential loop of [`ExperimentConfig::run_all_schemes`] over the
+/// same grid would produce (see the crate docs for why).
+///
+/// Stages 1–2 carry no attack, so each `(app, run)` pair simulates them
+/// once per side — once for the passive schemes
+/// ([`ExperimentConfig::passive_attack_sweep`]), once for throttling
+/// KStest ([`ExperimentConfig::kstest_attack_sweep`]) — and forks the
+/// attack stage per attack. The parallel jobs are those
+/// `(app, run, side)` triples; their per-attack outcomes are scattered
+/// back into grid cells.
 ///
 /// # Errors
 ///
-/// Propagates the first `CoreError` (in grid order) from any cell.
+/// Propagates the first `CoreError` in grid order. Errors come from
+/// profiling the attack-free prefix, which every attack of a pair
+/// shares, so the first failing job in `(app, run, side)` order owns
+/// the first failing cell.
 pub fn run_grid(
     base: &ExperimentConfig,
     apps: &[Application],
@@ -238,22 +250,43 @@ pub fn run_grid(
     runs: u64,
     workers: usize,
 ) -> Result<Vec<CellOutcome>, CoreError> {
-    let cells = grid(apps, attacks, runs);
-    // Grid cells are CPU-bound; a pool wider than the machine buys no
+    let pairs = pairs(apps, runs);
+    let jobs: Vec<(Application, u64, bool)> = pairs
+        .iter()
+        .flat_map(|&(app, run)| [(app, run, false), (app, run, true)])
+        .collect();
+    // Jobs are CPU-bound; a pool wider than the machine buys no
     // concurrency (see [`cores`]), so clamp the requested width.
     let workers = workers.min(cores());
-    parallel_map(&cells, workers, |cell| {
-        let cfg = ExperimentConfig {
-            app: cell.app,
-            attack: cell.attack,
-            stages,
-            ..base.clone()
-        };
-        cfg.run_all_schemes(cell.run)
-            .map(|outcomes| CellOutcome { cell: *cell, outcomes })
+    let mut sides = parallel_map(&jobs, workers, |&(app, run, kstest)| {
+        let cfg = ExperimentConfig { app, stages, ..base.clone() };
+        if kstest {
+            let outcomes = cfg.kstest_attack_sweep(attacks, run)?;
+            Ok(outcomes.into_iter().map(|o| vec![o]).collect::<Vec<_>>())
+        } else {
+            cfg.passive_attack_sweep(attacks, run)
+        }
     })
     .into_iter()
-    .collect()
+    .map(|side| side.map(Vec::into_iter))
+    .collect::<Result<Vec<_>, CoreError>>()?;
+    // Each job yields its outcomes in attack order, and grid order
+    // visits every pair once per attack, so one `next` per visit
+    // scatters them.
+    let mut cells = Vec::with_capacity(attacks.len() * pairs.len());
+    for &attack in attacks {
+        for (&(app, run), job) in pairs.iter().zip(sides.chunks_exact_mut(2)) {
+            let outcomes = job.iter_mut().filter_map(Iterator::next).flatten().collect();
+            cells.push(CellOutcome { cell: GridCell { app, attack, run }, outcomes });
+        }
+    }
+    Ok(cells)
+}
+
+/// The `(app, run)` pairs of a grid, applications outermost — the order
+/// [`grid`] visits them within one attack.
+fn pairs(apps: &[Application], runs: u64) -> Vec<(Application, u64)> {
+    apps.iter().flat_map(|&app| (0..runs).map(move |run| (app, run))).collect()
 }
 
 /// Captures the raw observation traces of runs `0..n_runs` of `cfg` on
@@ -285,14 +318,8 @@ pub fn capture_grid(
     runs: u64,
     workers: usize,
 ) -> Vec<CapturedRun> {
-    let mut pairs = Vec::with_capacity(apps.len() * runs as usize);
-    for &app in apps {
-        for run in 0..runs {
-            pairs.push((app, run));
-        }
-    }
     let workers = workers.min(cores());
-    parallel_map(&pairs, workers, |&(app, run)| {
+    parallel_map(&pairs(apps, runs), workers, |&(app, run)| {
         let cfg = ExperimentConfig { app, stages, ..base.clone() };
         cfg.capture_attack_sweep(attacks, run)
     })

@@ -16,12 +16,16 @@
 //! Line metadata is stored structure-of-arrays: per-way LRU timestamps
 //! (`ts`, where 0 means *invalid* — the access clock pre-increments, so
 //! every valid line carries a timestamp ≥ 1) separate from the per-way
-//! address/domain tags, which the hot path never reads. Hits resolve
-//! through a per-domain *presence directory* (`shadow[domain][addr]` =
-//! way + 1, 0 = absent) maintained exactly on fill/evict/flush, so the
-//! common case is O(1) with no tag compare at all; the tag arrays are
-//! only consulted to identify eviction victims. Behaviour is identical
-//! to the straightforward scan — the directory is an index, not a cache.
+//! tags (`addr >> log2(sets)`, `u32` unless an address needs more) and
+//! owning domains, which the hot path never reads. Hits resolve through
+//! a per-domain *presence directory* (`dirs[domain][addr]` = way + 1,
+//! 0 = absent), each domain's array sized to that domain's own address
+//! range and maintained exactly on fill/evict/flush, so the common case
+//! is O(1) with no tag compare at all; the tag arrays are only consulted
+//! to identify eviction victims. Behaviour is identical to the
+//! straightforward scan — the directory is an index, not a cache — and
+//! a clone leaves it behind: the copy rebuilds it from the line metadata
+//! on its first access, so a waiting snapshot costs only the metadata.
 
 /// Identifier of a cache-ownership domain (one per VM, plus domain 0 for
 /// the hypervisor's own monitoring activity).
@@ -106,10 +110,66 @@ impl Default for CacheGeometry {
 /// so a stray huge address cannot balloon the directory allocation.
 const DIRECTORY_LIMIT: u64 = 1 << 21;
 
-/// The shared last-level cache.
+/// Per-way line tags: `addr >> log2(sets)`, the address bits the set
+/// index does not already carry. Narrow (`u32`) until the first fill
+/// whose tag does not fit, which widens the whole array once — a cold
+/// path no simulated workload reaches, kept so every `u64` line address
+/// stays exact.
 #[derive(Debug, Clone)]
+enum Tags {
+    Narrow(Vec<u32>),
+    Wide(Vec<u64>),
+}
+
+impl Tags {
+    /// The tag of way `i`.
+    #[inline]
+    fn get(&self, i: usize) -> u64 {
+        match self {
+            Tags::Narrow(v) => v.get(i).map_or(0, |&t| u64::from(t)),
+            Tags::Wide(v) => v.get(i).copied().unwrap_or(0),
+        }
+    }
+
+    /// Stores `tag` at way `i`, widening the array if it does not fit.
+    #[inline]
+    fn set(&mut self, i: usize, tag: u64) {
+        match self {
+            Tags::Narrow(v) => match u32::try_from(tag) {
+                Ok(t) => {
+                    if let Some(slot) = v.get_mut(i) {
+                        *slot = t;
+                    }
+                }
+                Err(_) => self.widen(i, tag),
+            },
+            Tags::Wide(v) => {
+                if let Some(slot) = v.get_mut(i) {
+                    *slot = tag;
+                }
+            }
+        }
+    }
+
+    /// Converts a narrow array to the wide one and stores `tag` at `i`.
+    #[cold]
+    fn widen(&mut self, i: usize, tag: u64) {
+        if let Tags::Narrow(v) = self {
+            let mut wide: Vec<u64> = v.iter().map(|&t| u64::from(t)).collect();
+            if let Some(slot) = wide.get_mut(i) {
+                *slot = tag;
+            }
+            *self = Tags::Wide(wide);
+        }
+    }
+}
+
+/// The shared last-level cache.
+#[derive(Debug)]
 pub struct Llc {
     geometry: CacheGeometry,
+    /// `log2(sets)`: the shift between a line address and its tag.
+    set_bits: u32,
     /// Per-way LRU timestamp; 0 = invalid way. Valid lines always carry
     /// ts ≥ 1 because the clock pre-increments before every access.
     ///
@@ -120,28 +180,49 @@ pub struct Llc {
     /// order-preserving renumbering, so replacement decisions are
     /// identical to an unbounded clock.
     ts: Vec<u32>,
-    /// Per-way line address; meaningful only where `ts` is non-zero.
-    addrs: Vec<u64>,
+    /// Per-way line tag; meaningful only where `ts` is non-zero. A way's
+    /// address is `tag << set_bits | set`.
+    tags: Tags,
     /// Per-way owning domain; meaningful only where `ts` is non-zero.
     doms: Vec<u16>,
     clock: u64,
     stats: Vec<DomainStat>,
-    /// Presence directory, stored flat so a hit costs a single indexed
-    /// load: `shadow[domain * shadow_stride + addr] = way + 1` (0 =
-    /// absent). The stride grows on demand (power-of-two steps, capped
-    /// at [`DIRECTORY_LIMIT`]) the first time a fill needs a larger
-    /// address, re-laying out every domain's region. Maintained exactly
-    /// on fill/evict/flush, so a non-zero entry *is* a hit — no tag
-    /// verification needed — and every resident line below the stride
-    /// has an entry, so a zero entry *is* a miss.
-    shadow: Vec<u8>,
-    /// Entries per domain in the flat `shadow` array. Addresses at or
-    /// above the stride that have never been filled are absent by the
-    /// grow-on-fill invariant.
-    shadow_stride: usize,
+    /// Presence directory, one array per domain sized to that domain's
+    /// own address range: `dirs[domain][addr] = way + 1` (0 = absent).
+    /// A domain's array grows on demand (power-of-two lengths, capped at
+    /// [`DIRECTORY_LIMIT`]) the first time a fill needs a larger
+    /// address. Maintained exactly on fill/evict/flush, so a non-zero
+    /// entry *is* a hit — no tag verification needed — and every
+    /// resident line below its domain's length has an entry, so a zero
+    /// entry *is* a miss.
+    dirs: Vec<Vec<u8>>,
+    /// False on an index-free copy ([`Llc::clone`]) until its first
+    /// access rebuilds `dirs` from the line metadata.
+    dirs_ready: bool,
     /// Directory disabled when a way index cannot fit in the `u8` slots
     /// (associativity > 255); every access then uses the tag scan.
     use_directory: bool,
+}
+
+impl Clone for Llc {
+    /// Copies the cache *without* its presence directory: the directory
+    /// is an index over `ts`/`tags`/`doms`, not state, so the copy
+    /// rebuilds it before its first access. A snapshot that waits while
+    /// the original runs on therefore costs only the line metadata.
+    fn clone(&self) -> Self {
+        Llc {
+            geometry: self.geometry,
+            set_bits: self.set_bits,
+            ts: self.ts.clone(),
+            tags: self.tags.clone(),
+            doms: self.doms.clone(),
+            clock: self.clock,
+            stats: self.stats.clone(),
+            dirs: vec![Vec::new(); self.dirs.len()],
+            dirs_ready: false,
+            use_directory: self.use_directory,
+        }
+    }
 }
 
 impl Llc {
@@ -158,13 +239,14 @@ impl Llc {
         assert!(geometry.ways > 0, "associativity must be positive");
         Llc {
             geometry,
+            set_bits: geometry.sets.trailing_zeros(),
             ts: vec![0; geometry.lines()],
-            addrs: vec![0; geometry.lines()],
+            tags: Tags::Narrow(vec![0; geometry.lines()]),
             doms: vec![u16::MAX; geometry.lines()],
             clock: 0,
             stats: Vec::new(),
-            shadow: Vec::new(),
-            shadow_stride: 0,
+            dirs: Vec::new(),
+            dirs_ready: true,
             use_directory: geometry.ways <= u8::MAX as usize,
         }
     }
@@ -178,28 +260,50 @@ impl Llc {
     pub fn register_domain(&mut self) -> DomainId {
         let id = DomainId(self.stats.len() as u16);
         self.stats.push(DomainStat::default());
-        self.shadow.resize(self.stats.len() * self.shadow_stride, 0);
+        self.dirs.push(Vec::new());
         id
     }
 
-    /// Grows the presence directory so addresses up to `addr` fit,
-    /// re-laying out every domain's region at the new stride. Cold:
-    /// runs only the first time a fill outgrows the current stride.
-    #[cold]
-    fn grow_directory(&mut self, addr: usize) {
-        let stride = (addr + 1).next_power_of_two().min(DIRECTORY_LIMIT as usize);
-        let mut grown = vec![0u8; self.stats.len() * stride];
-        for d in 0..self.stats.len() {
-            let old = d * self.shadow_stride;
-            if let (Some(src), Some(dst)) = (
-                self.shadow.get(old..old + self.shadow_stride),
-                grown.get_mut(d * stride..d * stride + self.shadow_stride),
-            ) {
-                dst.copy_from_slice(src);
-            }
+    /// Records way `way` (of its set) as holding `addr` for domain `d`,
+    /// growing that domain's directory if `addr` lies past its end.
+    /// Addresses outside the directory's range are left to the tag scan.
+    #[inline]
+    fn index_line(&mut self, d: usize, addr: u64, way: usize) {
+        if !self.use_directory || addr >= DIRECTORY_LIMIT {
+            return;
         }
-        self.shadow = grown;
-        self.shadow_stride = stride;
+        let Some(dir) = self.dirs.get_mut(d) else { return };
+        if addr as usize >= dir.len() {
+            Self::grow_directory(dir, addr as usize);
+        }
+        if let Some(slot) = dir.get_mut(addr as usize) {
+            *slot = (way + 1) as u8;
+        }
+    }
+
+    /// Grows one domain's directory so `addr` fits. Cold: runs only the
+    /// first time a fill outgrows the domain's current length.
+    #[cold]
+    fn grow_directory(dir: &mut Vec<u8>, addr: usize) {
+        let len = (addr + 1).next_power_of_two().min(DIRECTORY_LIMIT as usize);
+        dir.reserve_exact(len - dir.len());
+        dir.resize(len, 0);
+    }
+
+    /// Rebuilds the presence directory from the line metadata — the
+    /// first access of an index-free copy. Cold: once per copy.
+    #[cold]
+    fn rebuild_directory(&mut self) {
+        self.dirs_ready = true;
+        let ways = self.geometry.ways;
+        for i in 0..self.ts.len() {
+            if self.ts.get(i).copied().unwrap_or(0) == 0 {
+                continue;
+            }
+            let addr = (self.tags.get(i) << self.set_bits) | (i / ways) as u64;
+            let d = self.doms.get(i).copied().unwrap_or(u16::MAX) as usize;
+            self.index_line(d, addr, i % ways);
+        }
     }
 
     /// Compacts every valid LRU timestamp to its rank (1-based, in
@@ -246,6 +350,9 @@ impl Llc {
     /// Panics (in debug builds) if `domain` was not registered.
     pub fn access(&mut self, domain: DomainId, addr: u64) -> CacheOutcome {
         debug_assert!((domain.0 as usize) < self.stats.len(), "unregistered domain");
+        if !self.dirs_ready {
+            self.rebuild_directory();
+        }
         self.clock += 1;
         if self.clock >= u32::MAX as u64 {
             self.rebase_timestamps();
@@ -255,21 +362,18 @@ impl Llc {
         let d = domain.0 as usize;
         let set = self.set_of(addr);
         let base = set * self.geometry.ways;
+        let tag = addr >> self.set_bits;
 
         if let Some(s) = self.stats.get_mut(d) {
             s.interval.accesses += 1;
         }
 
         // Fast path: the presence directory resolves hits with a single
-        // compare-and-indexed-load. `shadow_stride` is 0 both before any
-        // fill and when the directory is disabled, so one range check
-        // covers all three gates.
-        if (addr as usize) < self.shadow_stride {
-            let way = self
-                .shadow
-                .get(d * self.shadow_stride + addr as usize)
-                .copied()
-                .unwrap_or(0);
+        // indexed load. A domain's directory is empty both before its
+        // first fill and when the directory is disabled, so one bounds
+        // check covers all three gates.
+        let dir = self.dirs.get(d).map_or(&[][..], Vec::as_slice);
+        if let Some(&way) = dir.get(addr as usize) {
             if way != 0 {
                 if let Some(t) = self.ts.get_mut(base + way as usize - 1) {
                     *t = stamp;
@@ -279,14 +383,13 @@ impl Llc {
             // Directory says absent: this is a miss by construction.
         } else if self.use_directory && addr < DIRECTORY_LIMIT {
             // Tracked address range, directory not grown this far yet:
-            // never filled, so absent — a miss by construction.
+            // not resident, so a miss by construction.
         } else {
             // Tag-scan hit path for addresses outside the directory.
-            let end = base + self.geometry.ways;
-            for i in base..end {
+            for i in base..base + self.geometry.ways {
                 let valid = self.ts.get(i).copied().unwrap_or(0) != 0;
                 if valid
-                    && self.addrs.get(i).copied() == Some(addr)
+                    && self.tags.get(i) == tag
                     && self.doms.get(i).copied() == Some(domain.0)
                 {
                     if let Some(t) = self.ts.get_mut(i) {
@@ -311,15 +414,14 @@ impl Llc {
             }
         }
         let evicted = if victim_ts != 0 {
-            let old_addr = self.addrs.get(victim).copied().unwrap_or(0);
+            let old_addr = (self.tags.get(victim) << self.set_bits) | set as u64;
             let old_dom = self.doms.get(victim).copied().unwrap_or(u16::MAX);
-            if (old_addr as usize) < self.shadow_stride {
-                if let Some(slot) = self
-                    .shadow
-                    .get_mut(old_dom as usize * self.shadow_stride + old_addr as usize)
-                {
-                    *slot = 0;
-                }
+            if let Some(slot) = self
+                .dirs
+                .get_mut(old_dom as usize)
+                .and_then(|dir| dir.get_mut(old_addr as usize))
+            {
+                *slot = 0;
             }
             Some(DomainId(old_dom))
         } else {
@@ -328,20 +430,11 @@ impl Llc {
         if let Some(t) = self.ts.get_mut(victim) {
             *t = stamp;
         }
-        if let Some(a) = self.addrs.get_mut(victim) {
-            *a = addr;
-        }
+        self.tags.set(victim, tag);
         if let Some(o) = self.doms.get_mut(victim) {
             *o = domain.0;
         }
-        if self.use_directory && addr < DIRECTORY_LIMIT {
-            if addr as usize >= self.shadow_stride {
-                self.grow_directory(addr as usize);
-            }
-            if let Some(slot) = self.shadow.get_mut(d * self.shadow_stride + addr as usize) {
-                *slot = (victim - base + 1) as u8;
-            }
-        }
+        self.index_line(d, addr, victim - base);
         CacheOutcome::Miss { evicted }
     }
 
@@ -394,7 +487,9 @@ impl Llc {
     /// Invalidates every line (used between experiment stages in tests).
     pub fn flush(&mut self) {
         self.ts.fill(0);
-        self.shadow.fill(0);
+        for dir in &mut self.dirs {
+            dir.fill(0);
+        }
     }
 }
 
@@ -563,6 +658,102 @@ mod tests {
         assert!(c.access(d, jumbo + 8).is_miss()); // evicts `jumbo`
         assert!(c.access(d, jumbo).is_miss());
         assert_eq!(c.occupancy(d), 2);
+        // Past `sets << 32` a tag (`addr >> 2` here) no longer fits a
+        // u32. Each pair below agrees in the low 32 tag bits and must
+        // still be two lines: set 1 holds tags 0 and 2^32, set 3 the
+        // largest tag there is and its low half.
+        let e = c.register_domain();
+        let wrap = 4u64 << 32;
+        let wide = [(e, 1), (e, 1 + wrap), (d, u64::MAX), (d, u64::MAX & 0xFFFF_FFFF)];
+        for (dom, addr) in wide {
+            assert!(c.access(dom, addr).is_miss(), "{addr:#x} aliased a resident line");
+        }
+        for (dom, addr) in wide {
+            assert_eq!(c.access(dom, addr), CacheOutcome::Hit, "{addr:#x} after widening");
+        }
+        // A clone rebuilds its directory from the wide tags: the small
+        // addresses are indexed again, the others resolve by scan.
+        let mut copy = c.clone();
+        for (dom, addr) in wide.into_iter().chain([(d, jumbo), (d, jumbo + 8)]) {
+            assert_eq!(copy.access(dom, addr), CacheOutcome::Hit, "{addr:#x} in the clone");
+        }
+        assert_eq!(copy.occupancy(d), 4);
+        assert_eq!(copy.occupancy(e), 2);
+    }
+
+    /// The plain tag-scan LRU the directory-indexed cache must agree
+    /// with: full `u64` addresses, no index, first invalid way else the
+    /// least recent.
+    struct ScanLlc {
+        sets: usize,
+        ways: usize,
+        /// `(addr, domain, stamp)` per way.
+        lines: Vec<Option<(u64, u16, u64)>>,
+        clock: u64,
+    }
+
+    impl ScanLlc {
+        fn new(g: CacheGeometry) -> Self {
+            ScanLlc { sets: g.sets, ways: g.ways, lines: vec![None; g.lines()], clock: 0 }
+        }
+
+        fn access(&mut self, dom: DomainId, addr: u64) -> CacheOutcome {
+            self.clock += 1;
+            let base = (addr as usize & (self.sets - 1)) * self.ways;
+            let set = &mut self.lines[base..base + self.ways];
+            if let Some(line) = set.iter_mut().flatten().find(|l| l.0 == addr && l.1 == dom.0) {
+                line.2 = self.clock;
+                return CacheOutcome::Hit;
+            }
+            let victim = set.iter().position(Option::is_none).unwrap_or_else(|| {
+                (0..set.len()).min_by_key(|&i| set[i].map_or(0, |l| l.2)).unwrap()
+            });
+            let evicted = set[victim].map(|l| DomainId(l.1));
+            set[victim] = Some((addr, dom.0, self.clock));
+            CacheOutcome::Miss { evicted }
+        }
+    }
+
+    #[test]
+    fn interleaved_directory_growth_matches_tag_scan() {
+        // Three domains take turns; each one's address range widens at
+        // its own pace, so their directories grow in interleaved order
+        // (and the widest one runs past the directory limit into the
+        // scan path). A mid-run clone and a flush must not change a
+        // single outcome either.
+        let mut hits = 0;
+        let g = CacheGeometry { sets: 16, ways: 4 };
+        let mut c = Llc::new(g);
+        let mut scan = ScanLlc::new(g);
+        let doms: Vec<DomainId> = (0..3).map(|_| c.register_domain()).collect();
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        for step in 0..60_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let k = (step % 3) as usize;
+            let bits = 4 + (step / 2_000) as u32 * (k as u32 + 1);
+            let range = 1u64 << bits.min(23);
+            // Three in four accesses go to a hot set at the top of the
+            // domain's current range (hits, and the fills that grow its
+            // directory); the rest anywhere in the range.
+            let addr = if x % 4 == 0 { x % range } else { range - 1 - (x >> 8) % range.min(24) };
+            let want = scan.access(doms[k], addr);
+            assert_eq!(c.access(doms[k], addr), want, "step {step}: dom {k} addr {addr}");
+            hits += usize::from(!want.is_miss());
+            if step == 31_000 {
+                c = c.clone();
+            }
+            if step == 45_000 {
+                c.flush();
+                scan.lines.fill(None);
+            }
+        }
+        assert!(hits > 10_000, "the stream must exercise the hit path, got {hits} hits");
+        for (k, &d) in doms.iter().enumerate() {
+            let held = scan.lines.iter().flatten().filter(|l| l.1 == d.0).count();
+            assert_eq!(c.occupancy(d), held, "dom {k} occupancy");
+        }
     }
 
     #[test]

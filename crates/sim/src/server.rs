@@ -440,8 +440,11 @@ impl Server {
     /// every VM's program state — so a shared simulation prefix can be
     /// forked into independent continuations (e.g. one benign warm-up
     /// continued under several attack variants, byte-identical to
-    /// running each variant from scratch). Returns `None` when any guest
-    /// program does not support [`VmProgram::clone_box`].
+    /// running each variant from scratch). The LLC is copied without its
+    /// presence directory, an index the copy rebuilds on its first
+    /// access, so a snapshot that waits costs only the line metadata.
+    /// Returns `None` when any guest program does not support
+    /// [`VmProgram::clone_box`].
     pub fn try_clone(&self) -> Option<Server> {
         Some(Server {
             cfg: self.cfg,
@@ -975,10 +978,14 @@ mod equivalence {
         fn name(&self) -> &str {
             "random-ops"
         }
+        fn clone_box(&self) -> Option<Box<dyn VmProgram>> {
+            Some(Box::new(RandomOps))
+        }
     }
 
     /// A reactive program: streams while hitting, jumps on a miss — makes
     /// the `last_outcome` feedback path part of the pinned behaviour.
+    #[derive(Clone)]
     struct Reactive {
         pos: u64,
     }
@@ -994,6 +1001,9 @@ mod equivalence {
         }
         fn name(&self) -> &str {
             "reactive"
+        }
+        fn clone_box(&self) -> Option<Box<dyn VmProgram>> {
+            Some(Box::new(self.clone()))
         }
     }
 
@@ -1105,6 +1115,60 @@ mod equivalence {
                     reference.hypervisor().vm(id).paused_ticks(),
                     "round {round}: paused ticks of {id}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_continues_byte_identically() {
+        // A `try_clone` snapshot — its LLC copied without the presence
+        // directory, paused VMs included — stepped alongside the
+        // original through pauses, resumes and throttles must report
+        // byte-identical ticks. The snapshot alternates with the
+        // reference loop, so its rebuilt directory is pinned against
+        // both engines.
+        let mut rng = Rng::new(0x5AA9_5407);
+        for round in 0..12 {
+            let cfg = random_config(&mut rng);
+            let n_vms = rng.range_inclusive(2, 5) as usize;
+            let kinds: Vec<u64> = (0..n_vms).map(|_| rng.next_below(3)).collect();
+            let parallelisms: Vec<u8> =
+                (0..n_vms).map(|_| rng.range_inclusive(1, 4) as u8).collect();
+            let mut original = Server::new(cfg);
+            populate(&mut original, &kinds, &parallelisms);
+            let warm = rng.range_inclusive(4, 20);
+            let protected = VmId(rng.next_below(n_vms as u64) as u16);
+            for t in 0..warm {
+                if t == warm / 2 {
+                    original.pause_all_except(protected);
+                }
+                original.tick();
+            }
+            // lint:allow(panic) -- every program `populate` installs is cloneable.
+            let mut snapshot = original.try_clone().expect("cloneable programs");
+            let throttled = VmId(((protected.0 as usize + 1) % n_vms) as u16);
+            for t in 0..30u64 {
+                for server in [&mut original, &mut snapshot] {
+                    match t {
+                        3 => server.resume_all(),
+                        8 => {
+                            server.throttle_vm(throttled);
+                        }
+                        16 => server.pause_all_except(protected),
+                        20 => {
+                            server.resume_all();
+                            server.unthrottle_vm(throttled);
+                        }
+                        _ => {}
+                    }
+                }
+                let a = original.tick();
+                let b = if t % 2 == 0 { snapshot.tick() } else { snapshot.tick_reference() };
+                assert_reports_equal(&a, &b, round, t);
+            }
+            assert_eq!(original.bus_stats(), snapshot.bus_stats(), "round {round}: bus");
+            for (id, _) in original.hypervisor().iter() {
+                assert_eq!(original.vm_work(id), snapshot.vm_work(id), "round {round}: {id}");
             }
         }
     }

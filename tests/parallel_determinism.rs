@@ -26,9 +26,11 @@ fn stages() -> StageConfig {
 }
 
 /// Runs the grid at the given worker count and renders it to a string.
+/// Both attacks, so every `(app, run)` job forks its attack-free prefix
+/// and the forked continuations are compared too.
 fn grid_fingerprint(workers: usize) -> String {
     let apps = [Application::KMeans, Application::FaceNet];
-    let attacks = [AttackKind::BusLocking];
+    let attacks = AttackKind::ALL;
     let results = memdos::runner::run_grid(
         &ExperimentConfig::default(),
         &apps,
