@@ -231,6 +231,14 @@ pub trait FromProfile: Detector + Sized {
     fn from_profile(profile: &Profile, params: &Self::Params) -> Result<Self, CoreError>;
 }
 
+impl<D: FromProfile> FromProfile for Box<D> {
+    type Params = D::Params;
+
+    fn from_profile(profile: &Profile, params: &D::Params) -> Result<Self, CoreError> {
+        D::from_profile(profile, params).map(Box::new)
+    }
+}
+
 impl<D: Detector + ?Sized> Detector for Box<D> {
     fn name(&self) -> &str {
         (**self).name()

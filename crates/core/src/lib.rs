@@ -32,35 +32,45 @@
 //! ## Workflow
 //!
 //! 1. **Profile** (Stage 1): immediately after a VM starts or migrates —
-//!    when it is known not to be co-located with an attacker — feed its
-//!    PCM statistics to a [`profile::Profiler`] to obtain the per-stat
-//!    mean/deviation and the periodicity classification.
-//! 2. **Monitor**: construct a detector from the profile and feed it one
-//!    [`detector::Observation`] per `T_PCM` tick. SDS needs nothing else;
-//!    the KStest baseline additionally emits
-//!    [`detector::ThrottleRequest`]s that the hypervisor must honour.
+//!    when it is known not to be co-located with an attacker — its PCM
+//!    statistics are profiled for `profile_ticks` ticks to obtain the
+//!    per-stat mean/deviation and the periodicity classification.
+//! 2. **Monitor**: a detector armed from that profile consumes one
+//!    [`detector::Observation`] per `T_PCM` tick.
+//!
+//! A [`monitor::Monitor`] runs both stages for one VM: it owns the
+//! [`profile::Profiler`], arms the detector when the profile is done,
+//! and counts monitored ticks, verdict changes and alarms. The streaming
+//! engine and the offline paper harness both drive it. The KStest
+//! baseline is the exception: it needs no profile, and instead emits
+//! [`detector::ThrottleRequest`]s that the hypervisor must honour.
 //!
 //! ```rust
 //! use memdos_core::config::SdsParams;
-//! use memdos_core::detector::{Detector, Observation};
-//! use memdos_core::profile::Profiler;
+//! use memdos_core::detector::Observation;
+//! use memdos_core::monitor::Monitor;
 //! use memdos_core::sds::Sds;
 //!
-//! // Stage 1: profile 3000 ticks of a (synthetic) benign signal.
-//! let mut profiler = Profiler::default();
-//! for i in 0..3000u64 {
+//! let benign = |i: u64| {
 //!     let wiggle = (i % 7) as f64;
-//!     profiler.observe(Observation { access_num: 1000.0 + wiggle, miss_num: 50.0 + wiggle });
+//!     Observation { access_num: 1000.0 + wiggle, miss_num: 50.0 + wiggle }
+//! };
+//! let mut monitor = Monitor::<Sds>::new(&SdsParams::default(), 3000)?;
+//!
+//! // Stage 1: the first 3000 ticks of a (synthetic) benign signal; the
+//! // last one finishes the profile and arms SDS.
+//! for i in 0..2999u64 {
+//!     assert!(monitor.profile(benign(i)).is_none());
 //! }
-//! let profile = profiler.finish()?;
+//! let profile = monitor.profile(benign(2999)).expect("profile done")?;
+//! assert!(!profile.is_periodic());
 //!
 //! // Stage 2: monitor in real time — same distribution, no alarm.
-//! let mut sds = Sds::from_profile(&profile, &SdsParams::default())?;
 //! for i in 0..2000u64 {
-//!     let wiggle = (i % 7) as f64;
-//!     sds.on_observation(Observation { access_num: 1000.0 + wiggle, miss_num: 50.0 + wiggle });
+//!     let step = monitor.step(benign(i)).expect("armed");
+//!     assert_eq!(step.tick, i + 1);
 //! }
-//! assert!(!sds.alarm_active()); // benign traffic: no alarm
+//! assert!(!monitor.alarm_active() && monitor.alarms() == 0);
 //! # Ok::<(), memdos_core::CoreError>(())
 //! ```
 
@@ -70,6 +80,7 @@
 pub mod config;
 pub mod detector;
 pub mod kstest;
+pub mod monitor;
 pub mod profile;
 pub mod sds;
 pub mod sdsb;

@@ -63,7 +63,6 @@ impl SdsB {
             active: false,
             activations: 0,
             last_ewma: None,
-            // lint:allow(hot-propagate) -- the detector name is built once at construction (session open), never while sampling
             name: format!("SDS/B[{}]", params.stat),
             params,
         })

@@ -73,7 +73,6 @@ impl SdsP {
             activations: 0,
             last_period: None,
             computations: 0,
-            // lint:allow(hot-propagate) -- the detector name is built once at construction (session open), never while sampling
             name: format!("SDS/P[{}]", params.stat),
             params,
         })

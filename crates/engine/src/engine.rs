@@ -73,9 +73,9 @@
 //!
 //! ## Ingest path
 //!
-//! A JSONL stream is framed by [`jsonl::LineFramer`] — the same framer
-//! behind [`jsonl::Decoder`] — so line splitting, the line cap and
-//! UTF-8 recovery never depend on how the reader chunks its input.
+//! A JSONL stream is framed by [`jsonl::LineFramer`], so line
+//! splitting, the line cap and UTF-8 recovery never depend on how the
+//! reader chunks its input.
 //! Each line decodes through the one record parser,
 //! [`parse_record_borrowed`](jsonl::parse_record_borrowed): tenant
 //! names stay `&str` slices of the input line (escaped ones decode into

@@ -47,12 +47,26 @@ fn main() {
     std::process::exit(run(&args));
 }
 
+/// A command's failure: the exit code and the diagnostic printed after
+/// `memdos-engine: `.
+struct Fail(i32, String);
+
+/// A usage or configuration error: exit code 2.
+fn bad(e: impl std::fmt::Display) -> Fail {
+    Fail(2, e.to_string())
+}
+
+/// An I/O failure: exit code 1.
+fn io_fail(e: impl std::fmt::Display) -> Fail {
+    Fail(1, e.to_string())
+}
+
 fn run(args: &[String]) -> i32 {
     let threads = memdos_runner::threads_config();
     if let Some(diag) = &threads.diagnostic {
         eprintln!("memdos-engine: {diag}");
     }
-    match args.first().map(String::as_str) {
+    let result = match args.first().map(String::as_str) {
         Some("demo") => cmd_demo(args.get(1)),
         Some("gen-demo") => cmd_gen_demo(args.get(1)),
         Some("replay") => cmd_replay(args.get(1)),
@@ -64,13 +78,17 @@ fn run(args: &[String]) -> i32 {
         Some(other) => {
             eprintln!("memdos-engine: unknown command {other:?}");
             usage();
-            2
+            Ok(2)
         }
         None => {
             usage();
-            2
+            Ok(2)
         }
-    }
+    };
+    result.unwrap_or_else(|Fail(code, diag)| {
+        eprintln!("memdos-engine: {diag}");
+        code
+    })
 }
 
 fn usage() {
@@ -117,21 +135,9 @@ fn print_new_log(engine: &Engine, printed: usize) -> usize {
     engine.log_lines().len()
 }
 
-fn cmd_demo(seed: Option<&String>) -> i32 {
-    let seed = match parse_seed(seed) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("memdos-engine: {e}");
-            return 2;
-        }
-    };
-    let mut engine = match engine_from_env(true) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("memdos-engine: {e}");
-            return 2;
-        }
-    };
+fn cmd_demo(seed: Option<&String>) -> Result<i32, Fail> {
+    let seed = parse_seed(seed).map_err(bad)?;
+    let mut engine = engine_from_env(true).map_err(bad)?;
     let workers = engine.config().workers;
     eprintln!(
         "memdos-engine: simulating {} tenants (seed {seed}, {workers} workers)",
@@ -162,36 +168,21 @@ fn cmd_demo(seed: Option<&String>) -> i32 {
             snap.dropped
         );
     }
-    0
+    Ok(0)
 }
 
-fn cmd_fleet(tenants: Option<&String>, seed: Option<&String>) -> i32 {
+fn cmd_fleet(tenants: Option<&String>, seed: Option<&String>) -> Result<i32, Fail> {
     let tenants = match tenants {
         None => 10_000u32,
         Some(s) => match s.trim().parse::<u32>() {
             Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("memdos-engine: tenants {s:?} is not a positive integer");
-                return 2;
-            }
+            _ => return Err(bad(format!("tenants {s:?} is not a positive integer"))),
         },
     };
-    let seed = match parse_seed(seed) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("memdos-engine: {e}");
-            return 2;
-        }
-    };
+    let seed = parse_seed(seed).map_err(bad)?;
     // Environment knobs still apply (MEMDOS_THREADS, ceiling override);
     // the fleet profile/SDS settings replace the Table 1 defaults.
-    let env = match Config::from_env() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("memdos-engine: {e}");
-            return 2;
-        }
-    };
+    let env = Config::from_env().map_err(bad)?;
     let ceiling = if env.max_sessions > 0 { env.max_sessions } else { 16_384 };
     let config = Config { workers: env.workers, prof: env.prof, ..fleet_engine_config(env.workers, ceiling) };
     let scenario = fleet_scenario(tenants, seed);
@@ -200,20 +191,8 @@ fn cmd_fleet(tenants: Option<&String>, seed: Option<&String>) -> i32 {
          ceiling {ceiling})",
         scenario.span_ticks, config.workers
     );
-    let lines = match fleet_jsonl(&scenario) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("memdos-engine: fleet: {e}");
-            return 2;
-        }
-    };
-    let mut engine = match Engine::new(config) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("memdos-engine: {e}");
-            return 2;
-        }
-    };
+    let lines = fleet_jsonl(&scenario).map_err(|e| bad(format!("fleet: {e}")))?;
+    let mut engine = Engine::new(config).map_err(bad)?;
     for line in &lines {
         engine.ingest_line(line);
     }
@@ -231,10 +210,10 @@ fn cmd_fleet(tenants: Option<&String>, seed: Option<&String>) -> i32 {
         stats.reopened,
         engine.resident_bytes() / 1024
     );
-    0
+    Ok(0)
 }
 
-fn cmd_respond(args: &[String]) -> i32 {
+fn cmd_respond(args: &[String]) -> Result<i32, Fail> {
     let mut scenario = RespondScenario::TrueAttacker;
     let mut tenants = 6u32;
     let mut seed = 42u64;
@@ -243,56 +222,35 @@ fn cmd_respond(args: &[String]) -> i32 {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         if arg == "--chaos" {
-            match it.next().and_then(|v| v.trim().parse::<u64>().ok()) {
-                Some(s) => chaos = Some(s),
-                None => {
-                    eprintln!("memdos-engine: --chaos requires a non-negative integer seed");
-                    return 2;
-                }
-            }
+            let seed = it.next().and_then(|v| v.trim().parse::<u64>().ok());
+            chaos = Some(seed.ok_or_else(|| bad("--chaos requires a non-negative integer seed"))?);
             continue;
         }
         match positional {
-            0 => match RespondScenario::parse(arg) {
-                Some(kind) => scenario = kind,
-                None => {
-                    eprintln!(
-                        "memdos-engine: unknown respond scenario {arg:?} \
+            0 => {
+                scenario = RespondScenario::parse(arg).ok_or_else(|| {
+                    bad(format!(
+                        "unknown respond scenario {arg:?} \
                          (true-attacker | benign-shift | quiet-resume)"
-                    );
-                    return 2;
-                }
-            },
+                    ))
+                })?;
+            }
             1 => match arg.trim().parse::<u32>() {
                 Ok(n) if n >= 2 => tenants = n,
-                _ => {
-                    eprintln!("memdos-engine: tenants {arg:?} must be an integer >= 2");
-                    return 2;
-                }
+                _ => return Err(bad(format!("tenants {arg:?} must be an integer >= 2"))),
             },
-            2 => match arg.trim().parse::<u64>() {
-                Ok(s) => seed = s,
-                Err(_) => {
-                    eprintln!("memdos-engine: seed {arg:?} is not a non-negative integer");
-                    return 2;
-                }
-            },
-            _ => {
-                eprintln!("memdos-engine: unexpected respond argument {arg:?}");
-                return 2;
+            2 => {
+                seed = arg.trim().parse::<u64>().map_err(|_| {
+                    bad(format!("seed {arg:?} is not a non-negative integer"))
+                })?;
             }
+            _ => return Err(bad(format!("unexpected respond argument {arg:?}"))),
         }
         positional += 1;
     }
     // Environment knobs still apply (worker count, the stage profiler);
     // the scenario profile/SDS settings replace the Table 1 defaults.
-    let env = match Config::from_env() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("memdos-engine: {e}");
-            return 2;
-        }
-    };
+    let env = Config::from_env().map_err(bad)?;
     let workers = env.workers;
     eprintln!(
         "memdos-engine: respond: scenario {} ({tenants} tenants, seed {seed}, {workers} \
@@ -305,19 +263,13 @@ fn cmd_respond(args: &[String]) -> i32 {
     );
     let fleet = respond_scenario(scenario, tenants, seed);
     let config = Config { prof: env.prof, ..respond_engine_config(workers) };
-    let report = match run_respond(&fleet, config, chaos) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("memdos-engine: respond: {e}");
-            return 2;
-        }
-    };
+    let report = run_respond(&fleet, config, chaos).map_err(|e| bad(format!("respond: {e}")))?;
     {
         let out = std::io::stdout();
         let mut out = out.lock();
         for line in &report.log {
             if writeln!(out, "{line}").is_err() {
-                return 1;
+                return Ok(1);
             }
         }
     }
@@ -348,7 +300,7 @@ fn cmd_respond(args: &[String]) -> i32 {
         stats.recovery_latency_ticks,
         stats.false_quarantine_ticks
     );
-    0
+    Ok(0)
 }
 
 /// Re-encodes a record stream between the JSONL and binary wire
@@ -358,89 +310,83 @@ fn cmd_respond(args: &[String]) -> i32 {
 /// carries exactly the records of the source, so replaying either
 /// through the engine produces the same verdict log (pinned by the
 /// binary equivalence suite).
-fn cmd_convert(args: &[String]) -> i32 {
+fn cmd_convert(args: &[String]) -> Result<i32, Fail> {
     let direction = match args.first().map(String::as_str) {
         Some(d @ ("jsonl2bin" | "bin2jsonl")) => d,
-        _ => {
-            eprintln!("memdos-engine: convert requires a direction: jsonl2bin | bin2jsonl");
-            return 2;
-        }
+        _ => return Err(bad("convert requires a direction: jsonl2bin | bin2jsonl")),
     };
+    let failed = |p: &str, e: std::io::Error| io_fail(format!("convert: {p}: {e}"));
     let reader: Box<dyn std::io::BufRead> = match args.get(1).map(String::as_str) {
         None | Some("-") => Box::new(std::io::stdin().lock()),
-        Some(p) => match std::fs::File::open(p) {
-            Ok(f) => Box::new(BufReader::new(f)),
-            Err(e) => {
-                eprintln!("memdos-engine: convert: {p}: {e}");
-                return 1;
-            }
-        },
+        Some(p) => Box::new(BufReader::new(std::fs::File::open(p).map_err(|e| failed(p, e))?)),
     };
     let writer: Box<dyn Write> = match args.get(2).map(String::as_str) {
         None | Some("-") => Box::new(std::io::stdout().lock()),
-        Some(p) => match std::fs::File::create(p) {
-            Ok(f) => Box::new(std::io::BufWriter::new(f)),
-            Err(e) => {
-                eprintln!("memdos-engine: convert: {p}: {e}");
-                return 1;
-            }
-        },
+        Some(p) => {
+            let file = std::fs::File::create(p).map_err(|e| failed(p, e))?;
+            Box::new(std::io::BufWriter::new(file))
+        }
     };
-    let result = match direction {
+    let (records, skipped) = match direction {
         "jsonl2bin" => convert_jsonl2bin(reader, writer),
         _ => convert_bin2jsonl(reader, writer),
-    };
-    match result {
-        Ok((records, skipped)) => {
-            eprintln!(
-                "memdos-engine: convert: {direction}: {records} records, {skipped} spans skipped"
-            );
-            0
-        }
-        Err(e) => {
-            eprintln!("memdos-engine: convert: {e}");
-            1
-        }
     }
+    .map_err(|e| io_fail(format!("convert: {e}")))?;
+    eprintln!("memdos-engine: convert: {direction}: {records} records, {skipped} spans skipped");
+    Ok(0)
 }
 
 /// The `jsonl2bin` arm: decode lines, re-encode frames. The encoder
 /// interns tenant names to dense wire ids and emits each tenant's
-/// define frame before its first record.
+/// define frame before its first record. Lines decode as the engine
+/// ingests them: through the borrowed record parser, falling back on a
+/// reject to resynchronisation, which recovers every embedded record;
+/// every span neither accepts counts as skipped.
 fn convert_jsonl2bin(
     mut reader: Box<dyn std::io::BufRead>,
     mut writer: Box<dyn Write>,
 ) -> Result<(u64, u64), String> {
-    use memdos_engine::protocol::Record;
+    use memdos_engine::protocol::{Record, RecordError};
     use memdos_metrics::binary::Encoder;
-    use memdos_metrics::jsonl::{Decoder, Frame};
-    let mut dec = Decoder::new();
+    use memdos_metrics::jsonl::{self, LineFramer, Piece, RawKind, Segment};
+    let mut framer = LineFramer::new(jsonl::DEFAULT_MAX_LINE);
     let mut enc = Encoder::new();
     let mut out: Vec<u8> = Vec::new();
-    let mut records = 0u64;
-    let mut skipped = 0u64;
-    let mut encode = |frame: Frame, out: &mut Vec<u8>| -> Result<(), String> {
-        let obj = match frame {
-            Frame::Object(obj) => obj,
-            Frame::Skipped { .. } => {
+    let mut scratch = String::new();
+    let (mut records, mut skipped) = (0u64, 0u64);
+    let mut failed: Result<(), String> = Ok(());
+    let mut encode = |tenant: &str, kind: RawKind, out: &mut Vec<u8>| {
+        let encoded = match kind {
+            RawKind::Sample { access, miss } => enc.sample(tenant, access, miss, out),
+            RawKind::Close => enc.close(tenant, out),
+        };
+        encoded.map(|()| records += 1).map_err(|e| e.to_string())
+    };
+    let mut piece = |piece: Piece<'_>, out: &mut Vec<u8>| -> Result<(), String> {
+        let line = match piece {
+            Piece::Text(line) => line,
+            Piece::Skipped { .. } => {
                 skipped += 1;
                 return Ok(());
             }
         };
-        let record = match Record::from_object(&obj) {
-            Ok(r) => r,
-            Err(_) => {
-                skipped += 1;
-                return Ok(());
-            }
-        };
-        match record {
-            Record::Sample { tenant, obs } => enc
-                .sample(&tenant, obs.access_num, obs.miss_num, out)
-                .map_err(|e| e.to_string())?,
-            Record::Close { tenant } => enc.close(&tenant, out).map_err(|e| e.to_string())?,
+        if let Ok(raw) = jsonl::parse_record_borrowed(line, &mut scratch) {
+            return encode(raw.tenant, raw.kind, out);
         }
-        records += 1;
+        for segment in jsonl::resync_line(line) {
+            let record = match segment {
+                Segment::Object(obj) => Record::from_object(&obj),
+                Segment::Skipped { .. } => Err(RecordError::Syntax),
+            };
+            match record {
+                Ok(Record::Sample { tenant, obs }) => {
+                    let kind = RawKind::Sample { access: obs.access_num, miss: obs.miss_num };
+                    encode(&tenant, kind, out)?;
+                }
+                Ok(Record::Close { tenant }) => encode(&tenant, RawKind::Close, out)?,
+                Err(_) => skipped += 1,
+            }
+        }
         Ok(())
     };
     loop {
@@ -449,21 +395,26 @@ fn convert_jsonl2bin(
             if chunk.is_empty() {
                 break;
             }
-            dec.push_bytes(chunk);
+            framer.push(chunk, |p| {
+                if failed.is_ok() {
+                    failed = piece(p, &mut out);
+                }
+            });
             chunk.len()
         };
         reader.consume(len);
-        for frame in dec.drain() {
-            encode(frame, &mut out)?;
-        }
+        failed.clone()?;
         if out.len() >= 64 * 1024 {
             writer.write_all(&out).map_err(|e| e.to_string())?;
             out.clear();
         }
     }
-    for frame in dec.finish() {
-        encode(frame, &mut out)?;
-    }
+    framer.finish(|p| {
+        if failed.is_ok() {
+            failed = piece(p, &mut out);
+        }
+    });
+    failed?;
     writer.write_all(&out).map_err(|e| e.to_string())?;
     writer.flush().map_err(|e| e.to_string())?;
     Ok((records, skipped))
@@ -558,33 +509,21 @@ fn convert_bin2jsonl(
     Ok((records, skipped))
 }
 
-fn cmd_gen_demo(seed: Option<&String>) -> i32 {
-    let seed = match parse_seed(seed) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("memdos-engine: {e}");
-            return 2;
-        }
-    };
+fn cmd_gen_demo(seed: Option<&String>) -> Result<i32, Fail> {
+    let seed = parse_seed(seed).map_err(bad)?;
     let workers = memdos_runner::threads();
     let out = std::io::stdout();
     let mut out = out.lock();
     for line in demo_jsonl(seed, &LAYOUT, workers) {
         if writeln!(out, "{line}").is_err() {
-            return 1;
+            return Ok(1);
         }
     }
-    0
+    Ok(0)
 }
 
-fn cmd_replay(path: Option<&String>) -> i32 {
-    let mut engine = match engine_from_env(false) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("memdos-engine: {e}");
-            return 2;
-        }
-    };
+fn cmd_replay(path: Option<&String>) -> Result<i32, Fail> {
+    let mut engine = engine_from_env(false).map_err(bad)?;
     let consumed = match path {
         Some(p) => std::fs::File::open(p)
             .map_err(|e| format!("{p}: {e}"))
@@ -597,13 +536,7 @@ fn cmd_replay(path: Option<&String>) -> i32 {
             engine.ingest_reader(locked).map_err(|e| format!("stdin: {e}"))
         }
     };
-    let consumed = match consumed {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("memdos-engine: {e}");
-            return 1;
-        }
-    };
+    let consumed = consumed.map_err(io_fail)?;
     // The replay is complete: emit the `engine_stats` trailer too (and
     // the `MEMDOS_ENGINE_PROF` stage counters when enabled).
     engine.finish();
@@ -613,10 +546,10 @@ fn cmd_replay(path: Option<&String>) -> i32 {
         engine.session_count(),
         engine.malformed()
     );
-    0
+    Ok(0)
 }
 
-fn cmd_soak(args: &[String]) -> i32 {
+fn cmd_soak(args: &[String]) -> Result<i32, Fail> {
     let mut config = SoakConfig::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -627,24 +560,9 @@ fn cmd_soak(args: &[String]) -> i32 {
                 .map_err(|_| format!("{flag} value is not a non-negative integer"))
         };
         match arg.as_str() {
-            "--seeds" => match value(it.next(), "--seeds") {
-                Ok(n) => config.seeds = n,
-                Err(e) => {
-                    eprintln!("memdos-engine: {e}");
-                    return 2;
-                }
-            },
-            "--base-seed" => match value(it.next(), "--base-seed") {
-                Ok(n) => config.base_seed = n,
-                Err(e) => {
-                    eprintln!("memdos-engine: {e}");
-                    return 2;
-                }
-            },
-            other => {
-                eprintln!("memdos-engine: unknown soak option {other:?}");
-                return 2;
-            }
+            "--seeds" => config.seeds = value(it.next(), "--seeds").map_err(bad)?,
+            "--base-seed" => config.base_seed = value(it.next(), "--base-seed").map_err(bad)?,
+            other => return Err(bad(format!("unknown soak option {other:?}"))),
         }
     }
     eprintln!(
@@ -664,41 +582,24 @@ fn cmd_soak(args: &[String]) -> i32 {
         );
         println!("{}", scenario.to_line());
     });
-    match report {
-        Ok(report) => {
-            println!("{}", report.summary_line());
-            if report.passed() {
-                eprintln!("memdos-engine: soak: PASS");
-                0
-            } else {
-                eprintln!(
-                    "memdos-engine: soak: FAIL (identical={} bounded={} missing={:?})",
-                    report.all_identical(),
-                    report.all_bounded(),
-                    report.missing_classes()
-                );
-                1
-            }
-        }
-        Err(e) => {
-            eprintln!("memdos-engine: soak: {e}");
-            2
-        }
+    let report = report.map_err(|e| bad(format!("soak: {e}")))?;
+    println!("{}", report.summary_line());
+    if report.passed() {
+        eprintln!("memdos-engine: soak: PASS");
+        return Ok(0);
     }
+    eprintln!(
+        "memdos-engine: soak: FAIL (identical={} bounded={} missing={:?})",
+        report.all_identical(),
+        report.all_bounded(),
+        report.missing_classes()
+    );
+    Ok(1)
 }
 
-fn cmd_serve(addr: Option<&String>) -> i32 {
-    let Some(addr) = addr else {
-        eprintln!("memdos-engine: serve requires an address (e.g. 127.0.0.1:7700)");
-        return 2;
-    };
-    let mut engine = match engine_from_env(false) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("memdos-engine: {e}");
-            return 2;
-        }
-    };
+fn cmd_serve(addr: Option<&String>) -> Result<i32, Fail> {
+    let addr = addr.ok_or_else(|| bad("serve requires an address (e.g. 127.0.0.1:7700)"))?;
+    let mut engine = engine_from_env(false).map_err(bad)?;
     // Bind retries on the deterministic capped schedule (the address is
     // often still in TIME_WAIT after a restart), as do accept failures;
     // a successful operation resets the budget.
@@ -714,10 +615,7 @@ fn cmd_serve(addr: Option<&String>) -> i32 {
                     // lint:allow(thread) -- transport retry sleep in the CLI
                     std::thread::sleep(std::time::Duration::from_millis(delay_ms));
                 }
-                None => {
-                    eprintln!("memdos-engine: bind {addr}: {e} (retry budget spent)");
-                    return 1;
-                }
+                None => return Err(io_fail(format!("bind {addr}: {e} (retry budget spent)"))),
             },
         }
     };
@@ -749,10 +647,7 @@ fn cmd_serve(addr: Option<&String>) -> i32 {
                     // lint:allow(thread) -- transport retry sleep in the CLI
                     std::thread::sleep(std::time::Duration::from_millis(delay_ms));
                 }
-                None => {
-                    eprintln!("memdos-engine: accept: {e} (retry budget spent)");
-                    return 1;
-                }
+                None => return Err(io_fail(format!("accept: {e} (retry budget spent)"))),
             },
         }
     }

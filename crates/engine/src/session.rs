@@ -8,16 +8,19 @@
 //!     └─profile failed──▶ Closed ◀──────── close ────────────┘
 //! ```
 //!
-//! During `Profiling` the samples feed the Stage-1 [`Profiler`]; once
-//! `profile_ticks` samples arrive the profile is finalised and the
-//! combined [`Sds`] detector is armed from it. During `Monitoring` each
-//! run of queued samples steps the detector through its columnar
-//! [`Detector::step_batch`] path and verdict-class transitions are
-//! emitted as events. The KStest baseline has no place here: its
-//! protocol throttles the co-resident VMs while it collects a reference,
-//! and a stream has no hypervisor behind it to throttle (the offline
-//! harness in `memdos_metrics::experiment` runs it against the
-//! simulated server instead).
+//! A session is a sample queue, a [`Monitor`] running the combined
+//! [`Sds`] detector, and the session's own accounting. During
+//! `Profiling` the samples feed the monitor's Stage-1 profile; once
+//! `profile_ticks` samples arrive the monitor arms SDS from it. During
+//! `Monitoring` each run of queued samples steps the monitor through its
+//! columnar [`Monitor::step_batch`] path, and the verdict-class changes
+//! it reports are emitted as events. Their `tick` is the monitor's
+//! 1-based monitored-tick count ([`MonitorStep::tick`], where the
+//! offline harness's 0-based index is derived too). The KStest baseline
+//! has no place here: its protocol throttles the co-resident VMs while
+//! it collects a reference, and a stream has no hypervisor behind it to
+//! throttle (the offline harness in `memdos_metrics::experiment` runs it
+//! against the simulated server instead).
 //!
 //! Samples are queued in a bounded ring buffer between engine flushes;
 //! when the queue is full the [`DropPolicy`] decides which side loses,
@@ -27,15 +30,16 @@
 //!
 //! A closed session's storage is recycled: `Session::reopen` turns it
 //! into a fresh incarnation of any tenant in place, keeping the queue's
-//! and the profiler's buffers, so tenant churn does not allocate.
+//! and the monitor's profiler buffers, so tenant churn does not allocate.
 
 use crate::event::{Event, SessionEvent};
 use memdos_core::config::SdsParams;
-use memdos_core::detector::{Detector, DetectorStep, Observation, ObservationBatch, Verdict};
-use memdos_core::profile::{Profiler, ProfilerConfig};
+use memdos_core::detector::{DetectorStep, Observation, ObservationBatch};
+use memdos_core::monitor::{Monitor, MonitorStep};
 use memdos_core::sds::Sds;
 use memdos_core::CoreError;
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Lifecycle state of a session.
@@ -281,8 +285,8 @@ const RECOVERY_ALPHA: f64 = 0.2;
 /// Reusable per-worker columnar buffers for the monitoring batch path:
 /// a run of consecutive queued samples is transposed into
 /// structure-of-arrays columns so the detector steps the whole run
-/// through its branch-light [`Detector::step_batch`] loop, and the step
-/// column is then replayed tick by tick to emit events. Shared by every
+/// through its branch-light `step_batch` loop, and the step column is
+/// then replayed tick by tick to emit events. Shared by every
 /// session on the worker between flushes, so steady-state batching
 /// allocates nothing.
 #[derive(Default)]
@@ -305,23 +309,17 @@ pub struct Session {
     tenant: Arc<str>,
     config: SessionConfig,
     state: SessionState,
-    profiler: Option<Profiler>,
-    /// The armed detector, boxed so a profiling session (the common
-    /// case in a churning fleet) does not carry its inline state in the
-    /// slab slot beside the profiler's.
-    sds: Option<Box<Sds>>,
-    /// The detector's verdict after the last monitored sample.
-    last_verdict: Verdict,
+    /// Profile, detector and their counts. The detector is boxed so a
+    /// profiling session (the common case in a churning fleet) does not
+    /// carry its inline state in the slab slot beside the profiler's.
+    monitor: Monitor<Box<Sds>>,
     queue: VecDeque<Item>,
-    /// Monitoring ticks consumed (starts counting after the profile).
-    monitor_ticks: u64,
     ingested: u64,
     dropped: u64,
     /// Consecutive drops in the current burst (0 = queue healthy).
     drop_burst: u64,
     /// Drop bursts that ended with the queue admitting again.
     recoveries: u64,
-    alarms: u64,
     /// Incarnation of this tenant: 0 for the first session, +1 for every
     /// reopen after a close (tenant churn).
     generation: u32,
@@ -346,7 +344,7 @@ impl std::fmt::Debug for Session {
             .field("state", &self.state)
             .field("ingested", &self.ingested)
             .field("dropped", &self.dropped)
-            .field("alarms", &self.alarms)
+            .field("alarms", &self.alarms())
             .finish()
     }
 }
@@ -374,9 +372,9 @@ impl Session {
         generation: u32,
     ) -> Result<Self, CoreError> {
         config.validate()?;
-        let profiler = Profiler::new(profiler_config(&config))?;
+        let monitor = Monitor::new(&config.sds, config.profile_ticks)?;
         let queue = VecDeque::with_capacity(config.queue_capacity);
-        Ok(Session::fresh(tenant.into(), config, profiler, queue, generation))
+        Ok(Session::fresh(tenant.into(), config, monitor, queue, generation))
     }
 
     /// Turns this (closed, drained) session into incarnation
@@ -384,9 +382,9 @@ impl Session {
     /// indistinguishable from [`Session::open_generation`] with this
     /// session's config, but the sample queue and the profiler keep
     /// their buffers. Only a session whose profiler is gone (it armed a
-    /// detector, or was shrunk to a husk) builds a new profiler; a
-    /// husk's queue, released by `shrink_terminal`, regrows as samples
-    /// arrive.
+    /// detector, or was shrunk to a husk) builds a new profiler
+    /// ([`Monitor::reset`]); a husk's queue, released by
+    /// `shrink_terminal`, regrows as samples arrive.
     ///
     /// # Errors
     ///
@@ -394,15 +392,10 @@ impl Session {
     /// be built (unreachable for a config that opened a session).
     // hot-path
     pub(crate) fn reopen(&mut self, tenant: Arc<str>, generation: u32) -> Result<(), CoreError> {
-        let profiler = match self.profiler.take() {
-            Some(mut p) => {
-                p.reset();
-                p
-            }
-            None => Profiler::new(profiler_config(&self.config))?,
-        };
+        let mut monitor = std::mem::take(&mut self.monitor);
+        monitor.reset(&self.config.sds)?;
         let queue = std::mem::take(&mut self.queue);
-        *self = Session::fresh(tenant, self.config, profiler, queue, generation);
+        *self = Session::fresh(tenant, self.config, monitor, queue, generation);
         Ok(())
     }
 
@@ -412,7 +405,7 @@ impl Session {
     fn fresh(
         tenant: Arc<str>,
         config: SessionConfig,
-        profiler: Profiler,
+        monitor: Monitor<Box<Sds>>,
         mut queue: VecDeque<Item>,
         generation: u32,
     ) -> Session {
@@ -421,16 +414,12 @@ impl Session {
             tenant,
             config,
             state: SessionState::Profiling,
-            profiler: Some(profiler),
-            sds: None,
-            last_verdict: Verdict::Normal,
+            monitor,
             queue,
-            monitor_ticks: 0,
             ingested: 0,
             dropped: 0,
             drop_burst: 0,
             recoveries: 0,
-            alarms: 0,
             generation,
             opened_logged: false,
             baseline_access: 0.0,
@@ -472,7 +461,7 @@ impl Session {
 
     /// Detector alarm activations so far.
     pub fn alarms(&self) -> u64 {
-        self.alarms
+        self.monitor.alarms()
     }
 
     /// Incarnation of this tenant (0 = first session, +1 per reopen).
@@ -517,7 +506,7 @@ impl Session {
             resident_bytes: self.resident_bytes(),
             ingested: self.ingested,
             dropped: self.dropped,
-            alarms: self.alarms,
+            alarms: self.alarms(),
             recovery_ratio: self.recovery_ratio(),
             mitigation: None,
         }
@@ -525,7 +514,7 @@ impl Session {
 
     /// Estimated heap bytes this session keeps resident: the sample
     /// queue, the profiler's smoothing buffers and the boxed detector
-    /// with its working set (via [`Detector::resident_bytes_hint`]).
+    /// with its working set (via [`Monitor::resident_bytes_hint`]).
     /// Nothing stored inline or shared is counted — the `Session`
     /// struct, profiler included, lives in the engine's slab slot (or
     /// spare list), and the tenant name in its tenant slot, both of
@@ -534,14 +523,7 @@ impl Session {
     /// — it exists so a ceiling/eviction decision and the fleet bench
     /// read the same number on every run.
     pub fn resident_bytes(&self) -> usize {
-        let mut bytes = self.queue.capacity() * std::mem::size_of::<Item>();
-        if let Some(p) = &self.profiler {
-            bytes += p.resident_bytes_hint().saturating_sub(std::mem::size_of::<Profiler>());
-        }
-        if let Some(sds) = &self.sds {
-            bytes += sds.resident_bytes_hint();
-        }
-        bytes
+        self.queue.capacity() * std::mem::size_of::<Item>() + self.monitor.resident_bytes_hint()
     }
 
     /// Releases the working set of a terminal session that must stay
@@ -557,8 +539,7 @@ impl Session {
         if !terminal || !self.queue.is_empty() {
             return;
         }
-        self.profiler = None;
-        self.sds = None;
+        self.monitor.release();
         self.queue.shrink_to_fit();
     }
 
@@ -608,15 +589,6 @@ impl Session {
         self.queue.push_back(Item::Close(seq, reason));
     }
 
-    /// Drains the queue through the lifecycle, collecting the session's
-    /// events for this flush.
-    #[cfg(test)]
-    pub(crate) fn process_queued(&mut self) -> Vec<SessionEvent> {
-        let mut events = Vec::new();
-        self.process_queued_into(&mut events);
-        events
-    }
-
     /// Drains the queue through the lifecycle, appending the session's
     /// events for this flush to `events` — the engine passes a recycled
     /// buffer so the steady-state flush allocates nothing here.
@@ -645,7 +617,7 @@ impl Session {
                         reason,
                         ingested: self.ingested,
                         dropped: self.dropped,
-                        alarms: self.alarms,
+                        alarms: self.alarms(),
                     };
                     events.push(SessionEvent { seq, sub, payload });
                 }
@@ -670,23 +642,14 @@ impl Session {
         }
     }
 
-    /// Feeds one profiling sample; once `profile_ticks` have arrived,
-    /// finalises the profile and arms the detector, returning the
+    /// Feeds one profiling sample; once `profile_ticks` have arrived
+    /// the monitor arms the detector, and this returns the
     /// `profile_ready` (or `profile_failed`) event payload.
     fn step_profiling(&mut self, obs: Observation) -> Option<Event> {
-        let profiler = self.profiler.as_mut()?;
-        profiler.observe(obs);
-        if profiler.observations() < self.config.profile_ticks {
-            return None;
-        }
-        let profiler = self.profiler.take()?;
+        let finished = self.monitor.profile(obs)?;
         let tenant = self.tenant.clone();
-        match profiler
-            .finish()
-            .and_then(|profile| Ok((Sds::from_profile(&profile, &self.config.sds)?, profile)))
-        {
-            Ok((sds, profile)) => {
-                self.sds = Some(Box::new(sds));
+        match finished {
+            Ok(profile) => {
                 self.state = SessionState::Monitoring;
                 self.baseline_access = profile.access.mu;
                 self.ewma_access = profile.access.mu;
@@ -705,9 +668,15 @@ impl Session {
     }
 
     /// Gathers the run of consecutive queued samples starting at
-    /// `(seq0, obs0)` into the worker's columnar scratch and batch-steps
-    /// it. Only called with `state == Monitoring` and the `opened` event
-    /// already emitted.
+    /// `(seq0, obs0)` into the worker's columnar scratch, steps the
+    /// monitor over it and walks the steps tick by tick. Only called
+    /// with `state == Monitoring` and the `opened` event already
+    /// emitted. Verdict-class transitions and the alarm budget are
+    /// judged per sample, so a quarantine mid-run ends the walk at the
+    /// sample that tripped it and the samples behind it count as
+    /// dropped, exactly as if they had been queued behind a terminal
+    /// session. Stepping the detector past that sample is unobservable:
+    /// the session is terminal afterwards and its detector is released.
     // hot-path
     fn step_monitoring_run(
         &mut self,
@@ -717,74 +686,46 @@ impl Session {
     ) {
         SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
-            let scratch = &mut *scratch;
-            scratch.seqs.clear();
-            scratch.access.clear();
-            scratch.miss.clear();
-            scratch.seqs.push(seq0);
-            scratch.access.push(obs0.access_num);
-            scratch.miss.push(obs0.miss_num);
+            let BatchScratch { seqs, access, miss, steps } = &mut *scratch;
+            seqs.clear();
+            access.clear();
+            miss.clear();
+            seqs.push(seq0);
+            access.push(obs0.access_num);
+            miss.push(obs0.miss_num);
             while let Some(&Item::Obs(seq, obs)) = self.queue.front() {
-                scratch.seqs.push(seq);
-                scratch.access.push(obs.access_num);
-                scratch.miss.push(obs.miss_num);
+                seqs.push(seq);
+                access.push(obs.access_num);
+                miss.push(obs.miss_num);
                 self.queue.pop_front();
             }
-            self.step_monitoring_batch(scratch, events);
-        });
-    }
-
-    /// Steps the detector over one columnar run, then walks the steps
-    /// tick by tick: verdict-class transitions and the alarm budget are
-    /// judged per sample, so a quarantine mid-run ends the walk at the
-    /// sample that tripped it and the samples behind it count as
-    /// dropped, exactly as if they had been queued behind a terminal
-    /// session. Stepping the detector past that sample is unobservable:
-    /// the session is terminal afterwards and its detector is released.
-    // hot-path
-    fn step_monitoring_batch(
-        &mut self,
-        scratch: &mut BatchScratch,
-        events: &mut Vec<SessionEvent>,
-    ) {
-        let BatchScratch { seqs, access, miss, steps } = scratch;
-        steps.clear();
-        let Some(sds) = self.sds.as_deref_mut() else {
-            return;
-        };
-        sds.step_batch(ObservationBatch::new(access, miss), steps);
-        let mut consumed = 0usize;
-        for ((&seq, &access_num), step) in seqs.iter().zip(access.iter()).zip(steps.iter()) {
-            consumed += 1;
-            let mut sub = 0u32;
-            self.monitor_ticks += 1;
-            self.ewma_access += RECOVERY_ALPHA * (access_num - self.ewma_access);
-            if !step.verdict.same_class(&self.last_verdict) {
-                let payload = Event::Verdict {
-                    tenant: self.tenant.clone(),
-                    from: self.last_verdict,
-                    to: step.verdict,
-                    tick: self.monitor_ticks,
+            let mut columns = seqs.iter().zip(access.iter());
+            let batch = ObservationBatch::new(access, miss);
+            let consumed = self.monitor.step_batch(batch, steps, |step: MonitorStep| {
+                let Some((&seq, &access_num)) = columns.next() else {
+                    return ControlFlow::Break(());
                 };
-                events.push(SessionEvent { seq, sub, payload });
-                sub += 1;
-                self.last_verdict = step.verdict;
-            }
-            if step.became_active {
-                self.alarms += 1;
-                if self.config.quarantine_after > 0
-                    && self.alarms >= self.config.quarantine_after
-                {
+                let mut sub = 0u32;
+                self.ewma_access += RECOVERY_ALPHA * (access_num - self.ewma_access);
+                if let Some(from) = step.changed_from {
+                    let (tenant, to, tick) = (self.tenant.clone(), step.verdict, step.tick);
+                    let payload = Event::Verdict { tenant, from, to, tick };
+                    events.push(SessionEvent { seq, sub, payload });
+                    sub += 1;
+                }
+                let budget = self.config.quarantine_after;
+                if step.became_active && budget > 0 && step.alarms >= budget {
                     self.state = SessionState::Quarantined;
                     let payload =
-                        Event::Quarantined { tenant: self.tenant.clone(), alarms: self.alarms };
+                        Event::Quarantined { tenant: self.tenant.clone(), alarms: step.alarms };
                     events.push(SessionEvent { seq, sub, payload });
                     self.quarantine_notice = Some(seq);
-                    break;
+                    return ControlFlow::Break(());
                 }
-            }
-        }
-        self.dropped += (seqs.len() - consumed) as u64;
+                ControlFlow::Continue(())
+            });
+            self.dropped += (seqs.len() - consumed) as u64;
+        });
     }
 
     /// One `dropped` event payload (the engine logs it at the arrival
@@ -806,16 +747,21 @@ impl Session {
     }
 }
 
-/// The Stage-1 profiler configuration a session derives from its own.
-fn profiler_config(config: &SessionConfig) -> ProfilerConfig {
-    ProfilerConfig { sds: config.sds, ..ProfilerConfig::default() }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::render_event;
     use memdos_metrics::jsonl::{JsonObject, LineBuf};
+
+    impl Session {
+        /// Drains the queue through the lifecycle, collecting the
+        /// session's events for this flush.
+        fn process_queued(&mut self) -> Vec<SessionEvent> {
+            let mut events = Vec::new();
+            self.process_queued_into(&mut events);
+            events
+        }
+    }
 
     fn fast_config() -> SessionConfig {
         SessionConfig {
@@ -993,7 +939,7 @@ mod tests {
         feed(&mut husk, 2_000, 2_000, |_| Observation { access_num: 100.0, miss_num: 100.0 });
         assert_eq!(husk.state(), SessionState::Quarantined);
         husk.shrink_terminal();
-        assert!(husk.profiler.is_none() && husk.sds.is_none());
+        assert!(husk.monitor.resident_bytes_hint() == 0 && husk.alarms() == 1);
 
         // Source 3: a session still profiling, whose profiler is reset.
         let mut profiling = Session::open("vm-a", cfg).unwrap();

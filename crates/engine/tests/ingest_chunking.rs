@@ -6,12 +6,15 @@
 //! boundary and a trailing unterminated line — is fed to
 //! `Engine::ingest_reader` whole, one byte per read and 8 KiB per read.
 //! All three feeds must produce byte-identical logs and the same line
-//! count, and every `malformed` event must match the `Frame::Skipped`
-//! that `jsonl::Decoder` reports for the same span.
+//! count, and every `malformed` event must match a span that the
+//! `jsonl::LineFramer` skips, or that `jsonl::resync_line` skips in a
+//! line that does not parse, for the same bytes.
 
 use memdos_engine::engine::Engine;
 use memdos_engine::Config;
-use memdos_metrics::jsonl::{Decoder, Frame, JsonObject, DEFAULT_MAX_LINE};
+use memdos_metrics::jsonl::{
+    resync_line, JsonObject, LineFramer, Piece, Segment, DEFAULT_MAX_LINE,
+};
 use std::io::BufReader;
 
 /// Read size of the buffered feed; the stream places a multi-byte
@@ -80,7 +83,7 @@ fn reader_chunking_does_not_change_the_log() {
     assert!(log.iter().any(|l| l.contains("vm-\u{20ac}")), "the split character decoded");
     assert!(!log.iter().any(|l| l.contains("vm-1")), "the oversized line opened a session");
 
-    // Every malformed event is the decoder's skipped span.
+    // Every malformed event is a span the framer or resync skipped.
     let malformed: Vec<(String, Option<usize>)> = log
         .iter()
         .map(|l| JsonObject::parse(l).expect("log lines are valid JSONL"))
@@ -90,16 +93,21 @@ fn reader_chunking_does_not_change_the_log() {
             (reason, e.get_f64("bytes").map(|b| b as usize))
         })
         .collect();
-    let mut dec = Decoder::new();
-    dec.push_bytes(&bytes);
-    let skipped: Vec<(String, Option<usize>)> = dec
-        .finish()
-        .into_iter()
-        .filter_map(|f| match f {
-            Frame::Skipped { bytes, reason } => Some((reason, Some(bytes))),
-            Frame::Object(_) => None,
-        })
-        .collect();
+    let mut skipped: Vec<(String, Option<usize>)> = Vec::new();
+    let mut collect = |piece: Piece<'_>| match piece {
+        Piece::Skipped { bytes, reason } => skipped.push((reason.to_string(), Some(bytes))),
+        Piece::Text(text) if JsonObject::parse(text).is_err() => {
+            for segment in resync_line(text) {
+                if let Segment::Skipped { bytes, reason } = segment {
+                    skipped.push((reason, Some(bytes)));
+                }
+            }
+        }
+        Piece::Text(_) => {}
+    };
+    let mut framer = LineFramer::new(DEFAULT_MAX_LINE);
+    framer.push(&bytes, &mut collect);
+    framer.finish(&mut collect);
     assert_eq!(malformed, skipped);
     // The capped line, then the two invalid UTF-8 bytes.
     assert_eq!(skipped.len(), 3, "{skipped:?}");

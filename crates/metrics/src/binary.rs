@@ -268,7 +268,8 @@ enum Step {
 }
 
 /// Incremental byte-stream binary decoder with resynchronisation and
-/// bounded buffering — the binary twin of [`crate::jsonl::Decoder`].
+/// bounded buffering — the binary twin of [`crate::jsonl::LineFramer`]
+/// with resynchronisation.
 ///
 /// Buffering is bounded by construction: every complete frame is at most
 /// `FRAME_LEN + MAX_NAME_LEN` bytes, so the decoder holds less than one

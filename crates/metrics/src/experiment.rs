@@ -14,7 +14,8 @@ use memdos_attacks::AttackKind;
 use memdos_core::config::{KsTestParams, SdsParams};
 use memdos_core::detector::{Detector, DetectorStep, Observation, ThrottleRequest};
 use memdos_core::kstest::KsTestDetector;
-use memdos_core::profile::{Profile, Profiler, ProfilerConfig};
+use memdos_core::monitor::{self, Monitor};
+use memdos_core::profile::Profile;
 use memdos_core::sds::Sds;
 use memdos_core::sdsp::SdsP;
 use memdos_core::CoreError;
@@ -60,8 +61,8 @@ impl Scheme {
 
     /// Arms a passive scheme from a Stage-1 profile — the one
     /// constructor behind every live run and [`run_all_schemes`]. SDS/B
-    /// is the combined detector armed from a boundary-only copy of the
-    /// profile, so it never consults SDS/P.
+    /// is [`monitor::arm_boundary`]: the combined detector armed from a
+    /// boundary-only copy of the profile, so it never consults SDS/P.
     ///
     /// [`run_all_schemes`]: ExperimentConfig::run_all_schemes
     ///
@@ -78,11 +79,7 @@ impl Scheme {
     ) -> Result<Box<dyn Detector>, CoreError> {
         Ok(match self {
             Scheme::Sds => Box::new(Sds::from_profile(profile, params)?),
-            Scheme::SdsB => {
-                let mut boundary_only = profile.clone();
-                boundary_only.periodicity = None;
-                Box::new(Sds::from_profile(&boundary_only, params)?)
-            }
+            Scheme::SdsB => Box::new(monitor::arm_boundary(profile, params)?),
             Scheme::SdsP => Box::new(SdsP::from_profile(profile, &params.sdsp)?),
             Scheme::KsTest => {
                 return Err(CoreError::InvalidParameter {
@@ -314,7 +311,8 @@ impl ExperimentConfig {
         server: &mut Server,
         victim: VmId,
     ) -> Result<Profile, CoreError> {
-        profile(&self.sds_params, live(server, victim, self.stages.profile_ticks))
+        let ticks = self.stages.profile_ticks;
+        monitor::profile_stage(&self.sds_params, ticks, live(server, victim, ticks))
     }
 
     /// Runs the complete three-stage protocol for one scheme.
@@ -351,19 +349,9 @@ impl ExperimentConfig {
         Ok(outcomes)
     }
 
-    /// The passive schemes applicable to a profile, in outcome order:
-    /// SDS, SDS/B, and SDS/P when the profile is periodic.
-    fn arm_passive(&self, p: &Profile) -> Result<Vec<(Scheme, Box<dyn Detector>)>, CoreError> {
-        let schemes: &[Scheme] = if p.is_periodic() {
-            &[Scheme::Sds, Scheme::SdsB, Scheme::SdsP]
-        } else {
-            &[Scheme::Sds, Scheme::SdsB]
-        };
-        schemes.iter().map(|&s| Ok((s, s.arm(p, &self.sds_params)?))).collect()
-    }
-
     /// [`ExperimentConfig::run_all_schemes`]'s passive outcomes for run
-    /// `run` under every attack in `attacks`, in `attacks` order, from
+    /// `run` — SDS, SDS/B, and SDS/P when the profile is periodic —
+    /// under every attack in `attacks`, in `attacks` order, from
     /// one simulation of the attack-free stages 1–2 (see
     /// [`ExperimentConfig::fork_at_launch`]). Each attack's outcomes
     /// equal a from-scratch run of that attack. `self.attack` only picks
@@ -377,7 +365,11 @@ impl ExperimentConfig {
         attacks: &[AttackKind],
         run: u64,
     ) -> Result<Vec<Vec<RunOutcome>>, CoreError> {
-        self.passive_sweep(attacks, run, |p| self.arm_passive(p))
+        self.passive_sweep(attacks, run, |p| {
+            let periodic = if p.is_periodic() { &[Scheme::SdsP][..] } else { &[] };
+            let schemes = [Scheme::Sds, Scheme::SdsB].iter().chain(periodic);
+            schemes.map(|&s| Ok((s, s.arm(p, &self.sds_params)?))).collect()
+        })
     }
 
     /// KStest's outcome for run `run` under every attack in `attacks`,
@@ -555,63 +547,50 @@ fn capture(
     live(server, victim, ticks).map(|obs| obs.expect("victim sample"))
 }
 
-/// The one Stage-1 profiling loop: feeds every observation of `feed`
-/// to a fresh profiler and finalises the profile.
-fn profile(
-    params: &SdsParams,
-    feed: impl Iterator<Item = Result<Observation, CoreError>>,
-) -> Result<Profile, CoreError> {
-    let mut profiler = Profiler::new(ProfilerConfig {
-        sds: *params,
-        ..ProfilerConfig::default()
-    })?;
-    for obs in feed {
-        profiler.observe(obs?);
-    }
-    profiler.finish()
-}
-
 /// The one passive detection loop, shared by live runs and replays:
-/// profiles the first `profile_ticks` observations of `feed`, arms the
-/// schemes `arm` builds from that profile, then steps every armed
-/// scheme over the rest of the feed and records its alarm timeline.
-/// Outcomes follow the order `arm` returned the schemes in.
+/// profiles the first `profile_ticks` observations of `feed` once, arms
+/// a [`Monitor`] for every scheme `arm` builds from that profile, then
+/// steps every monitor over the rest of the feed and records its alarm
+/// timeline. Outcomes follow the order `arm` returned the schemes in.
 fn passive_run<D: Detector>(
     params: &SdsParams,
     profile_ticks: u64,
     mut feed: impl Iterator<Item = Result<Observation, CoreError>>,
     arm: impl FnOnce(&Profile) -> Result<Vec<(Scheme, D)>, CoreError>,
 ) -> Result<Vec<RunOutcome>, CoreError> {
-    let profile = profile(params, feed.by_ref().take(profile_ticks as usize))?;
-    let mut armed = arm(&profile)?;
+    let profile = monitor::profile_stage(params, profile_ticks, feed.by_ref())?;
     let monitored = feed.size_hint().0;
-    let mut outcomes: Vec<RunOutcome> = armed
-        .iter()
-        .map(|(scheme, _)| RunOutcome {
-            scheme: *scheme,
-            alarm: Vec::with_capacity(monitored),
-            activations: Vec::new(),
-            profile_periodic: profile.is_periodic(),
+    let mut armed: Vec<(Monitor<D>, RunOutcome)> = arm(&profile)?
+        .into_iter()
+        .map(|(scheme, det)| {
+            let out = RunOutcome {
+                scheme,
+                alarm: Vec::with_capacity(monitored),
+                activations: Vec::new(),
+                profile_periodic: profile.is_periodic(),
+            };
+            (Monitor::armed(det), out)
         })
         .collect();
-    for (t, obs) in feed.enumerate() {
+    for obs in feed {
         let obs = obs?;
-        for ((_, det), out) in armed.iter_mut().zip(&mut outcomes) {
-            if det.on_observation(obs).became_active {
-                out.activations.push(t as u64);
+        for (monitor, out) in &mut armed {
+            if let Some(step) = monitor.step(obs).filter(|s| s.became_active) {
+                out.activations.push(step.index());
             }
-            out.alarm.push(det.alarm_active());
+            out.alarm.push(monitor.alarm_active());
         }
     }
-    Ok(outcomes)
+    Ok(armed.into_iter().map(|(_, out)| out).collect())
 }
 
 /// The one live KStest loop: steps `det` over the next `ticks.len()`
 /// ticks of `server`, applying the throttle requests its protocol makes
 /// (pausing the other VMs while it collects its reference), and hands
 /// each tick's index — counted on from `ticks.start`, so a forked run
-/// continues its timeline — and step to `record`.
-fn throttled_run(
+/// continues its timeline — and step to `record`. KStest needs no
+/// profile, so it runs here rather than under a [`Monitor`].
+pub(crate) fn throttled_run(
     det: &mut KsTestDetector,
     server: &mut Server,
     victim: VmId,
@@ -652,7 +631,7 @@ impl CapturedRun {
     ///
     /// Propagates profiling errors.
     pub fn profile_with(&self, params: &SdsParams) -> Result<Profile, CoreError> {
-        profile(params, self.feed().take(self.stages.profile_ticks as usize))
+        monitor::profile_stage(params, self.stages.profile_ticks, self.feed())
     }
 
     /// Replays stages 2+3 through a passive detector built by `make`
@@ -694,9 +673,7 @@ impl CapturedRun {
     ///
     /// Returns [`CoreError::NotPeriodic`] on a non-periodic profile.
     pub fn replay_sdsp(&self, params: &SdsParams) -> Result<RunOutcome, CoreError> {
-        self.replay_passive(Scheme::SdsP, params, |p| {
-            SdsP::from_profile(p, &params.sdsp)
-        })
+        self.replay_passive(Scheme::SdsP, params, |p| SdsP::from_profile(p, &params.sdsp))
     }
 }
 

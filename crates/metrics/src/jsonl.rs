@@ -14,8 +14,8 @@
 //!
 //! Two surfaces share that grammar:
 //!
-//! * the [`JsonObject`] tree — general, allocating, used by reports, the
-//!   [`Decoder`] and the resynchronisation path;
+//! * the [`JsonObject`] tree — general, allocating, used by reports and
+//!   the resynchronisation path;
 //! * the ingest path — [`parse_record_borrowed`] decodes a protocol
 //!   record as borrowed spans (escaped protocol strings decode into a
 //!   caller-owned scratch buffer) with no steady-state heap allocation,
@@ -24,7 +24,8 @@
 //!   to [`JsonObject::to_line`].
 //!
 //! Byte streams are split into lines by one framer, [`LineFramer`],
-//! which both the [`Decoder`] and the engine's stream reader drive.
+//! which every JSONL stream reader drives (the engine's ingest and its
+//! `convert` command).
 
 use std::fmt::Write as _;
 
@@ -212,7 +213,7 @@ pub enum Segment {
 ///
 /// Whitespace-only residue is not reported. The scan is linear in the
 /// number of `{` candidates; callers bounding line length (see
-/// [`Decoder`]) bound its cost.
+/// [`LineFramer`]) bound its cost.
 pub fn resync_line(line: &str) -> Vec<Segment> {
     let mut segments = Vec::new();
     let bytes = line.as_bytes();
@@ -280,9 +281,8 @@ pub enum Piece<'a> {
 
 /// The JSONL stream framer: splits arbitrary byte chunks into physical
 /// lines and each line into [`Piece`]s. It is the one framing layer
-/// every JSONL reader shares — [`Decoder`] wraps it, and the engine's
-/// stream reader drives it directly — so the pieces a stream yields
-/// never depend on how its bytes were chunked:
+/// every JSONL reader shares, so the pieces a stream yields never
+/// depend on how its bytes were chunked:
 ///
 /// * lines longer than `max_line` bytes are skipped wholesale (one
 ///   `Skipped` piece covering the whole line), whether the line arrived
@@ -401,117 +401,8 @@ fn split_utf8(line: &[u8], sink: &mut impl FnMut(Piece<'_>)) {
     }
 }
 
-/// One decoded frame from a [`Decoder`]: a record or a skipped span.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Frame {
-    /// A valid flat object.
-    Object(JsonObject),
-    /// Bytes the decoder skipped to resynchronise (corruption, oversized
-    /// lines, invalid UTF-8).
-    Skipped {
-        /// Number of bytes the span covers.
-        bytes: usize,
-        /// Why the span was skipped.
-        reason: String,
-    },
-}
-
-/// Incremental byte-stream JSONL decoder with resynchronisation and
-/// bounded buffering: a [`LineFramer`] whose text pieces are parsed into
-/// owned [`JsonObject`]s.
-///
-/// Feed arbitrary byte chunks with [`Decoder::push_bytes`] and drain
-/// complete frames with [`Decoder::drain`]; call [`Decoder::finish`] at
-/// end of stream for the trailing unterminated line. The decoder never
-/// panics on any input and always resynchronises to the next valid
-/// record: the framer skips oversized lines and invalid UTF-8, and
-/// within a text piece [`resync_line`] recovers every embedded record
-/// around corrupted spans.
-#[derive(Debug)]
-pub struct Decoder {
-    framer: LineFramer,
-    frames: Vec<Frame>,
-    /// Objects recovered by resynchronisation from dirty lines (lines
-    /// that did not parse cleanly as exactly one object).
-    resynced: u64,
-}
-
-/// Default per-line byte cap for [`Decoder::new`].
+/// Default per-line byte cap of a JSONL stream reader.
 pub const DEFAULT_MAX_LINE: usize = 64 * 1024;
-
-impl Default for Decoder {
-    fn default() -> Self {
-        Decoder::new()
-    }
-}
-
-impl Decoder {
-    /// A decoder with the [`DEFAULT_MAX_LINE`] line cap.
-    pub fn new() -> Self {
-        Decoder::with_max_line(DEFAULT_MAX_LINE)
-    }
-
-    /// A decoder with a custom per-line byte cap (minimum 16).
-    pub fn with_max_line(max_line: usize) -> Self {
-        Decoder { framer: LineFramer::new(max_line), frames: Vec::new(), resynced: 0 }
-    }
-
-    /// Number of physical lines (newline-terminated or final partial)
-    /// consumed so far.
-    pub fn lines(&self) -> u64 {
-        self.framer.lines()
-    }
-
-    /// Objects recovered by resynchronisation from dirty lines so far
-    /// (a clean one-object line does not count).
-    pub fn resynced(&self) -> u64 {
-        self.resynced
-    }
-
-    /// Feeds one chunk of the stream into the decoder.
-    pub fn push_bytes(&mut self, chunk: &[u8]) {
-        let (frames, resynced) = (&mut self.frames, &mut self.resynced);
-        self.framer.push(chunk, |piece| decode_piece(piece, frames, resynced));
-    }
-
-    /// Takes every frame decoded so far.
-    pub fn drain(&mut self) -> Vec<Frame> {
-        std::mem::take(&mut self.frames)
-    }
-
-    /// Flushes the trailing unterminated line (end of stream) and takes
-    /// the remaining frames.
-    pub fn finish(&mut self) -> Vec<Frame> {
-        let (frames, resynced) = (&mut self.frames, &mut self.resynced);
-        self.framer.finish(|piece| decode_piece(piece, frames, resynced));
-        self.drain()
-    }
-}
-
-/// Turns one framed piece into [`Decoder`] frames.
-fn decode_piece(piece: Piece<'_>, frames: &mut Vec<Frame>, resynced: &mut u64) {
-    let text = match piece {
-        Piece::Text(text) => text,
-        Piece::Skipped { bytes, reason } => {
-            frames.push(Frame::Skipped { bytes, reason: reason.to_string() });
-            return;
-        }
-    };
-    // The common case: one clean object per line.
-    if let Ok(obj) = JsonObject::parse(text) {
-        frames.push(Frame::Object(obj));
-        return;
-    }
-    for segment in resync_line(text) {
-        frames.push(match segment {
-            Segment::Object(obj) => {
-                *resynced += 1;
-                Frame::Object(obj)
-            }
-            Segment::Skipped { bytes, reason } => Frame::Skipped { bytes, reason },
-        });
-    }
-}
 
 /// Appends `s` as a quoted, escaped JSON string.
 fn escape_into(out: &mut String, s: &str) {
@@ -1310,42 +1201,6 @@ mod tests {
     }
 
     #[test]
-    fn decoder_reassembles_split_chunks() {
-        let mut dec = Decoder::new();
-        dec.push_bytes(b"{\"a\":1}\n{\"b\"");
-        let first = dec.drain();
-        assert_eq!(first.len(), 1);
-        dec.push_bytes(b":2}\n");
-        let second = dec.drain();
-        assert_eq!(second.len(), 1);
-        assert!(matches!(&second[0], Frame::Object(o) if o.get_f64("b") == Some(2.0)));
-        assert!(dec.finish().is_empty());
-        assert_eq!(dec.lines(), 2);
-    }
-
-    #[test]
-    fn decoder_finish_flushes_unterminated_line() {
-        let mut dec = Decoder::new();
-        dec.push_bytes(b"{\"a\":1}");
-        assert!(dec.drain().is_empty());
-        let frames = dec.finish();
-        assert_eq!(frames.len(), 1);
-        assert!(matches!(&frames[0], Frame::Object(_)));
-    }
-
-    #[test]
-    fn decoder_caps_oversized_lines() {
-        let mut dec = Decoder::with_max_line(16);
-        let long = vec![b'x'; 100];
-        dec.push_bytes(&long);
-        dec.push_bytes(b"\n{\"a\":1}\n");
-        let frames = dec.drain();
-        assert_eq!(frames.len(), 2, "{frames:?}");
-        assert!(matches!(&frames[0], Frame::Skipped { reason, .. } if reason.contains("cap")));
-        assert!(matches!(&frames[1], Frame::Object(_)));
-    }
-
-    #[test]
     fn integer_writers_match_display() {
         let mut out = String::new();
         for n in [0u64, 1, 9, 10, 99, 100, 12_345, u64::MAX, 10_u64.pow(19)] {
@@ -1473,25 +1328,5 @@ mod tests {
         assert!(matches!(parse_record(escaped_ctl), Ok((_, RawKind::Close))));
         // Escapes in an ignored string value decide nothing.
         assert!(parse_record(r#"{"tenant":"a","note":"x\ty","access":1,"miss":2}"#).is_ok());
-    }
-
-    #[test]
-    fn decoder_skips_invalid_utf8_and_resyncs() {
-        let mut dec = Decoder::new();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(br#"{"a":1}"#);
-        bytes.push(0xFF);
-        bytes.extend_from_slice(br#"{"b":2}"#);
-        bytes.push(b'\n');
-        dec.push_bytes(&bytes);
-        let frames = dec.drain();
-        let objects = frames
-            .iter()
-            .filter(|f| matches!(f, Frame::Object(_)))
-            .count();
-        assert_eq!(objects, 2, "{frames:?}");
-        assert!(frames
-            .iter()
-            .any(|f| matches!(f, Frame::Skipped { reason, .. } if reason.contains("UTF-8"))));
     }
 }

@@ -22,13 +22,12 @@
 //! ratio of execution times for a fixed job and far less sensitive to
 //! the chaotic tail of a stopping-time measurement.
 
-use memdos_core::detector::{Detector, Observation, ThrottleRequest};
 use memdos_core::kstest::KsTestDetector;
 use memdos_sim::server::{Server, ServerConfig};
 use memdos_sim::VmId;
 use memdos_workloads::catalog::Application;
 
-use crate::experiment::{ExperimentConfig, Scheme};
+use crate::experiment::{throttled_run, ExperimentConfig, Scheme};
 
 /// Configuration of one overhead measurement.
 #[derive(Debug, Clone)]
@@ -84,35 +83,28 @@ impl OverheadConfig {
     }
 
     /// Work the measured VM completes in the window under `scheme`
-    /// (`None` = no detection).
+    /// (`None` = no detection). Passive schemes only tax the server;
+    /// KStest also runs its throttling protocol on the protected VM.
     pub fn work_in_window(&self, scheme: Option<Scheme>, run: u64) -> u64 {
         let (mut server, measured, protected) = self.build(run);
-        let mut detector: Option<KsTestDetector> = None;
         match scheme {
-            None => {}
-            Some(s) if s.is_passive() => {
-                server.set_monitor_tax(self.base.sds_tax_cycles);
-            }
-            Some(_) => {
+            Some(s) if !s.is_passive() => {
                 server.set_monitor_tax(self.base.ks_tax_cycles);
-                detector =
-                    // lint:allow(panic) -- ks_params comes from the validated
-                    // base ExperimentConfig; invalid ones are a bug.
-                    Some(KsTestDetector::new(self.base.ks_params).expect("valid params"));
-            }
-        }
-        for _ in 0..self.measure_ticks {
-            let report = server.tick();
-            if let Some(det) = detector.as_mut() {
-                let obs =
+                // lint:allow(panic) -- ks_params comes from the validated
+                // base ExperimentConfig; invalid ones are a bug.
+                let mut det = KsTestDetector::new(self.base.ks_params).expect("valid params");
+                let ticks = 0..self.measure_ticks;
+                throttled_run(&mut det, &mut server, protected, ticks, |_, _, _| {})
                     // lint:allow(panic) -- `protected` was registered by the
                     // build step above; a missing sample is a simulator bug.
-                    Observation::from(report.sample(protected).expect("protected sample"));
-                let step = det.on_observation(obs);
-                match step.throttle {
-                    Some(ThrottleRequest::PauseOthers) => server.pause_all_except(protected),
-                    Some(ThrottleRequest::ResumeAll) => server.resume_all(),
-                    None => {}
+                    .expect("protected sample");
+            }
+            _ => {
+                if scheme.is_some() {
+                    server.set_monitor_tax(self.base.sds_tax_cycles);
+                }
+                for _ in 0..self.measure_ticks {
+                    server.tick();
                 }
             }
         }

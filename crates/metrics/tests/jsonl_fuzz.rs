@@ -1,5 +1,7 @@
 //! Seeded fuzz-style property tests for the resynchronising JSONL
-//! decoder (`metrics::jsonl::Decoder`).
+//! stream path: [`LineFramer`] framing, then per line a clean
+//! [`JsonObject::parse`] or [`resync_line`] recovery, the pieces every
+//! JSONL reader is built from, composed here into a test [`Decoder`].
 //!
 //! Std-only and fully deterministic: all "arbitrary" input derives from
 //! `memdos_stats::rng` seeds, so a failure reproduces from its seed
@@ -12,8 +14,71 @@
 //! * the per-line byte cap bounds buffering without losing the records
 //!   that follow an oversized line.
 
-use memdos_metrics::jsonl::{Decoder, Frame, JsonObject};
+use memdos_metrics::jsonl::{
+    resync_line, JsonObject, LineFramer, Piece, Segment, DEFAULT_MAX_LINE,
+};
 use memdos_stats::rng::{derive_seed, Rng};
+
+/// One decoded frame: a record or a skipped span.
+#[derive(Debug, Clone, PartialEq)]
+enum Frame {
+    Object(JsonObject),
+    Skipped { bytes: usize, reason: String },
+}
+
+/// A byte-stream decoder: a [`LineFramer`] whose text pieces parse into
+/// objects, resynchronising around corrupted spans.
+struct Decoder {
+    framer: LineFramer,
+    frames: Vec<Frame>,
+}
+
+impl Decoder {
+    fn new() -> Self {
+        Decoder::with_max_line(DEFAULT_MAX_LINE)
+    }
+
+    fn with_max_line(max_line: usize) -> Self {
+        Decoder { framer: LineFramer::new(max_line), frames: Vec::new() }
+    }
+
+    fn lines(&self) -> u64 {
+        self.framer.lines()
+    }
+
+    fn push_bytes(&mut self, chunk: &[u8]) {
+        let frames = &mut self.frames;
+        self.framer.push(chunk, |piece| decode_piece(piece, frames));
+    }
+
+    fn drain(&mut self) -> Vec<Frame> {
+        std::mem::take(&mut self.frames)
+    }
+
+    fn finish(&mut self) -> Vec<Frame> {
+        let frames = &mut self.frames;
+        self.framer.finish(|piece| decode_piece(piece, frames));
+        self.drain()
+    }
+}
+
+fn decode_piece(piece: Piece<'_>, frames: &mut Vec<Frame>) {
+    let text = match piece {
+        Piece::Text(text) => text,
+        Piece::Skipped { bytes, reason } => {
+            frames.push(Frame::Skipped { bytes, reason: reason.to_string() });
+            return;
+        }
+    };
+    if let Ok(obj) = JsonObject::parse(text) {
+        frames.push(Frame::Object(obj));
+        return;
+    }
+    frames.extend(resync_line(text).into_iter().map(|segment| match segment {
+        Segment::Object(obj) => Frame::Object(obj),
+        Segment::Skipped { bytes, reason } => Frame::Skipped { bytes, reason },
+    }));
+}
 
 /// Builds a clean JSONL stream of `n` records and returns (bytes, the
 /// expected access values in order).
@@ -215,4 +280,60 @@ fn clean_streams_roundtrip_exactly() {
             assert!(JsonObject::parse(line).is_ok(), "case {case}");
         }
     }
+}
+
+#[test]
+fn decoder_reassembles_split_chunks() {
+    let mut dec = Decoder::new();
+    dec.push_bytes(b"{\"a\":1}\n{\"b\"");
+    let first = dec.drain();
+    assert_eq!(first.len(), 1);
+    dec.push_bytes(b":2}\n");
+    let second = dec.drain();
+    assert_eq!(second.len(), 1);
+    assert!(matches!(&second[0], Frame::Object(o) if o.get_f64("b") == Some(2.0)));
+    assert!(dec.finish().is_empty());
+    assert_eq!(dec.lines(), 2);
+}
+
+#[test]
+fn decoder_finish_flushes_unterminated_line() {
+    let mut dec = Decoder::new();
+    dec.push_bytes(b"{\"a\":1}");
+    assert!(dec.drain().is_empty());
+    let frames = dec.finish();
+    assert_eq!(frames.len(), 1);
+    assert!(matches!(&frames[0], Frame::Object(_)));
+}
+
+#[test]
+fn decoder_caps_oversized_lines() {
+    let mut dec = Decoder::with_max_line(16);
+    let long = vec![b'x'; 100];
+    dec.push_bytes(&long);
+    dec.push_bytes(b"\n{\"a\":1}\n");
+    let frames = dec.drain();
+    assert_eq!(frames.len(), 2, "{frames:?}");
+    assert!(matches!(&frames[0], Frame::Skipped { reason, .. } if reason.contains("cap")));
+    assert!(matches!(&frames[1], Frame::Object(_)));
+}
+
+#[test]
+fn decoder_skips_invalid_utf8_and_resyncs() {
+    let mut dec = Decoder::new();
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(br#"{"a":1}"#);
+    bytes.push(0xFF);
+    bytes.extend_from_slice(br#"{"b":2}"#);
+    bytes.push(b'\n');
+    dec.push_bytes(&bytes);
+    let frames = dec.drain();
+    let objects = frames
+        .iter()
+        .filter(|f| matches!(f, Frame::Object(_)))
+        .count();
+    assert_eq!(objects, 2, "{frames:?}");
+    assert!(frames
+        .iter()
+        .any(|f| matches!(f, Frame::Skipped { reason, .. } if reason.contains("UTF-8"))));
 }

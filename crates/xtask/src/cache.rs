@@ -29,11 +29,11 @@ pub const CACHE_VERSION: u64 = 1;
 
 /// Rule-set version: bump whenever a rule family, its scoping, or its
 /// diagnostic text changes, so stale findings cannot be replayed.
-pub const RULES_VERSION: u64 = 1;
+pub const RULES_VERSION: u64 = 2;
 
 /// Every rule code a cached finding may carry. Findings are interned
 /// back to these on load; an unknown code discards the cache.
-const RULE_NAMES: [&str; 20] = [
+const RULE_NAMES: [&str; 21] = [
     "L1/panic",
     "L1/index",
     "L2/time",
@@ -46,6 +46,7 @@ const RULE_NAMES: [&str; 20] = [
     "L5/thread",
     "L5/seed",
     "L6/step",
+    "L6/profile",
     "L7/hot-alloc",
     "L8/shared-state",
     "L9/hot-propagate",

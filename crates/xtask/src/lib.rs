@@ -29,7 +29,11 @@
 //!   also the only crates exempt from the wall-clock ban; the
 //!   golden-ratio seed constant may appear only in `stats`.
 //! * **L6 detector authority** — outside `core`, detectors are stepped
-//!   only through the `Detector` trait (`on_observation`).
+//!   only through the `Detector` trait (`on_observation`), and no code
+//!   builds a Stage-1 `Profiler` (`L6/profile`): profiling goes through
+//!   `memdos_core::monitor`, which owns the profiler and its length.
+//!   The root `examples/` and `tests/` keep showing the raw `Profiler`
+//!   workflow; they are outside the lint's scope.
 //! * **L7 hot-path allocation** — in the ingest crates (`engine`,
 //!   `metrics`), functions marked with a `// hot-path` comment must not
 //!   build `String`s; render through `jsonl::LineBuf` instead.
@@ -146,7 +150,8 @@ const HARNESS_CRATES: [&str; 3] = ["runner", "bench", "xtask"];
 const SEED_AUTHORITY_CRATES: [&str; 1] = ["stats"];
 
 /// The one crate allowed to call the scheme-private `on_sample` stepping
-/// methods; everyone else steps detectors through the `Detector` trait.
+/// methods or build a Stage-1 `Profiler`; everyone else steps detectors
+/// through the `Detector` trait and profiles through `core::monitor`.
 const DETECTOR_AUTHORITY_CRATES: [&str; 1] = ["core"];
 
 /// The crates carrying the allocation-free ingest contract: functions

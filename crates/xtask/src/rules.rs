@@ -60,7 +60,7 @@ pub struct FileScope {
 
 /// Every category a `lint:allow(<category>)` marker may name. A marker
 /// with any other category is reported by the `allow-unknown` rule.
-pub const KNOWN_CATEGORIES: [&str; 15] = [
+pub const KNOWN_CATEGORIES: [&str; 16] = [
     "panic",
     "index",
     "time",
@@ -71,6 +71,7 @@ pub const KNOWN_CATEGORIES: [&str; 15] = [
     "thread",
     "seed",
     "step",
+    "profile",
     "hot-alloc",
     "shared-state",
     "hot-propagate",
@@ -80,6 +81,15 @@ pub const KNOWN_CATEGORIES: [&str; 15] = [
 
 fn is_ident(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'_'
+}
+
+/// True when `line` constructs a Stage-1 `Profiler` (`Profiler::new(`
+/// or `Profiler::default(`, not a longer name ending in `Profiler`).
+fn builds_profiler(line: &str) -> bool {
+    ["Profiler::new(", "Profiler::default("].iter().any(|pat| {
+        line.match_indices(pat)
+            .any(|(at, _)| line.as_bytes().get(at.wrapping_sub(1)).is_none_or(|&b| !is_ident(b)))
+    })
 }
 
 /// True when `token` occurs in `line` delimited by non-identifier chars.
@@ -633,6 +643,16 @@ pub fn check_file(
                     .to_string(),
             );
         }
+        if !scope.detector_authority && builds_profiler(raw_line) {
+            push(
+                "L6/profile",
+                "profile",
+                "Stage-1 profiler built outside memdos-core; profile through \
+                 memdos_core::monitor (Monitor, profile_stage), which owns the \
+                 profiler, its length and the arm step"
+                    .to_string(),
+            );
+        }
         if !scope.shared_state_sanctioned {
             if let Some(prim) = shared_state_on_line(raw_line) {
                 push(
@@ -1024,6 +1044,18 @@ mod tests {
         assert!(rules_of("fn on_sample(x: f64) {}\n").is_empty());
         let core = FileScope { detector_authority: true, ..SCOPE };
         assert!(check_source("t.rs", "fn f() { det.on_sample(x); }\n", core).is_empty());
+    }
+
+    #[test]
+    fn flags_profiler_construction_outside_core() {
+        assert_eq!(rules_of("fn f() { let p = Profiler::new(cfg)?; }\n"), vec!["L6/profile"]);
+        assert_eq!(rules_of("let p = core::profile::Profiler::default();\n"), vec!["L6/profile"]);
+        // A longer name, a type mention and the monitor are not builds.
+        assert!(rules_of("let p = StageProfiler::new(cfg);\n").is_empty());
+        assert!(rules_of("fn f(p: &Profiler) -> u64 { p.observations() }\n").is_empty());
+        assert!(rules_of("let m = Monitor::<Sds>::new(&params, ticks)?;\n").is_empty());
+        let core = FileScope { detector_authority: true, ..SCOPE };
+        assert!(check_source("t.rs", "let p = Profiler::new(cfg)?;\n", core).is_empty());
     }
 
     #[test]

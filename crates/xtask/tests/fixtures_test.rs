@@ -184,6 +184,25 @@ fn l6_step_spares_trait_path_allows_tests_and_the_core_crate() {
 }
 
 #[test]
+fn l6_profile_fires_on_profiler_builds() {
+    let src = include_str!("fixtures/l6_profile_violation.rs");
+    let findings = check_source("fixture.rs", src, LIB_SCOPE);
+    // the `new` build and the path-qualified `default` one
+    assert_eq!(count(&findings, "L6/profile"), 2, "{findings:?}");
+}
+
+#[test]
+fn l6_profile_spares_the_monitor_allows_tests_and_the_core_crate() {
+    let src = include_str!("fixtures/l6_profile_allowed.rs");
+    let findings = check_source("fixture.rs", src, LIB_SCOPE);
+    assert!(findings.is_empty(), "{findings:?}");
+    // The violation fixture is legal inside memdos-core itself.
+    let violation = include_str!("fixtures/l6_profile_violation.rs");
+    let findings = check_source("fixture.rs", violation, CORE_SCOPE);
+    assert_eq!(count(&findings, "L6/profile"), 0, "{findings:?}");
+}
+
+#[test]
 fn l7_hot_alloc_fires_inside_marked_functions() {
     let src = include_str!("fixtures/l7_hotpath_violation.rs");
     let findings = check_source("fixture.rs", src, HOT_SCOPE);

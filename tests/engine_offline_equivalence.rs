@@ -10,11 +10,14 @@
 //! `verdict … "to":"alarm"` transition the engine logs lands on the tick
 //! where the offline replay records an activation.
 //!
-//! The two count ticks from different origins. The engine's verdict
-//! `tick` counts the session's monitoring samples from 1 (the first
-//! sample after Stage 1 is tick 1); `RunOutcome::activations` holds
-//! indices into the post-profile alarm timeline, which start at 0. So
-//! an engine tick `t` is the offline activation `t - 1`.
+//! Both run the same `memdos_core::monitor::Monitor`, but count ticks
+//! from different origins. The engine's verdict `tick` counts the
+//! session's monitoring samples from 1 (the first sample after Stage 1
+//! is tick 1); `RunOutcome::activations` holds indices into the
+//! post-profile alarm timeline, which start at 0. So an engine tick `t`
+//! is the offline activation `t - 1`: both come from one
+//! `MonitorStep`, as its `tick` and its `index()`, where the relation
+//! is defined.
 //!
 //! The default run covers four cells (debug build, tier-1). The full
 //! quick grid — every catalogue application under both attacks — is

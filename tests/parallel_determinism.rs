@@ -9,12 +9,13 @@
 //! statistics, so even a one-tick scheduling artifact would fail it.
 
 use memdos::attacks::AttackKind;
-use memdos::metrics::experiment::{ExperimentConfig, StageConfig};
+use memdos::metrics::experiment::{ExperimentConfig, Scheme, StageConfig};
+use memdos::runner::CellOutcome;
 use memdos::workloads::Application;
 
-/// Compact stages: long enough for the profiler to fit every scheme
-/// (the period detector needs its full profiling window), short enough
-/// to keep this tier-1 test fast.
+/// Compact stages: long enough for the profiler to classify PCA as
+/// periodic (so SDS/P is armed), short enough to keep this tier-1 test
+/// fast.
 fn stages() -> StageConfig {
     StageConfig {
         profile_ticks: 1_500,
@@ -25,29 +26,50 @@ fn stages() -> StageConfig {
     }
 }
 
-/// Runs the grid at the given worker count and renders it to a string.
-/// Both attacks, so every `(app, run)` job forks its attack-free prefix
-/// and the forked continuations are compared too.
-fn grid_fingerprint(workers: usize) -> String {
-    let apps = [Application::KMeans, Application::FaceNet];
+/// Runs the grid at the given worker count: a non-periodic and a
+/// periodic victim under both attacks, so every `(app, run)` job forks
+/// its attack-free prefix and the forked continuations are compared
+/// too. With three utility VMs PCA's profile classifies periodic at
+/// these stages. SDS/B trips after 4 consecutive breaches (as in
+/// `grid_equivalence.rs`) and SDS/P after 3 deviating estimates taken
+/// every 4 MA windows, so every scheme can alarm inside the short
+/// attack stage and the compared timelines are not empty.
+fn grid(workers: usize) -> Vec<CellOutcome> {
+    let apps = [Application::KMeans, Application::Pca];
     let attacks = AttackKind::ALL;
-    let results = memdos::runner::run_grid(
-        &ExperimentConfig::default(),
-        &apps,
-        &attacks,
-        stages(),
-        1,
-        workers,
-    )
-    .expect("grid configs are built from the valid catalogs");
+    let mut base = ExperimentConfig { utility_vms: 3, ..ExperimentConfig::default() };
+    base.sds_params.sdsb.h_c = 4;
+    base.sds_params.sdsp.h_p = 3;
+    base.sds_params.sdsp.step_ma = 4;
+    let results = memdos::runner::run_grid(&base, &apps, &attacks, stages(), 1, workers)
+        .expect("grid configs are built from the valid catalogs");
     assert_eq!(results.len(), apps.len() * attacks.len());
-    format!("{results:?}")
+    results
+}
+
+/// The grid at the given worker count, rendered to a string.
+fn grid_fingerprint(workers: usize) -> String {
+    format!("{:?}", grid(workers))
 }
 
 #[test]
 fn grid_results_are_identical_across_worker_counts_and_reruns() {
-    let sequential = grid_fingerprint(1);
-    assert!(sequential.contains("KMeans") && sequential.contains("FaceNet"));
+    let cells = grid(1);
+    // The compared timelines are not empty: SDS alarms on every
+    // attacked cell and SDS/P is armed somewhere.
+    for cell in &cells {
+        let sds = cell.outcomes.iter().find(|o| o.scheme == Scheme::Sds).expect("SDS runs");
+        assert!(
+            !sds.activations.is_empty(),
+            "{} × {}: SDS must alarm",
+            cell.cell.app,
+            cell.cell.attack
+        );
+    }
+    let outcomes = || cells.iter().flat_map(|c| &c.outcomes);
+    assert!(outcomes().any(|o| o.scheme == Scheme::SdsP), "SDS/P must be armed");
+    let sequential = format!("{cells:?}");
+    assert!(sequential.contains("KMeans") && sequential.contains("Pca"));
     for workers in [2, 8] {
         assert_eq!(
             grid_fingerprint(workers),
