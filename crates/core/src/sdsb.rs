@@ -63,6 +63,7 @@ impl SdsB {
             active: false,
             activations: 0,
             last_ewma: None,
+            // lint:allow(hot-propagate) -- the detector name is built once, when Stage 1 completes and the monitor arms, never while sampling
             name: format!("SDS/B[{}]", params.stat),
             params,
         })

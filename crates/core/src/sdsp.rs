@@ -73,6 +73,7 @@ impl SdsP {
             activations: 0,
             last_period: None,
             computations: 0,
+            // lint:allow(hot-propagate) -- the detector name is built once, when Stage 1 completes and the monitor arms, never while sampling
             name: format!("SDS/P[{}]", params.stat),
             params,
         })

@@ -320,8 +320,10 @@ fn cmd_convert(args: &[String]) -> Result<i32, Fail> {
         None | Some("-") => Box::new(std::io::stdin().lock()),
         Some(p) => Box::new(BufReader::new(std::fs::File::open(p).map_err(|e| failed(p, e))?)),
     };
+    // Stdout is line-buffered: unwrapped, `bin2jsonl` would make one
+    // write call per record.
     let writer: Box<dyn Write> = match args.get(2).map(String::as_str) {
-        None | Some("-") => Box::new(std::io::stdout().lock()),
+        None | Some("-") => Box::new(std::io::BufWriter::new(std::io::stdout().lock())),
         Some(p) => {
             let file = std::fs::File::create(p).map_err(|e| failed(p, e))?;
             Box::new(std::io::BufWriter::new(file))
@@ -428,10 +430,10 @@ fn convert_bin2jsonl(
     mut writer: Box<dyn Write>,
 ) -> Result<(u64, u64), String> {
     use memdos_metrics::binary::{BinDecoder, BinFrame, MAGIC};
-    use memdos_metrics::jsonl::LineBuf;
+    use memdos_metrics::jsonl::{write_record, RawKind};
     let mut dec = BinDecoder::new();
     let mut names: Vec<Option<String>> = Vec::new();
-    let mut line = LineBuf::new();
+    let mut line = String::new();
     let mut records = 0u64;
     let mut skipped = 0u64;
     // The decoder leaves the preamble to the caller (the engine's
@@ -439,7 +441,7 @@ fn convert_bin2jsonl(
     // through frame resync like any other corruption.
     let mut preamble = 0usize;
     let mut render = |frame: BinFrame, writer: &mut Box<dyn Write>| -> Result<(), String> {
-        match frame {
+        let (tenant, kind) = match frame {
             BinFrame::Define { tenant, name } => {
                 let slot = tenant as usize;
                 if names.len() <= slot {
@@ -448,32 +450,24 @@ fn convert_bin2jsonl(
                 if let Some(e) = names.get_mut(slot) {
                     *e = Some(name);
                 }
+                return Ok(());
             }
-            BinFrame::Sample { tenant, access, miss } => {
-                match names.get(tenant as usize).and_then(Option::as_ref) {
-                    Some(name) => {
-                        line.begin()
-                            .field_str("tenant", name)
-                            .field_num("access", access)
-                            .field_num("miss", miss);
-                        writeln!(writer, "{}", line.end()).map_err(|e| e.to_string())?;
-                        records += 1;
-                    }
-                    None => skipped += 1,
-                }
+            BinFrame::Sample { tenant, access, miss } => (tenant, RawKind::Sample { access, miss }),
+            BinFrame::Close { tenant } => (tenant, RawKind::Close),
+            BinFrame::Skipped { .. } => {
+                skipped += 1;
+                return Ok(());
             }
-            BinFrame::Close { tenant } => {
-                match names.get(tenant as usize).and_then(Option::as_ref) {
-                    Some(name) => {
-                        line.begin().field_str("tenant", name).field_str("ctl", "close");
-                        writeln!(writer, "{}", line.end()).map_err(|e| e.to_string())?;
-                        records += 1;
-                    }
-                    None => skipped += 1,
-                }
-            }
-            BinFrame::Skipped { .. } => skipped += 1,
-        }
+        };
+        let Some(name) = names.get(tenant as usize).and_then(Option::as_ref) else {
+            skipped += 1;
+            return Ok(());
+        };
+        line.clear();
+        write_record(&mut line, name, kind);
+        line.push('\n');
+        writer.write_all(line.as_bytes()).map_err(|e| e.to_string())?;
+        records += 1;
         Ok(())
     };
     loop {

@@ -13,7 +13,7 @@
 //! engine can log and count malformed input without dying.
 
 use memdos_core::detector::Observation;
-use memdos_metrics::jsonl::{parse_record_borrowed, JsonObject, RawKind, RawRecord};
+use memdos_metrics::jsonl::{parse_record_borrowed, write_record, JsonObject, RawKind, RawRecord};
 
 pub use memdos_metrics::jsonl::RecordError;
 
@@ -102,20 +102,22 @@ impl Record {
         Ok(Record::Sample { tenant, obs: Observation { access_num: access, miss_num: miss } })
     }
 
-    /// Encodes the record as one JSONL line (no trailing newline).
+    /// Encodes the record as one JSONL line (no trailing newline)
+    /// through [`write_record`], into one `String` sized for the line.
     pub fn to_line(&self) -> String {
-        let mut obj = JsonObject::new();
-        match self {
-            Record::Sample { tenant, obs } => {
-                obj.push_str("tenant", tenant)
-                    .push_num("access", obs.access_num)
-                    .push_num("miss", obs.miss_num);
+        // `{"tenant":"` … `","access":` … `,"miss":` … `}` is 31 bytes of
+        // framing. Counter values (integers below 9e15, short fractions)
+        // fit in 48 more; only an extreme magnitude, which `Display`
+        // writes without an exponent, grows the buffer.
+        let mut out = String::with_capacity(self.tenant().len() + 80);
+        let kind = match self {
+            Record::Sample { obs, .. } => {
+                RawKind::Sample { access: obs.access_num, miss: obs.miss_num }
             }
-            Record::Close { tenant } => {
-                obj.push_str("tenant", tenant).push_str("ctl", "close");
-            }
-        }
-        obj.to_line()
+            Record::Close { .. } => RawKind::Close,
+        };
+        write_record(&mut out, self.tenant(), kind);
+        out
     }
 }
 
@@ -138,6 +140,40 @@ mod tests {
         let r = Record::Close { tenant: "vm-1".to_string() };
         assert_eq!(r.to_line(), r#"{"tenant":"vm-1","ctl":"close"}"#);
         assert_eq!(Record::parse(&r.to_line()).unwrap(), r);
+    }
+
+    #[test]
+    fn to_line_matches_the_object_renderer() {
+        let names = ["vm-0", "a\"b\\c", "ctl\u{0}\u{1f}\n\t", "tenant-α-β", "😀\"", "\u{7f}"];
+        let values = [
+            0.0,
+            -0.0,
+            956.3809789456915,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            5e-324,
+            f64::MIN_POSITIVE,
+            8.999_999_999_999_998e15,
+            9.0e15,
+            -9.000_000_000_000_002e15,
+        ];
+        for name in names {
+            let mut obj = JsonObject::new();
+            obj.push_str("tenant", name).push_str("ctl", "close");
+            assert_eq!(Record::Close { tenant: name.to_string() }.to_line(), obj.to_line());
+            for access in values {
+                for miss in values {
+                    let mut obj = JsonObject::new();
+                    obj.push_str("tenant", name).push_num("access", access).push_num("miss", miss);
+                    let r = Record::Sample {
+                        tenant: name.to_string(),
+                        obs: Observation { access_num: access, miss_num: miss },
+                    };
+                    assert_eq!(r.to_line(), obj.to_line(), "{name:?} {access} {miss}");
+                }
+            }
+        }
     }
 
     #[test]

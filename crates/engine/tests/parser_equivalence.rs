@@ -267,3 +267,145 @@ fn seeded_soup_never_diverges() {
         assert_equivalent(&line);
     }
 }
+
+/// Clean records, each with one protocol or ignored string marked `@`,
+/// and the text that fills the mark in the clean record.
+const STRING_SLOTS: [(&str, &str); 6] = [
+    (r#"{"tenant":"@","access":1,"miss":2}"#, "vm-\u{e9}-00453"),
+    (r#"{"@":"vm-0","access":1,"miss":2}"#, "tenant"),
+    (r#"{"tenant":"vm-0","ctl":"@"}"#, "close"),
+    (r#"{"tenant":"vm-0","@":1,"miss":2}"#, "access"),
+    (r#"{"tenant":"vm-0","note":"@","access":1,"miss":2}"#, "a b"),
+    (r#"{"tenant":"vm-0","access":1,"miss":2,"@":true}"#, "x\u{4e2d}"),
+];
+
+/// What gets spliced into a string: every escape (valid, malformed and
+/// truncated), raw control bytes, stray quotes and backslashes, and
+/// multibyte text.
+const SPLICES: [&str; 20] = [
+    "\\\"", "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t", "\\u0041", "\\u00e9", "\\ud800",
+    "\\q", "\\u12", "\\", "\u{1}", "\t", "\u{1f}", "\"", "\u{7f}", "\u{1F600}",
+];
+
+/// Every char-boundary offset of `text`, ends included.
+fn boundaries(text: &str) -> impl Iterator<Item = usize> + '_ {
+    (0..=text.len()).filter(|&at| text.is_char_boundary(at))
+}
+
+fn splice(text: &str, at: usize, insert: &str) -> String {
+    format!("{}{insert}{}", &text[..at], &text[at..])
+}
+
+/// Every escape, control byte or quote at every offset of every string
+/// of a record — the stop bytes the parser's span search looks for.
+#[test]
+fn escape_or_control_byte_at_every_string_offset_is_equivalent() {
+    for (template, clean) in STRING_SLOTS {
+        assert_equivalent(&template.replace('@', clean));
+        for at in boundaries(clean) {
+            for insert in SPLICES {
+                assert_equivalent(&template.replace('@', &splice(clean, at, insert)));
+            }
+        }
+    }
+}
+
+/// Structural bytes at every offset of a whole line: inside strings they
+/// are escapes, controls or terminators; outside they are whitespace or
+/// syntax errors.
+#[test]
+fn control_byte_or_quote_at_every_line_offset_is_equivalent() {
+    let line = r#"{"tenant":"vm-é","access":956.3809789456915,"miss":-1e-3,"up":false}"#;
+    for at in boundaries(line) {
+        for insert in ["\u{0}", "\u{1}", "\n", " ", "\"", "\\", "é", "\u{1F600}"] {
+            assert_equivalent(&splice(line, at, insert));
+        }
+    }
+}
+
+/// Every prefix of a record: unterminated strings, escapes, numbers and
+/// objects.
+#[test]
+fn every_truncation_is_equivalent() {
+    for line in [
+        r#"{"tenant":"vm-0","access":1234,"miss":56}"#,
+        r#"{"tenant":"a\"b\\cé\n","ctl":"close"}"#,
+        r#"{"tenant":"中文😀","access":1.5e3,"miss":0.25}"#,
+        r#"{"tenant":"é","ctl":"close"}"#,
+    ] {
+        for at in boundaries(line) {
+            assert_equivalent(&line[..at]);
+        }
+    }
+}
+
+/// Multibyte UTF-8 right next to a quote, inside and outside strings.
+#[test]
+fn multibyte_next_to_a_quote_is_equivalent() {
+    let chars = ["\u{80}", "é", "\u{7ff}", "\u{800}", "中", "\u{ffff}", "\u{10000}", "😀", "\u{10ffff}"];
+    for c in chars {
+        for line in [
+            format!(r#"{{"tenant":"{c}","access":1,"miss":2}}"#),
+            format!(r#"{{"tenant":"{c}x{c}","access":1,"miss":2}}"#),
+            format!(r#"{{"tenant":"x\"{c}","access":1,"miss":2}}"#),
+            format!(r#"{{"tenant":"{c}\"","access":1,"miss":2}}"#),
+            format!(r#"{{"tenant":"é{c}","access":1,"miss":2}}"#),
+            format!(r#"{{"tenant":"\{c}","access":1,"miss":2}}"#),
+            format!(r#"{{"{c}":"vm","tenant":"{c}","access":1,"miss":2}}"#),
+            format!(r#"{{"tenant":"vm","ctl":"close{c}"}}"#),
+            format!(r#"{{"tenant":"vm"{c},"access":1,"miss":2}}"#),
+            format!(r#"{{"tenant":{c}"vm","access":1,"miss":2}}"#),
+            format!(r#"{{"tenant":"vm","access":1{c},"miss":2}}"#),
+            format!(r#"{{"tenant":"vm","access":1,"miss":2}}{c}"#),
+            format!(r#"{{"tenant":"{c}"#),
+            format!(r#"{{"tenant":"vm{c}\"#),
+        ] {
+            assert_equivalent(&line);
+        }
+    }
+}
+
+/// Fragments a seeded string is assembled from.
+const FRAGMENTS: [&str; 24] = [
+    "vm", "-", "0", "tenant", "close", "access", "miss", "é", "中", "😀", " ", "\\\"", "\\\\",
+    "\\n", "\\u0074", "\\u00e9", "\\ud83d", "\\x", "\\u0", "\"", "\\", "\u{1}", "\t", "\u{7f}",
+];
+
+/// One seeded line: a record shape whose strings are random runs of
+/// [`FRAGMENTS`].
+fn seeded_string_line(case: u64) -> String {
+    let mut rng = Rng::new(derive_seed(0x57A7, case));
+    let string = |rng: &mut Rng| -> String {
+        let pieces = rng.next_below(6);
+        (0..pieces)
+            .map(|_| FRAGMENTS[rng.next_below(FRAGMENTS.len() as u64) as usize])
+            .collect()
+    };
+    let (template, _) = STRING_SLOTS[rng.next_below(STRING_SLOTS.len() as u64) as usize];
+    let mut line = template.replace('@', &string(&mut rng));
+    if rng.next_below(3) == 0 {
+        // A second mangled string: the tenant value of any shape.
+        line = line.replacen("vm-0", &string(&mut rng), 1);
+    }
+    if rng.next_below(8) == 0 {
+        let cut = rng.next_below(line.len() as u64 + 1) as usize;
+        let cut = (0..=cut).rev().find(|&at| line.is_char_boundary(at)).unwrap_or(0);
+        line.truncate(cut);
+    }
+    line
+}
+
+#[test]
+fn seeded_string_corpus_is_equivalent() {
+    for case in 0..2_000 {
+        assert_equivalent(&seeded_string_line(case));
+    }
+}
+
+#[test]
+#[ignore = "large-N string corpus; run in release with --include-ignored"]
+fn seeded_string_corpus_is_equivalent_large_n() {
+    for case in 0..2_000_000 {
+        assert_equivalent(&seeded_string_line(case));
+    }
+}

@@ -21,7 +21,7 @@
 //! Tenant names travel once: a define frame binds a dense wire id to a
 //! name before its first use, and samples/closes carry only the id.
 //!
-//! The [`BinDecoder`] mirrors [`crate::jsonl::Decoder`]: feed arbitrary
+//! The [`BinDecoder`] mirrors [`crate::jsonl::LineFramer`]: feed arbitrary
 //! chunks with [`BinDecoder::push_bytes`], drain frames, call
 //! [`BinDecoder::finish`] at end of stream. It never panics on any input
 //! and always resynchronises: on a bad marker, checksum mismatch,
@@ -99,15 +99,42 @@ pub enum BinFrame {
 /// single bit flip could silently turn a sample into a checksum-valid
 /// define and rebind a wire id. The marker needs no coverage — it is a
 /// constant the decoder matches directly.
+///
+/// The textbook form reduces both running sums `% 255` after every byte.
+/// This one keeps them in `u32` and reduces once per block of at most
+/// 5,802 bytes (`CHECKSUM_BLOCK`). Reduction commutes with addition
+/// modulo 255, so the sums stay congruent to the per-byte ones, and the
+/// closing reduction of each block lands them in the same `0..255`
+/// range: the result is bit-identical. Only an input with no bytes at
+/// all skips every reduction, which the per-byte form does too (it
+/// returns the kind byte in both halves).
 // hot-path
 pub fn checksum(kind: u8, body: &[u8], payload: &[u8]) -> u16 {
-    let mut sum1: u32 = u32::from(kind);
-    let mut sum2: u32 = sum1;
-    for &b in body.iter().chain(payload) {
-        sum1 = (sum1 + u32::from(b)) % 255;
-        sum2 = (sum2 + sum1) % 255;
-    }
+    let start = u32::from(kind);
+    let (sum1, sum2) = fletcher_blocks(start, start, body);
+    let (sum1, sum2) = fletcher_blocks(sum1, sum2, payload);
     ((sum2 as u16) << 8) | sum1 as u16
+}
+
+/// Most bytes [`checksum`] sums before it must reduce. Starting from
+/// sums of at most 255, `n` bytes of `0xFF` lift the second sum to
+/// `255 + 255·n + 255·n(n+1)/2`, which stays below `2^32` up to
+/// `n = 5,802` and exceeds it at `5,803`.
+const CHECKSUM_BLOCK: usize = 5_802;
+
+/// Folds `bytes` into the Fletcher sums, reducing `% 255` at the end of
+/// every block of at most [`CHECKSUM_BLOCK`] bytes.
+// hot-path
+fn fletcher_blocks(mut sum1: u32, mut sum2: u32, bytes: &[u8]) -> (u32, u32) {
+    for block in bytes.chunks(CHECKSUM_BLOCK) {
+        for &b in block {
+            sum1 += u32::from(b);
+            sum2 += sum1;
+        }
+        sum1 %= 255;
+        sum2 %= 255;
+    }
+    (sum1, sum2)
 }
 
 /// Appends the [`MAGIC`] preamble to `out`.

@@ -16,12 +16,18 @@
 //!
 //! * the [`JsonObject`] tree — general, allocating, used by reports and
 //!   the resynchronisation path;
-//! * the ingest path — [`parse_record_borrowed`] decodes a protocol
-//!   record as borrowed spans (escaped protocol strings decode into a
-//!   caller-owned scratch buffer) with no steady-state heap allocation,
-//!   and [`LineBuf`] renders event lines into a reusable buffer through
-//!   the shared [`write_f64`]/[`write_u64`] formatters, byte-identical
-//!   to [`JsonObject::to_line`].
+//! * the record path — one record parser and one record encoder.
+//!   [`parse_record_borrowed`] decodes a protocol record as borrowed
+//!   spans (escaped protocol strings decode into a caller-owned scratch
+//!   buffer) with no steady-state heap allocation; it crosses every run
+//!   of plain string or number bytes with one slice search.
+//!   [`write_record`] renders a record into the caller's buffer, and
+//!   [`LineBuf`] renders event lines into a reusable one.
+//!
+//! All three renderers — [`JsonObject::to_line`], [`LineBuf`] and
+//! [`write_record`] — write every field through one private field
+//! writer (the shared escaper and the [`write_f64`]/[`write_u64`]
+//! formatters), so they are byte-identical by construction.
 //!
 //! Byte streams are split into lines by one framer, [`LineFramer`],
 //! which every JSONL stream reader drives (the engine's ingest and its
@@ -129,23 +135,21 @@ impl JsonObject {
 
     /// Serializes to one compact JSON line (no trailing newline).
     ///
-    /// Non-finite numbers serialize as `null`-free `0` replacements are
-    /// **not** applied here — they are the caller's bug; this codec
-    /// emits them as `null` so a corrupt value is visible, not hidden.
+    /// Every field goes through the same writer as [`LineBuf`] and
+    /// [`write_record`], so the three renderers agree byte for byte.
+    /// Non-finite numbers are written as `null` rather than replaced by
+    /// a number: a non-finite value is the caller's bug, and `null`
+    /// keeps it visible in the output.
     pub fn to_line(&self) -> String {
         let mut out = String::with_capacity(16 + 16 * self.entries.len());
         out.push('{');
         for (i, (k, v)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            escape_into(&mut out, k);
-            out.push(':');
-            match v {
-                JsonValue::Str(s) => escape_into(&mut out, s),
-                JsonValue::Num(n) => write_f64(&mut out, *n),
-                JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            }
+            let value = match v {
+                JsonValue::Str(s) => Field::Str(s),
+                JsonValue::Num(n) => Field::Num(*n),
+                JsonValue::Bool(b) => Field::Bool(*b),
+            };
+            write_field(&mut out, i == 0, k, value);
         }
         out.push('}');
         out
@@ -159,7 +163,7 @@ impl JsonObject {
     /// lines, nested values, unterminated strings, bad escapes, or
     /// malformed numbers.
     pub fn parse(line: &str) -> Result<Self, String> {
-        let mut parser = Parser { bytes: line.as_bytes(), pos: 0 };
+        let mut parser = Parser { bytes: line.as_bytes(), text: line, pos: 0 };
         let obj = parser.parse_object()?;
         parser.skip_ws();
         if parser.pos != parser.bytes.len() {
@@ -178,7 +182,7 @@ impl JsonObject {
     ///
     /// Returns a description of the first syntax problem.
     pub fn parse_prefix(text: &str) -> Result<(Self, usize), String> {
-        let mut parser = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut parser = Parser { bytes: text.as_bytes(), text, pos: 0 };
         let obj = parser.parse_object()?;
         Ok((obj, parser.pos))
     }
@@ -405,26 +409,69 @@ fn split_utf8(line: &[u8], sink: &mut impl FnMut(Piece<'_>)) {
 pub const DEFAULT_MAX_LINE: usize = 64 * 1024;
 
 /// Appends `s` as a quoted, escaped JSON string.
+///
+/// Each run of bytes that needs no escaping is copied with one
+/// `push_str`. The bytes that do (`"`, `\` and controls below `0x20`)
+/// are ASCII, and ASCII bytes never occur inside a multibyte UTF-8
+/// sequence, so every cut falls on a character boundary.
+// hot-path
 fn escape_into(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut rest = s;
+    while let Some(at) = rest.bytes().position(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(rest.get(..at).unwrap_or_default());
+        let b = rest.as_bytes().get(at).copied().unwrap_or_default();
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            // Lowercase hex, as `format!("\\u{:04x}")` writes it.
+            b => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                for nibble in [b >> 4, b & 0xF] {
+                    out.push(char::from(HEX.get(usize::from(nibble)).copied().unwrap_or(b'0')));
+                }
             }
-            c => out.push(c),
         }
+        rest = rest.get(at + 1..).unwrap_or_default();
     }
+    out.push_str(rest);
     out.push('"');
+}
+
+/// One field value as the JSONL writers render it.
+#[derive(Debug, Clone, Copy)]
+enum Field<'a> {
+    Str(&'a str),
+    Num(f64),
+    U64(u64),
+    Bool(bool),
+}
+
+/// Appends one `"key":value` field, preceded by a `,` unless it is the
+/// object's first. The one field renderer behind [`JsonObject::to_line`],
+/// [`LineBuf`] and [`write_record`].
+// hot-path
+fn write_field(out: &mut String, first: bool, key: &str, value: Field<'_>) {
+    if !first {
+        out.push(',');
+    }
+    escape_into(out, key);
+    out.push(':');
+    match value {
+        Field::Str(s) => escape_into(out, s),
+        Field::Num(n) => write_f64(out, n),
+        Field::U64(n) => write_u64(out, n),
+        Field::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+    }
 }
 
 struct Parser<'a> {
     bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -553,12 +600,16 @@ impl Parser<'_> {
                     return Err("raw control character in string".to_string())
                 }
                 Some(_) => {
-                    // Re-scan from the byte we consumed to keep UTF-8
-                    // sequences intact.
+                    // Re-read the character that starts at the byte we
+                    // consumed, to keep UTF-8 sequences intact. Only
+                    // that character is decoded: validating the whole
+                    // tail per character made a long string quadratic.
                     let start = self.pos - 1;
-                    let rest = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = rest.chars().next().ok_or("empty string tail")?;
+                    let c = self
+                        .text
+                        .get(start..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or("invalid UTF-8 in string")?;
                     out.push(c);
                     self.pos = start + c.len_utf8();
                 }
@@ -662,31 +713,22 @@ impl LineBuf {
     }
 
     // hot-path
-    fn sep(&mut self) {
-        if self.fields > 0 {
-            self.buf.push(',');
-        }
+    fn field(&mut self, key: &str, value: Field<'_>) -> &mut Self {
+        write_field(&mut self.buf, self.fields == 0, key, value);
         self.fields += 1;
+        self
     }
 
     /// Appends a string field.
     // hot-path
     pub fn field_str(&mut self, key: &str, value: &str) -> &mut Self {
-        self.sep();
-        escape_into(&mut self.buf, key);
-        self.buf.push(':');
-        escape_into(&mut self.buf, value);
-        self
+        self.field(key, Field::Str(value))
     }
 
     /// Appends a numeric field in the canonical [`write_f64`] format.
     // hot-path
     pub fn field_num(&mut self, key: &str, value: f64) -> &mut Self {
-        self.sep();
-        escape_into(&mut self.buf, key);
-        self.buf.push(':');
-        write_f64(&mut self.buf, value);
-        self
+        self.field(key, Field::Num(value))
     }
 
     /// Appends an unsigned integer field via the fast digit loop.
@@ -695,21 +737,13 @@ impl LineBuf {
     /// codec's exact-integer range.
     // hot-path
     pub fn field_u64(&mut self, key: &str, value: u64) -> &mut Self {
-        self.sep();
-        escape_into(&mut self.buf, key);
-        self.buf.push(':');
-        write_u64(&mut self.buf, value);
-        self
+        self.field(key, Field::U64(value))
     }
 
     /// Appends a boolean field.
     // hot-path
     pub fn field_bool(&mut self, key: &str, value: bool) -> &mut Self {
-        self.sep();
-        escape_into(&mut self.buf, key);
-        self.buf.push(':');
-        self.buf.push_str(if value { "true" } else { "false" });
-        self
+        self.field(key, Field::Bool(value))
     }
 
     /// Closes the line and returns it (no trailing newline). The buffer
@@ -792,6 +826,27 @@ pub enum RawKind {
     },
     /// The `{"ctl":"close"}` control record.
     Close,
+}
+
+/// Appends one protocol record as a JSONL line (no trailing newline) to
+/// `out` — the engine's one record encoder, the counterpart of
+/// [`parse_record_borrowed`]. A sample renders as
+/// `{"tenant":…,"access":…,"miss":…}` and a close as
+/// `{"tenant":…,"ctl":"close"}`, through the same field writer as
+/// [`JsonObject::to_line`] and [`LineBuf`], so the bytes equal what
+/// either would render for those fields in that order.
+// hot-path
+pub fn write_record(out: &mut String, tenant: &str, kind: RawKind) {
+    out.push('{');
+    write_field(out, true, "tenant", Field::Str(tenant));
+    match kind {
+        RawKind::Sample { access, miss } => {
+            write_field(out, false, "access", Field::Num(access));
+            write_field(out, false, "miss", Field::Num(miss));
+        }
+        RawKind::Close => write_field(out, false, "ctl", Field::Str("close")),
+    }
+    out.push('}');
 }
 
 /// Parses one protocol record directly from the line's bytes — the
@@ -996,7 +1051,9 @@ impl<'a> RawParser<'a> {
     }
 
     /// Scans a quoted string, validating the same escape grammar as
-    /// [`Parser::parse_string`] without decoding it.
+    /// [`Parser::parse_string`] without decoding it. Each run of plain
+    /// bytes is crossed with one slice search for the next `"`, `\` or
+    /// control byte; only those bytes are looked at one by one.
     // hot-path
     fn parse_string_raw(&mut self) -> Result<RawStr<'a>, ()> {
         if self.bump() != Some(b'"') {
@@ -1005,7 +1062,14 @@ impl<'a> RawParser<'a> {
         let start = self.pos;
         let mut escaped = false;
         loop {
-            match self.bump() {
+            let rest = self.bytes.get(self.pos..).unwrap_or_default();
+            // No stop byte before the end of the line: unterminated.
+            let at = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .ok_or(())?;
+            self.pos += at + 1;
+            match rest.get(at) {
                 Some(b'"') => {
                     // Both span boundaries sit on ASCII quotes, so the
                     // slice is valid UTF-8 whenever the input is (it
@@ -1032,26 +1096,25 @@ impl<'a> RawParser<'a> {
                         _ => return Err(()),
                     }
                 }
-                Some(b) if b < 0x20 => return Err(()),
-                Some(_) => {}
-                None => return Err(()),
+                // A raw control byte.
+                _ => return Err(()),
             }
         }
     }
 
+    /// Scans the number's span with one slice search, then parses it as
+    /// [`Parser`] does. The span is ASCII, so it is a `&str` slice of the
+    /// input with no UTF-8 check.
     // hot-path
     fn parse_number_raw(&mut self) -> Result<f64, ()> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| ())?
-            .parse::<f64>()
-            .map_err(|_| ())
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        let len = rest
+            .iter()
+            .position(|b| !matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'))
+            .unwrap_or(rest.len());
+        let text = self.text.get(self.pos..self.pos + len).ok_or(())?;
+        self.pos += len;
+        text.parse::<f64>().map_err(|_| ())
     }
 
     // hot-path

@@ -18,7 +18,10 @@
 //! against candidates in the same file first, then the same crate, then
 //! crates the file imports. The first non-empty tier wins — this keeps
 //! the over-approximation honest without letting ubiquitous method
-//! names (`get`, `push`, `new`) connect every crate to every other.
+//! names (`get`, `push`, `new`) connect every crate to every other. The
+//! one exception is a call through a generic parameter (`D::f(..)` with
+//! `D` declared on the calling fn or its `impl`): it resolves to every
+//! impl of `f`, since any of them may be the instantiation.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -120,7 +123,19 @@ impl<'a> Graph<'a> {
                         .is_some_and(|d| d.impl_ctx.as_deref() == Some(t.as_str())),
                     None => true,
                 };
-                let tiered: Vec<usize> = if let Some(target) = crate_hint {
+                // `D::f(..)` with `D` a generic parameter of the caller (or
+                // of its impl block) dispatches to whichever impl `D` is
+                // instantiated with: every impl of `f`, in any crate. Only
+                // declared parameters qualify, so `String::new` stays
+                // unresolved.
+                let generic = type_hint.is_some_and(|t| caller.generics.contains(t));
+                let tiered: Vec<usize> = if generic {
+                    cands
+                        .iter()
+                        .copied()
+                        .filter(|&c| def_at(files, node_at(c)).is_some_and(|d| d.impl_ctx.is_some()))
+                        .collect()
+                } else if let Some(target) = crate_hint {
                     cands
                         .iter()
                         .copied()

@@ -76,6 +76,12 @@ pub struct FnDef {
     /// Enclosing `impl` subject type, when the fn is a method
     /// (`impl Engine { fn flush.. }` → `Some("Engine")`).
     pub impl_ctx: Option<String>,
+    /// Generic type parameters in scope: those declared on the fn
+    /// itself and on its enclosing `impl` block (`impl<D: Detector>
+    /// Monitor<D> { fn arm<T>.. }` → `["T", "D"]`). A `D::f(..)` call
+    /// whose head is one of these dispatches to whichever impl the
+    /// caller is instantiated with.
+    pub generics: Vec<String>,
     /// 1-based line of the `fn` keyword.
     pub sig_line: u32,
     /// Inclusive 1-based line span of the whole item (signature through
@@ -244,29 +250,62 @@ fn hot_marker_lines(source: &str) -> Vec<u32> {
         .collect()
 }
 
+/// Names of the type parameters in the generic list whose `<` is token
+/// `i`, plus the index just past its closing `>`. Lifetimes and `const`
+/// parameters are skipped; bounds (`D: Detector`, `F: Fn(u32) -> u8`)
+/// are walked over without being read as names.
+fn generic_params(src: &str, toks: &[Token], i: usize) -> (Vec<String>, usize) {
+    let mut names = Vec::new();
+    let mut angle = 0usize;
+    let mut parens = 0usize;
+    let mut expect_name = false;
+    let mut j = i;
+    while j < toks.len() {
+        let text = tok_text(src, toks, j);
+        let arrow = text == ">" && j > 0 && tok_text(src, toks, j - 1) == "-";
+        match tok_kind(toks, j) {
+            Some(TokKind::Open) => parens += 1,
+            Some(TokKind::Close) => parens = parens.saturating_sub(1),
+            Some(TokKind::Punct) if text == "<" => {
+                angle += 1;
+                expect_name = angle == 1;
+                j += 1;
+                continue;
+            }
+            Some(TokKind::Punct) if text == ">" && !arrow => {
+                angle = angle.saturating_sub(1);
+                if angle == 0 {
+                    return (names, j + 1);
+                }
+            }
+            Some(TokKind::Punct) if text == "," && angle == 1 && parens == 0 => {
+                expect_name = true;
+                j += 1;
+                continue;
+            }
+            Some(TokKind::Ident) if expect_name && text != "const" => {
+                names.push(text.to_string());
+            }
+            _ => {}
+        }
+        expect_name = false;
+        j += 1;
+    }
+    (names, j)
+}
+
 /// Extracts the impl subject type from the tokens of an `impl` header
 /// (`impl` at index `i`, header runs to the first `{`). For
 /// `impl Trait for Type` the subject is `Type`; otherwise the first
-/// type identifier after the generic parameter list.
-fn impl_subject(src: &str, toks: &[Token], i: usize) -> (Option<String>, usize) {
+/// type identifier after the generic parameter list. Also returns the
+/// names that list declares, and the index of the header's end.
+fn impl_subject(src: &str, toks: &[Token], i: usize) -> (Option<String>, Vec<String>, usize) {
     let mut j = i + 1;
-    // Skip a leading generic parameter list `<..>`.
+    // A leading generic parameter list `<..>` declares the impl's type
+    // parameters.
+    let mut generics = Vec::new();
     if tok_text(src, toks, j) == "<" {
-        let mut angle = 0i32;
-        while j < toks.len() {
-            match tok_text(src, toks, j) {
-                "<" => angle += 1,
-                ">" => {
-                    angle -= 1;
-                    if angle == 0 {
-                        j += 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
+        (generics, j) = generic_params(src, toks, j);
     }
     let mut subject: Option<String> = None;
     let mut after_for: Option<String> = None;
@@ -290,7 +329,7 @@ fn impl_subject(src: &str, toks: &[Token], i: usize) -> (Option<String>, usize) 
         }
         j += 1;
     }
-    (after_for.or(subject), j)
+    (after_for.or(subject), generics, j)
 }
 
 /// Parses one file's token stream into its symbol summary.
@@ -310,7 +349,8 @@ pub fn extract(source: &str, stream: &TokenStream) -> FileSymbols {
         Impl(usize),     // index into `impl_types`
         Fn(usize),       // index into `fns`
     }
-    let mut impl_types: Vec<Option<String>> = Vec::new();
+    // Subject type and generic parameter names of every impl block.
+    let mut impl_types: Vec<(Option<String>, Vec<String>)> = Vec::new();
     let mut stack: Vec<(u8, Ctx)> = Vec::new();
     // Context that the *next* `{` opens, set by `impl`/`fn` headers.
     let mut pending: Option<Ctx> = None;
@@ -377,8 +417,8 @@ pub fn extract(source: &str, stream: &TokenStream) -> FileSymbols {
         }
 
         if text == "impl" && pending.is_none() {
-            let (subject, header_end) = impl_subject(source, toks, i);
-            impl_types.push(subject);
+            let (subject, generics, header_end) = impl_subject(source, toks, i);
+            impl_types.push((subject, generics));
             pending = Some(Ctx::Impl(impl_types.len() - 1));
             i = header_end.max(i + 1);
             continue;
@@ -393,15 +433,21 @@ pub fn extract(source: &str, stream: &TokenStream) -> FileSymbols {
             }
             let name = tok_text(source, toks, name_idx).to_string();
             let sig_line = tok_line(toks, i);
-            // Enclosing impl subject, from the innermost Impl frame.
-            let impl_ctx = stack
+            // Enclosing impl subject and generics, from the innermost
+            // Impl frame.
+            let (impl_ctx, impl_generics) = stack
                 .iter()
                 .rev()
                 .find_map(|&(_, ctx)| match ctx {
-                    Ctx::Impl(t) => Some(impl_types.get(t).cloned().flatten()),
+                    Ctx::Impl(t) => impl_types.get(t).cloned(),
                     _ => None,
                 })
-                .flatten();
+                .unwrap_or_default();
+            let mut generics = Vec::new();
+            if tok_text(source, toks, name_idx + 1) == "<" {
+                generics = generic_params(source, toks, name_idx + 1).0;
+            }
+            generics.extend(impl_generics);
             // A marker binds to the first fn signature below it (within
             // a small window for attributes and doc lines), then is
             // spent — it never leaks onto the following item.
@@ -418,6 +464,7 @@ pub fn extract(source: &str, stream: &TokenStream) -> FileSymbols {
             let def = FnDef {
                 name,
                 impl_ctx,
+                generics,
                 sig_line,
                 span: (sig_line, sig_line),
                 is_test: in_test(i),
@@ -600,6 +647,25 @@ trait T {
         let src = "impl Detector for SdsP {\n    fn on_observation(&mut self) {}\n}\n";
         let syms = parse(src);
         assert_eq!(syms.fns[0].qual_name(), "SdsP::on_observation");
+    }
+
+    #[test]
+    fn records_generic_parameters_of_the_fn_and_its_impl() {
+        let src = "\
+impl<'a, D: Detector + Into<Box<D>>, const N: usize> Monitor<'a, D> {
+    fn arm<T: Fn(u32, u8) -> u8, U>(&self) {}
+    fn plain(&self) {}
+}
+fn free<W>(w: W) {}
+fn none(x: u32) {}
+";
+        let syms = parse(src);
+        let generics: Vec<Vec<&str>> = syms
+            .fns
+            .iter()
+            .map(|f| f.generics.iter().map(String::as_str).collect())
+            .collect();
+        assert_eq!(generics, [vec!["T", "U", "D"], vec!["D"], vec!["W"], vec![]]);
     }
 
     #[test]

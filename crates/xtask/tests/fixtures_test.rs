@@ -330,6 +330,23 @@ fn l9_spares_checksum_folds_and_justified_define_hops() {
 }
 
 #[test]
+fn l9_follows_calls_through_generic_parameters() {
+    let src = include_str!("fixtures/l9_generic_violation.rs");
+    let findings = analyze(&[("core/src/monitor.rs", "core", src, HOT_SCOPE)]);
+    assert_eq!(count(&findings, "L9/hot-propagate"), 2, "{findings:?}");
+    for chain in ["Monitor::step -> Named::from_profile", "arm -> Named::from_profile"] {
+        assert!(findings.iter().any(|f| f.message.contains(chain)), "{chain}: {findings:?}");
+    }
+}
+
+#[test]
+fn l9_resolves_only_declared_generics_to_every_impl() {
+    let src = include_str!("fixtures/l9_generic_allowed.rs");
+    let findings = analyze(&[("core/src/monitor.rs", "core", src, HOT_SCOPE)]);
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
 fn l10_prints_the_full_reachability_chain() {
     let src = include_str!("fixtures/l10_taint_violation.rs");
     let findings = analyze(&[("core/src/sdsx.rs", "core", src, LIB_SCOPE)]);
