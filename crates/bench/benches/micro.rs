@@ -1,59 +1,25 @@
-//! Micro-benchmarks of the hot paths (std-only timing harness).
+//! Micro-benchmarks of the hot kernels (std-only timing harness).
 //!
 //! The paper claims SDS is *lightweight*: "we use lightweight PCM tools
 //! and low-complexity statistical methods". These benchmarks quantify
 //! that on this implementation: a per-tick SDS update is a handful of
 //! arithmetic operations, the DFT-ACF recomputation is `O(N log N)` on a
 //! ~2-period window, and the KS test — the baseline's per-round cost —
-//! is `O(n log n)` in the window size. Simulator throughput (cache access
-//! and full server ticks) is measured too, since every experiment's wall
-//! time is dominated by it.
+//! is `O(n log n)` in the window size. The simulator's own kernels (one
+//! cache access, one discrete-event queue wakeup, one full 9-VM server
+//! tick) are measured too, since every experiment's wall time is
+//! dominated by them.
 //!
-//! Besides printing human-readable results, the run emits a
-//! machine-readable `BENCH_2.json` at the workspace root (override the
-//! path with `MEMDOS_BENCH_OUT`): one flat JSON object with `*_ns` keys
-//! per kernel and `speedup_*` keys comparing the optimized kernels
-//! against re-implementations of their pre-optimization versions (kept
-//! inline in this file). Simulator throughput lives in its own
-//! `BENCH_6.json` report (override with `MEMDOS_BENCH_OUT_SIM`):
-//! `sim_event_step_ns` (discrete-event queue wakeup cost),
-//! `sim_server_tick_9vms_ns` (one full 9-VM tick), and
-//! `sim_grid_cells_per_sec_t{1,2,4}` — trace-generation throughput of
-//! the capture grid the sensitivity sweeps consume, with each
-//! `(app, run)` pair's stage-1/2 prefix shared across attacks. The
-//! `grid_cells_per_sec_t*` / `server_tick_9vms_ns` keys these supersede
-//! were retired from the `BENCH_2.json` gate when the event scheduler
-//! landed. A second report,
-//! `BENCH_5.json` (override with `MEMDOS_BENCH_OUT_ENGINE`), carries the
-//! streaming-engine ingest throughput (`engine_ingest_samples_per_sec`,
-//! its 4-worker counterpart, and the dimensionless
-//! `engine_ingest_scaling_t4` speedup ratio the CI gate holds at >= 1.0;
-//! the report superseded `BENCH_3.json` when the zero-allocation fast
-//! path landed);
-//! a third, `BENCH_4.json` (override with `MEMDOS_BENCH_OUT_SOAK`),
-//! carries the chaos-path throughput (`engine_soak_samples_per_sec` — a
-//! fault-injected stream through the full recovery machinery); a
-//! fourth, `BENCH_7.json` (override with `MEMDOS_BENCH_OUT_FLEET`),
-//! carries the fleet-scale session-storage numbers —
-//! `engine_fleet_samples_per_sec_{1k,10k,50k}`, the deterministic
-//! resident-bytes estimates per size, the eviction count at the
-//! oversubscribed 50k size, and `engine_fleet_scaling_t4`; a fifth,
-//! `BENCH_8.json` (override with `MEMDOS_BENCH_OUT_RESPOND`), carries
-//! the closed-loop mitigation numbers — the deterministic
-//! `mitigation_recovery_latency_ticks` / `mitigation_false_quarantine_ticks`
-//! outcomes of the seeded respond scenarios and the respond-loop
-//! throughput at 1 and 4 workers (no scaling key: the feedback loop is
-//! a serial cycle, so workers buy per-flush dispatch, not loop-level
-//! speedup); a sixth, `BENCH_9.json` (override with
-//! `MEMDOS_BENCH_OUT_BINARY`), carries the binary wire-format numbers —
-//! the raw frame-decode cost (`engine_binary_decode_sample_ns`, the
-//! ingest-throughput claim the wire format was built for), the full
-//! binary pipeline (`engine_binary_ingest_sample_ns` /
-//! `engine_binary_samples_per_sec`), the paired binary-over-JSONL
-//! pipeline speedup (`speedup_binary_wire`), and
-//! `engine_binary_scaling_t4`. CI
-//! compares all of them against their counterparts under
-//! `crates/bench/baseline/` via `cargo run -p xtask -- bench-check`.
+//! Besides printing human-readable results, the run writes one
+//! machine-readable report, `BENCH_2.json` at the workspace root
+//! (override the path with `MEMDOS_BENCH_OUT`): a flat JSON object with
+//! `*_ns` keys per kernel and `speedup_*` keys comparing the optimized
+//! kernels against re-implementations of their pre-optimization
+//! versions (kept inline in this file). CI compares it against
+//! `crates/bench/baseline/BENCH_2.json` via
+//! `cargo run -p xtask -- bench-check`. The pipeline as a whole (sim
+//! capture, wire, engine, mitigation, the paper grid) is measured by
+//! the `pipebench/` benchmark, not here.
 //!
 //! The harness is deliberately dependency-free (the build environment is
 //! offline): each benchmark runs a calibration pass to pick an iteration
@@ -62,12 +28,10 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use memdos_attacks::AttackKind;
 use memdos_core::config::{SdsBParams, SdsPParams};
 use memdos_core::detector::{Detector, Observation};
 use memdos_core::sdsb::SdsB;
 use memdos_core::sdsp::SdsP;
-use memdos_metrics::experiment::{ExperimentConfig, StageConfig};
 use memdos_sim::cache::{CacheGeometry, Llc};
 use memdos_sim::server::{Server, ServerConfig};
 use memdos_stats::acf::{acf_direct, acf_fft};
@@ -105,12 +69,11 @@ impl Report {
         format!("{{\n{}\n}}\n", body.join(",\n"))
     }
 
-    /// Writes the report to `<workspace root>/<default_name>`, overridable
-    /// through `env_var` (kernel report: `MEMDOS_BENCH_OUT`; engine
-    /// report: `MEMDOS_BENCH_OUT_ENGINE`).
-    fn write(&self, env_var: &str, default_name: &str) {
-        let path = std::env::var(env_var).unwrap_or_else(|_| {
-            format!("{}/../../{default_name}", env!("CARGO_MANIFEST_DIR"))
+    /// Writes the report to `<workspace root>/BENCH_2.json`, or to the
+    /// path in `MEMDOS_BENCH_OUT` when that is set.
+    fn write(&self) {
+        let path = std::env::var("MEMDOS_BENCH_OUT").unwrap_or_else(|_| {
+            format!("{}/../../BENCH_2.json", env!("CARGO_MANIFEST_DIR"))
         });
         match std::fs::write(&path, self.to_json()) {
             Ok(()) => println!("wrote {path}"),
@@ -455,502 +418,17 @@ fn bench_sim_server_tick(report: &mut Report) {
     report.push("sim_server_tick_9vms_ns", ns);
 }
 
-/// Trace-generation throughput at 1, 2 and 4 requested workers over the
-/// compact 4-cell capture grid (2 apps × 2 attacks × 1 run) the
-/// sensitivity sweeps consume. Each `(app, run)` pair's stage-1/2
-/// simulation prefix is shared across the attacks (see
-/// `memdos_runner::capture_grid`), and the runner clamps the pool to the
-/// machine's cores, so `t2`/`t4` measure honest extra concurrency — on a
-/// single-core host they collapse to the `t1` path instead of paying
-/// oversubscription overhead.
-///
-/// Reports the best of four passes per worker count: a grid pass runs
-/// for seconds, so a co-scheduled background task (or a noisy hypervisor
-/// neighbour on a shared host) can shave 5–15% off any one pass, and the
-/// *fastest* pass is the stable estimate of what the machine can do
-/// (same rationale as the median the `bench` helper uses for
-/// nanosecond-scale kernels, where passes are cheap enough to run nine
-/// of — here each pass costs ~a second, so four is the budget).
-fn bench_sim_grid_capture(report: &mut Report) {
-    let stages = StageConfig {
-        profile_ticks: 1_500,
-        benign_ticks: 1_500,
-        attack_ticks: 1_500,
-        interval_ticks: 500,
-        grace_ticks: 500,
-    };
-    let base = ExperimentConfig { stages, ..ExperimentConfig::default() };
-    let apps = [Application::KMeans, Application::FaceNet];
-    let attacks = AttackKind::ALL;
-    let cells = (apps.len() * attacks.len()) as f64;
-    for workers in [1usize, 2, 4] {
-        let mut per_sec = 0.0f64;
-        for _pass in 0..4 {
-            let t = Instant::now();
-            let runs = memdos_runner::capture_grid(&base, &apps, &attacks, stages, 1, workers);
-            let secs = t.elapsed().as_secs_f64().max(1e-9);
-            black_box(runs.len());
-            per_sec = per_sec.max(cells / secs);
-        }
-        println!("sim_grid_capture_t{workers}          {per_sec:>12.3} cells/s");
-        report.push(&format!("sim_grid_cells_per_sec_t{workers}"), per_sec);
-    }
-    report.push(
-        "threads_available",
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) as f64,
-    );
-}
-
-/// Streaming-engine ingest throughput over a synthetic 4-tenant JSONL
-/// stream (parse → route → profile/step → render the verdict log),
-/// emitted into the separate `BENCH_5.json` report. The per-tenant
-/// signal is hash-jittered so the profiled sigma is small but nonzero,
-/// and `profile_ticks` is half the stream so the measurement covers the
-/// profiling *and* monitoring phases of the session lifecycle.
-fn bench_engine_ingest(report: &mut Report) {
-    use memdos_engine::engine::Engine;
-    use memdos_engine::session::SessionConfig;
-    use memdos_engine::Config;
-
-    const TENANTS: u64 = 4;
-    const TICKS: u64 = 4_000;
-    let mut lines: Vec<String> = Vec::with_capacity((TENANTS * TICKS + TENANTS) as usize);
-    for i in 0..TICKS {
-        for t in 0..TENANTS {
-            let h = (i * TENANTS + t).wrapping_mul(2654435761);
-            lines.push(format!(
-                "{{\"tenant\":\"vm-{t}\",\"access\":{},\"miss\":{}}}",
-                1_000 + h % 17,
-                100 + h % 7
-            ));
-        }
-    }
-    for t in 0..TENANTS {
-        lines.push(format!("{{\"tenant\":\"vm-{t}\",\"ctl\":\"close\"}}"));
-    }
-    let total = lines.len() as f64;
-    let config_for = |workers: usize| Config {
-        workers,
-        session: SessionConfig { profile_ticks: TICKS / 2, ..SessionConfig::default() },
-        ..Config::default()
-    };
-
-    let replay = |workers: usize| {
-        let mut engine = Engine::new(config_for(workers))
-            .expect("bench engine configuration is valid");
-        for line in &lines {
-            engine.ingest_line(line);
-        }
-        engine.flush();
-        black_box(engine.log_lines().len());
-    };
-
-    let ns = bench("engine_ingest_16k_lines", || replay(1));
-    let per_sample_ns = ns / total;
-    report.push("engine_ingest_sample_ns", per_sample_ns);
-    report.push("engine_ingest_samples_per_sec", 1.0e9 * total / ns);
-
-    // The tenant-sharded parallel path: same stream, four workers. The
-    // scaling key is the dimensionless 4-worker speedup over the
-    // single-worker run; bench-check gates it absolutely (parity minus
-    // a 5 % noise floor), so a parallel path materially slower than
-    // the serial one fails CI outright.
-    //
-    // It is measured *relatively*, not from two absolute medians: the
-    // suite has been running hot for minutes by this point and
-    // machine-load drift between two calibrated `bench()` runs (±10 %
-    // on a shared host) would masquerade as (anti-)scaling. Instead
-    // each sample is a back-to-back (serial, sharded) replay pair —
-    // the two halves share whatever state the machine is in, so their
-    // ratio is clean — and the median over pairs discards scheduler
-    // spikes that land on one half. The absolute t4 throughput then
-    // derives from the calibrated serial median and that ratio.
-    const PAIRS: usize = 15;
-    let mut ratios: Vec<f64> = (0..PAIRS)
-        .map(|_| {
-            let t = Instant::now();
-            replay(1);
-            let serial = t.elapsed().as_nanos().max(1) as f64;
-            let t = Instant::now();
-            replay(4);
-            let sharded = t.elapsed().as_nanos().max(1) as f64;
-            serial / sharded
-        })
-        .collect();
-    ratios.sort_by(f64::total_cmp);
-    let scaling = ratios.get(PAIRS / 2).copied().unwrap_or(1.0);
-    let ns_t4 = ns / scaling;
-    println!("{:<28} {:>12.0} ns/iter", "engine_ingest_16k_lines_t4", ns_t4);
-    println!("{:<28} {:>12.3} x", "engine_ingest_scaling_t4", scaling);
-    report.push("engine_ingest_samples_per_sec_t4", 1.0e9 * total / ns_t4);
-    report.push("engine_ingest_scaling_t4", scaling);
-}
-
-/// Binary wire-format throughput, emitted into the separate
-/// `BENCH_9.json` report. The same 4-tenant record stream as
-/// `bench_engine_ingest` is rendered twice — JSONL text and binary
-/// frames — so every comparison is over identical records.
-///
-/// Three measurements:
-/// * `engine_binary_decode_sample_ns` — the raw [`BinDecoder`] cost per
-///   frame (checksum + fixed-width field reads), with no engine behind
-///   it. This is the wire format's headline number: the decode itself
-///   must stay deep under the ~100 ns/sample ingest budget so the
-///   detector pipeline, not the codec, is the throughput ceiling.
-/// * `engine_binary_ingest_sample_ns` — the full negotiated pipeline
-///   (sniff → decode → wire-id route → columnar batch step → log), plus
-///   the paired `speedup_binary_wire` ratio against the identical JSONL
-///   stream. Measured as back-to-back pairs for the same reason as the
-///   scaling ratios: the two halves share the machine's current state.
-/// * `engine_binary_scaling_t4` — paired 4-worker speedup of the binary
-///   pipeline, gated absolutely at the 0.95 parity floor like the other
-///   `*scaling*` keys.
-fn bench_engine_binary(report: &mut Report) {
-    use memdos_engine::engine::Engine;
-    use memdos_engine::session::SessionConfig;
-    use memdos_engine::Config;
-    use memdos_metrics::binary::{BinDecoder, Encoder, MAGIC};
-
-    const TENANTS: u64 = 4;
-    const TICKS: u64 = 4_000;
-    let mut jsonl: Vec<u8> = Vec::new();
-    let mut binary: Vec<u8> = Vec::new();
-    let mut enc = Encoder::new();
-    for i in 0..TICKS {
-        for t in 0..TENANTS {
-            let h = (i * TENANTS + t).wrapping_mul(2654435761);
-            let (access, miss) = ((1_000 + h % 17) as f64, (100 + h % 7) as f64);
-            jsonl.extend_from_slice(
-                format!("{{\"tenant\":\"vm-{t}\",\"access\":{access},\"miss\":{miss}}}\n")
-                    .as_bytes(),
-            );
-            enc.sample(&format!("vm-{t}"), access, miss, &mut binary)
-                .expect("bench tenant names are valid");
-        }
-    }
-    for t in 0..TENANTS {
-        jsonl.extend_from_slice(format!("{{\"tenant\":\"vm-{t}\",\"ctl\":\"close\"}}\n").as_bytes());
-        enc.close(&format!("vm-{t}"), &mut binary).expect("bench tenant names are valid");
-    }
-    let total = (TENANTS * TICKS + TENANTS) as f64;
-
-    // Raw decode: frames through the checksummed decoder, no engine.
-    let body = &binary[MAGIC.len()..];
-    let mut scratch = Vec::new();
-    let decode_ns = bench("binary_decode_16k_frames", || {
-        let mut dec = BinDecoder::new();
-        for chunk in body.chunks(64 * 1024) {
-            dec.push_bytes(chunk);
-            dec.drain_into(&mut scratch);
-            black_box(scratch.len());
-        }
-        black_box(dec.finish().len());
-        assert_eq!(dec.resynced(), 0, "bench stream must decode cleanly");
-    });
-    report.push("engine_binary_decode_sample_ns", decode_ns / total);
-    report.push("engine_binary_decode_samples_per_sec", 1.0e9 * total / decode_ns);
-
-    let config_for = |workers: usize| Config {
-        workers,
-        session: SessionConfig { profile_ticks: TICKS / 2, ..SessionConfig::default() },
-        ..Config::default()
-    };
-    // A default-capacity BufReader gives both formats the production
-    // chunking (8 KiB reads, as from stdin or a socket) instead of one
-    // giant slice per call.
-    let replay = |workers: usize, bytes: &[u8]| {
-        let mut engine =
-            Engine::new(config_for(workers)).expect("bench engine configuration is valid");
-        engine
-            .ingest_reader(std::io::BufReader::new(bytes))
-            .expect("in-memory reads cannot fail");
-        engine.flush();
-        black_box(engine.log_lines().len());
-    };
-
-    let bin_ns = bench("engine_binary_16k_frames", || replay(1, &binary));
-    report.push("engine_binary_ingest_sample_ns", bin_ns / total);
-    report.push("engine_binary_samples_per_sec", 1.0e9 * total / bin_ns);
-
-    // Paired binary/JSONL replays — see `bench_engine_ingest` for why
-    // format and scaling comparisons are measured relatively.
-    const PAIRS: usize = 15;
-    let paired_ratio = |mut a: Box<dyn FnMut()>, mut b: Box<dyn FnMut()>| {
-        let mut ratios: Vec<f64> = (0..PAIRS)
-            .map(|_| {
-                let t = Instant::now();
-                a();
-                let na = t.elapsed().as_nanos().max(1) as f64;
-                let t = Instant::now();
-                b();
-                let nb = t.elapsed().as_nanos().max(1) as f64;
-                na / nb
-            })
-            .collect();
-        ratios.sort_by(f64::total_cmp);
-        ratios.get(PAIRS / 2).copied().unwrap_or(1.0)
-    };
-    let speedup = paired_ratio(
-        Box::new(|| replay(1, &jsonl)),
-        Box::new(|| replay(1, &binary)),
-    );
-    println!("{:<28} {speedup:>12.3} x", "speedup_binary_wire");
-    report.push("speedup_binary_wire", speedup);
-
-    let scaling = paired_ratio(
-        Box::new(|| replay(1, &binary)),
-        Box::new(|| replay(4, &binary)),
-    );
-    println!("{:<28} {scaling:>12.3} x", "engine_binary_scaling_t4");
-    report.push("engine_binary_scaling_t4", scaling);
-}
-
-/// Chaos-path throughput: a compact fault-injected demo stream replayed
-/// end to end (resync, backpressure drops/recoveries, idle closes,
-/// reopen generations all exercised), emitted into the separate
-/// `BENCH_4.json` report. The scenario is a pure function of its seed,
-/// so successive runs measure identical work.
-fn bench_engine_soak(report: &mut Report) {
-    use memdos_engine::chaos::{FaultPlan, FaultPlanConfig};
-    use memdos_engine::demo::{demo_jsonl, DemoLayout};
-    use memdos_engine::engine::Engine;
-    use memdos_engine::soak::scenario_engine_config;
-
-    let layout = DemoLayout {
-        profile_ticks: 400,
-        benign_ticks: 100,
-        attack_ticks: 100,
-        tail_ticks: 50,
-    };
-    let clean = demo_jsonl(0xD05, &layout, memdos_runner::threads());
-    let (chaotic, trace) = FaultPlan::apply(7, FaultPlanConfig::chaos(), &clean)
-        .expect("chaos rates are valid");
-    assert!(trace.total() > 0, "the bench scenario must inject faults");
-    let total = chaotic.len() as f64;
-    let ns = bench("engine_soak_scenario", || {
-        let mut engine = Engine::new(scenario_engine_config(1, &layout))
-            .expect("soak scenario configuration is valid");
-        for line in &chaotic {
-            engine.ingest_line(line);
-        }
-        engine.finish();
-        black_box(engine.log_lines().len());
-    });
-    report.push("engine_soak_line_ns", ns / total);
-    report.push("engine_soak_samples_per_sec", 1.0e9 * total / ns);
-}
-
-/// Fleet-scale session storage: zipf-scheduled tenant fleets of 1k, 10k
-/// and 50k sessions replayed through the slab-backed engine under a
-/// 16 384-session memory ceiling, emitted into the separate
-/// `BENCH_7.json` report. Per size it records ingest throughput
-/// (`engine_fleet_samples_per_sec_*`) and the deterministic
-/// resident-bytes estimate at end of replay
-/// (`engine_fleet_resident_bytes_*`, informational — presence-gated
-/// only); the 50k fleet runs over the ceiling, so the bench asserts the
-/// LRU evictor actually fired and reports `engine_fleet_evicted_50k`.
-/// `engine_fleet_scaling_t4` is the paired-replay 4-worker speedup on
-/// the 10k stream (same relative-measurement rationale as
-/// `engine_ingest_scaling_t4`), which CI gates absolutely at the 0.95
-/// parity floor.
-///
-/// Streams are seconds-long, so instead of the calibrated `bench`
-/// helper each size reports the best of three passes (the grid bench's
-/// rationale: the fastest pass is the stable estimate of what the
-/// machine can do when passes are too costly to run nine of).
-fn bench_engine_fleet(report: &mut Report) {
-    use memdos_engine::engine::Engine;
-    use memdos_engine::fleet::{fleet_engine_config, fleet_jsonl, fleet_scenario};
-
-    const CEILING: usize = 16_384;
-    const SEED: u64 = 0xF1EE7;
-    const PAIRS: usize = 9;
-
-    let mut lines_10k: Vec<String> = Vec::new();
-    for (label, tenants) in [("1k", 1_000u32), ("10k", 10_000), ("50k", 50_000)] {
-        let lines = fleet_jsonl(&fleet_scenario(tenants, SEED))
-            .expect("fleet scenario presets are valid");
-        let total = lines.len() as f64;
-        let mut per_sec = 0.0f64;
-        let mut resident = 0usize;
-        let mut evicted = 0u64;
-        for _pass in 0..3 {
-            let mut engine = Engine::new(fleet_engine_config(1, CEILING))
-                .expect("fleet engine configuration is valid");
-            let t = Instant::now();
-            for line in &lines {
-                engine.ingest_line(line);
-            }
-            engine.finish();
-            let secs = t.elapsed().as_secs_f64().max(1e-9);
-            black_box(engine.log_lines().len());
-            per_sec = per_sec.max(total / secs);
-            resident = engine.resident_bytes();
-            evicted = engine.stats().evicted;
-            assert!(
-                engine.open_sessions() <= CEILING,
-                "fleet_{label}: ceiling breached ({} open)",
-                engine.open_sessions()
-            );
-        }
-        println!("engine_fleet_{label:<22} {per_sec:>12.0} samples/s ({resident} B resident)");
-        report.push(&format!("engine_fleet_samples_per_sec_{label}"), per_sec);
-        report.push(&format!("engine_fleet_resident_bytes_{label}"), resident as f64);
-        if tenants as usize > CEILING {
-            // The oversubscribed size is only a meaningful measurement if
-            // the ceiling actually forced evictions.
-            assert!(evicted > 0, "fleet_{label}: ceiling {CEILING} never evicted");
-            report.push(&format!("engine_fleet_evicted_{label}"), evicted as f64);
-        }
-        if label == "10k" {
-            report.push("engine_fleet_sample_ns", 1.0e9 / per_sec.max(1e-9));
-            lines_10k = lines;
-        }
-    }
-
-    // Paired serial/4-worker replays of the 10k stream, median ratio —
-    // see `bench_engine_ingest` for why scaling is measured relatively.
-    let replay = |workers: usize| {
-        let mut engine = Engine::new(fleet_engine_config(workers, CEILING))
-            .expect("fleet engine configuration is valid");
-        for line in &lines_10k {
-            engine.ingest_line(line);
-        }
-        engine.finish();
-        black_box(engine.log_lines().len());
-    };
-    let mut ratios: Vec<f64> = (0..PAIRS)
-        .map(|_| {
-            let t = Instant::now();
-            replay(1);
-            let serial = t.elapsed().as_nanos().max(1) as f64;
-            let t = Instant::now();
-            replay(4);
-            let sharded = t.elapsed().as_nanos().max(1) as f64;
-            serial / sharded
-        })
-        .collect();
-    ratios.sort_by(f64::total_cmp);
-    let scaling = ratios.get(PAIRS / 2).copied().unwrap_or(1.0);
-    println!("{:<28} {:>12.3} x", "engine_fleet_scaling_t4", scaling);
-    report.push("engine_fleet_scaling_t4", scaling);
-}
-
-/// Closed-loop mitigation: the respond driver (seeded fleet scenario →
-/// engine → mitigation actions → generator throttle) end to end,
-/// emitted into the separate `BENCH_8.json` report. The scenario
-/// outcomes are pure functions of the seed — the recovery latency of
-/// the confirmed true-attacker case and the false-quarantine cost of
-/// the benign-shift case are recorded verbatim so drift is visible in
-/// the artifact diff (`crates/engine/tests/mitigation_scenarios.rs`
-/// pins the exact values). Throughput covers the whole loop — generate,
-/// ingest, decide, apply — at 1 and 4 workers, best of three passes of
-/// several replays each.
-fn bench_mitigation_recovery(report: &mut Report) {
-    use memdos_engine::respond::{
-        respond_engine_config, respond_scenario, run_respond, RespondScenario,
-    };
-
-    const TENANTS: u32 = 6;
-    const SEED: u64 = 42;
-    const REPS: u32 = 8;
-    let run_once = |kind: RespondScenario, workers: usize| {
-        run_respond(&respond_scenario(kind, TENANTS, SEED), respond_engine_config(workers), None)
-            .expect("respond scenario presets are valid")
-    };
-
-    let confirmed = run_once(RespondScenario::TrueAttacker, 1);
-    assert!(
-        confirmed.stats.mitigations_escalated >= 1,
-        "bench scenario must confirm the attacker"
-    );
-    report.push(
-        "mitigation_recovery_latency_ticks",
-        confirmed.stats.recovery_latency_ticks as f64,
-    );
-    let benign = run_once(RespondScenario::BenignShift, 1);
-    assert!(
-        benign.stats.mitigations_released >= 1,
-        "bench scenario must release the false quarantine"
-    );
-    report.push(
-        "mitigation_false_quarantine_ticks",
-        benign.stats.false_quarantine_ticks as f64,
-    );
-
-    for workers in [1usize, 4] {
-        let mut per_sec = 0.0f64;
-        for _pass in 0..3 {
-            let t = Instant::now();
-            let mut lines = 0u64;
-            for _rep in 0..REPS {
-                let r = run_once(RespondScenario::TrueAttacker, workers);
-                lines += r.lines_fed;
-                black_box(r.log.len());
-            }
-            let secs = t.elapsed().as_secs_f64().max(1e-9);
-            per_sec = per_sec.max(lines as f64 / secs);
-        }
-        println!("respond_loop_t{workers}               {per_sec:>12.0} samples/s");
-        report.push(&format!("respond_samples_per_sec_t{workers}"), per_sec);
-        if workers == 1 {
-            report.push("respond_line_ns", 1.0e9 / per_sec.max(1e-9));
-        }
-    }
-}
-
 fn main() {
-    // Classic bench-runner convention: an optional substring filter
-    // (`cargo bench -p memdos-bench --bench micro -- engine`) selects
-    // which report sections run. A section's JSON file is only written
-    // when the section ran, so a filtered run never clobbers the other
-    // reports with empty objects. Flag-shaped args are ignored: cargo
-    // appends `--bench` when invoking a `harness = false` target, and
-    // that must not be mistaken for a filter.
-    let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-    let runs = |section: &str| filter.as_deref().is_none_or(|f| section.contains(f));
     println!("memdos micro-benchmarks (median of {PASSES} passes)");
-    if runs("kernels") {
-        let mut report = Report::default();
-        bench_sdsb_update(&mut report);
-        bench_sdsp_recompute(&mut report);
-        bench_ks_test(&mut report);
-        bench_fft(&mut report);
-        bench_dft_acf(&mut report);
-        bench_ma_ewma(&mut report);
-        bench_cache_access(&mut report);
-        report.write("MEMDOS_BENCH_OUT", "BENCH_2.json");
-    }
-    if runs("sim_grid") {
-        let mut sim_report = Report::default();
-        bench_sim_event_step(&mut sim_report);
-        bench_sim_server_tick(&mut sim_report);
-        bench_sim_grid_capture(&mut sim_report);
-        sim_report.write("MEMDOS_BENCH_OUT_SIM", "BENCH_6.json");
-    }
-    if runs("engine_ingest") {
-        let mut engine_report = Report::default();
-        bench_engine_ingest(&mut engine_report);
-        engine_report.write("MEMDOS_BENCH_OUT_ENGINE", "BENCH_5.json");
-    }
-    if runs("engine_binary") {
-        let mut binary_report = Report::default();
-        bench_engine_binary(&mut binary_report);
-        binary_report.write("MEMDOS_BENCH_OUT_BINARY", "BENCH_9.json");
-    }
-    if runs("engine_soak") {
-        let mut soak_report = Report::default();
-        bench_engine_soak(&mut soak_report);
-        soak_report.write("MEMDOS_BENCH_OUT_SOAK", "BENCH_4.json");
-    }
-    if runs("engine_fleet") {
-        let mut fleet_report = Report::default();
-        bench_engine_fleet(&mut fleet_report);
-        fleet_report.write("MEMDOS_BENCH_OUT_FLEET", "BENCH_7.json");
-    }
-    if runs("mitigation_recovery") {
-        let mut respond_report = Report::default();
-        bench_mitigation_recovery(&mut respond_report);
-        respond_report.write("MEMDOS_BENCH_OUT_RESPOND", "BENCH_8.json");
-    }
+    let mut report = Report::default();
+    bench_sdsb_update(&mut report);
+    bench_sdsp_recompute(&mut report);
+    bench_ks_test(&mut report);
+    bench_fft(&mut report);
+    bench_dft_acf(&mut report);
+    bench_ma_ewma(&mut report);
+    bench_cache_access(&mut report);
+    bench_sim_event_step(&mut report);
+    bench_sim_server_tick(&mut report);
+    report.write();
 }

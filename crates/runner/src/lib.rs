@@ -298,36 +298,6 @@ pub fn capture_runs(cfg: &ExperimentConfig, n_runs: u64, workers: usize) -> Vec<
     parallel_map(&runs, workers.min(cores()), |&run| cfg.capture_run(run))
 }
 
-/// Captures the full (application × run × attack) trace grid on
-/// `workers` threads, sharing each `(app, run)` pair's stage-1/2
-/// simulation prefix across all `attacks` via
-/// [`ExperimentConfig::capture_attack_sweep`].
-///
-/// Results come back flattened in `(app, run, attack)` order —
-/// applications outermost, attacks innermost, because the attacks of one
-/// pair are produced together by a single sweep. Output is bit-identical
-/// to calling `capture_run` per cell (the sweep's contract), so worker
-/// count and the prefix sharing itself never shape the traces.
-///
-/// `base.attack` is ignored; `base.app` is overridden per cell.
-pub fn capture_grid(
-    base: &ExperimentConfig,
-    apps: &[Application],
-    attacks: &[AttackKind],
-    stages: StageConfig,
-    runs: u64,
-    workers: usize,
-) -> Vec<CapturedRun> {
-    let workers = workers.min(cores());
-    parallel_map(&pairs(apps, runs), workers, |&(app, run)| {
-        let cfg = ExperimentConfig { app, stages, ..base.clone() };
-        cfg.capture_attack_sweep(attacks, run)
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,32 +335,5 @@ mod tests {
     #[test]
     fn threads_is_positive() {
         assert!(threads() >= 1);
-    }
-
-    #[test]
-    fn capture_grid_is_worker_invariant_and_ordered() {
-        let stages = StageConfig {
-            profile_ticks: 150,
-            benign_ticks: 150,
-            attack_ticks: 150,
-            interval_ticks: 50,
-            grace_ticks: 50,
-        };
-        let base = ExperimentConfig { seed: 0x9A1D, ..ExperimentConfig::default() };
-        let apps = [Application::KMeans, Application::FaceNet];
-        let attacks = AttackKind::ALL;
-        let one = capture_grid(&base, &apps, &attacks, stages, 1, 1);
-        let many = capture_grid(&base, &apps, &attacks, stages, 1, 8);
-        assert_eq!(one.len(), apps.len() * attacks.len());
-        assert_eq!(one.len(), many.len());
-        for (a, b) in one.iter().zip(&many) {
-            assert_eq!(format!("{:?}", a.observations), format!("{:?}", b.observations));
-        }
-        // (app, run, attack) order: entries sharing a prefix pair are
-        // adjacent, and different apps produce different traces.
-        assert_ne!(
-            format!("{:?}", one[0].observations),
-            format!("{:?}", one[attacks.len()].observations)
-        );
     }
 }

@@ -68,8 +68,8 @@
 //! graph findings are reused wholesale when no file changed at all.
 //!
 //! A second subcommand, `cargo run -p xtask -- bench-check <current>
-//! <baseline> [...]`, validates `BENCH_*.json` micro-benchmark reports
-//! against their baselines (see [`benchcheck`]).
+//! <baseline> [...]`, validates the `BENCH_2.json` micro-benchmark report
+//! against its baseline (see [`benchcheck`]).
 
 #![forbid(unsafe_code)]
 

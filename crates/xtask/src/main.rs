@@ -9,10 +9,10 @@
 //!   (one object, one line — the CI artifact) and the human
 //!   `lint_stats:` line to stderr.
 //! * `cargo run -p xtask -- bench-check <current> <baseline> [<current>
-//!   <baseline> ...]` — validate one or more `BENCH_*.json` reports
-//!   against their checked-in baselines and fail on regressions beyond
-//!   the tolerance factor (default 2.0, override
-//!   `MEMDOS_BENCH_TOLERANCE`).
+//!   <baseline> ...]` — validate one or more flat micro-benchmark
+//!   reports (in CI, `BENCH_2.json`) against their checked-in baselines
+//!   and fail on regressions beyond the tolerance factor (default 2.0,
+//!   override `MEMDOS_BENCH_TOLERANCE`).
 
 #![forbid(unsafe_code)]
 
