@@ -8,8 +8,8 @@
 //! closing or vanishing mid-stream). Every decision is drawn from a
 //! seeded [`memdos_stats::rng::Rng`], never from wall-clock time or OS
 //! entropy, so a fault scenario is a pure function of its seed: the
-//! soak harness (`memdos-engine soak`) replays the same scenario at
-//! several worker counts and asserts byte-identical verdict logs.
+//! soak harness (`memdos-engine soak`) replays the same scenario twice
+//! and asserts byte-identical verdict logs.
 //!
 //! The plan is push-based so it wraps streaming sources: feed input
 //! lines with [`FaultPlan::push_line`] (each returns the lines to

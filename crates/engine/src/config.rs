@@ -6,12 +6,12 @@
 //! with [`Config::from_env`]. [`crate::engine::Engine::new`] takes a
 //! `Config` and nothing else — the engine itself never reads the
 //! environment, so a library embedder (or a test replaying the same
-//! stream at several worker counts) passes explicit values instead of
-//! mutating process-global state.
+//! stream under several configurations) passes explicit values instead
+//! of mutating process-global state.
 //!
 //! | env var | field |
 //! |---|---|
-//! | `MEMDOS_THREADS` | [`Config::workers`] |
+//! | `MEMDOS_THREADS` | [`Config::workers`] (ignored by the engine; the CLI sizes the demo generator with it) |
 //! | `MEMDOS_ENGINE_BATCH` | [`Config::batch`] |
 //! | `MEMDOS_ENGINE_MAX_SESSIONS` | [`Config::max_sessions`] |
 //! | `MEMDOS_ENGINE_DROP_LOG` | [`Config::drop_log_every`] |
@@ -37,7 +37,7 @@ use memdos_core::CoreError;
 ///
 /// Budgets are measured in *seq ticks* — ingest arrival indices — so
 /// every decision point is a pure function of the input stream and the
-/// mitigation event log stays byte-identical at any worker count.
+/// mitigation event log stays byte-identical on every rerun.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MitigationPolicy {
     /// Master switch for the response loop.
@@ -108,8 +108,11 @@ impl MitigationPolicy {
 /// module docs for the environment-variable mapping.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Config {
-    /// Worker threads for session dispatch (>= 1). The log is identical
-    /// at any value; this only sets the parallelism.
+    /// Requested worker count (>= 1). The engine ignores it: a flush
+    /// drains every session on the calling thread. The field stays
+    /// (validated, set from `MEMDOS_THREADS`) only because the
+    /// benchmark harness still reads and sets it, and goes together
+    /// with those uses.
     pub workers: usize,
     /// Input lines between flushes (>= 1). Keep at or below the session
     /// queue capacity to rule out backpressure drops from batching alone
@@ -155,7 +158,7 @@ impl Default for Config {
 }
 
 impl Config {
-    /// Sets the worker count (builder style).
+    /// Sets the (ignored) worker count (builder style).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;

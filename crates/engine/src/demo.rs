@@ -122,7 +122,7 @@ pub fn demo_engine_config(workers: usize) -> Config {
 
 /// The compact layout the chaos soak replays: the same four-phase shape
 /// as [`LAYOUT`] shrunk to ~3.1 k ticks per tenant so a multi-seed,
-/// multi-worker sweep stays fast. The profile stretch still spans
+/// replayed-twice soak stays fast. The profile stretch still spans
 /// several FaceNet periods (Stage-1 periodicity detection works) and
 /// the attack window still clears the demo SDS minimum detection delay
 /// (750 ticks) with margin for chaos-induced sample loss, so attacked

@@ -1,19 +1,16 @@
 //! The multi-tenant engine: slab-backed session registry, batched
 //! dispatch, and the deterministic event log.
 //!
-//! Ingestion is single-threaded: each input line receives a global
+//! The engine is single-threaded: each input line receives a global
 //! arrival index (`seq`) and is routed to its tenant's [`Session`]
 //! queue. Every `batch` lines the engine **flushes**: the sessions that
 //! queued work (tracked in a duplicate-free dirty list — a fleet host
 //! holds tens of thousands of sessions and must never scan them all per
-//! flush) drain their queues and the produced events go to the log in
-//! `(seq, sub)` order. With one worker (or one dirty session) each
-//! session drains where it sits in its slab slot; otherwise the dirty
-//! sessions are lent out of the slab and sharded across the persistent
-//! [`memdos_runner::ShardPool`] workers, each drains its queue
-//! sequentially into a per-shard run, and the runs are merged. Either
-//! way, one settle pass then walks the dirty list over the slab slots
-//! (quarantine notices, retirement, husk shrink, the terminal FIFO).
+//! flush) drain their queues where they sit in their slab slots, in
+//! first-queue order, and the produced events go to the log in
+//! `(seq, sub)` order. One settle pass then walks the dirty list over
+//! the slab slots (quarantine notices, retirement, husk shrink, the
+//! terminal FIFO).
 //!
 //! ## Session storage at fleet scale
 //!
@@ -59,18 +56,6 @@
 //! resident are shrunk to a husk (detectors and buffers dropped,
 //! identity and counters kept).
 //!
-//! ## Hierarchical merge
-//!
-//! Workers sort their own runs by `(seq, sub)` before handing them back
-//! (the pool's finish hook), so the engine performs a K-way heap merge
-//! over ~`workers + 1` sorted runs (session runs plus the ingest-event
-//! run, which is sorted by construction) and renders straight into the
-//! log. The old single `sort` over the concatenated events cost
-//! `O(E log E)` on one thread; the merge moves the `log`-factor work
-//! onto the workers and keeps the single-threaded part at
-//! `O(E log K)`, which is what lets verdict merging scale past a
-//! handful of shards.
-//!
 //! ## Ingest path
 //!
 //! A JSONL stream is framed by [`jsonl::LineFramer`], so line
@@ -85,17 +70,19 @@
 //!
 //! ## Determinism guarantee
 //!
-//! Replaying the same input produces a **byte-identical** event log at
-//! any worker count:
+//! Replaying the same input produces a **byte-identical** event log. The
+//! engine runs on one thread, so this holds by construction rather than
+//! by a merge kept equal to a reference path:
 //!
-//! * `seq` is assigned at single-threaded ingest, never by a worker;
+//! * `seq` is assigned at ingest in arrival order;
 //! * a session's events depend only on the sample sequence it received
 //!   (queues drain fully at each flush, so flush boundaries do not change
 //!   what any session observes, only when it observes it);
 //! * backpressure drops, idle closes and evictions are decided at
-//!   ingest/flush boundaries, before any worker runs;
-//! * `(seq, sub)` keys are unique across all events, so the K-way merge
-//!   has exactly one order regardless of how sessions were sharded.
+//!   ingest/flush boundaries;
+//! * `(seq, sub)` keys are unique across all events, so sorting a
+//!   flush's events by them has exactly one result, with an ingest-side
+//!   event after the session events of its `seq`.
 //!
 //! The log is also identical across **batch sizes** as long as no
 //! session queue overflows (i.e. `batch <= queue_capacity`, or the input
@@ -103,21 +90,22 @@
 //! queues, so a larger batch holds samples longer and can trip the drop
 //! policy earlier — backpressure is timing, and timing is what `batch`
 //! configures. `tests/engine_replay_determinism.rs` (tier-1) pins the
-//! worker-count guarantee on the demo stream and
-//! `tests/engine_fleet_determinism.rs` pins it across evictions at fleet
-//! scale.
+//! rerun guarantee on the demo stream and
+//! `tests/engine_fleet_determinism.rs` pins it, with a digest, across
+//! evictions at fleet scale.
 
 pub use crate::config::Config;
 use crate::event::{render_event, Escalation, Event, Release, SessionEvent, StatsLine};
 use crate::mitigation::{CaseStep, Coordinator, MitigationAction};
 use crate::protocol::Record;
-use crate::session::{CloseReason, Offered, Session, SessionSnapshot, SessionState};
+use crate::session::{
+    BatchScratch, CloseReason, Offered, Session, SessionSnapshot, SessionState,
+};
 use crate::slab::Slab;
 use memdos_core::detector::Observation;
 use memdos_core::CoreError;
 use memdos_metrics::binary::{self, BinDecoder, BinFrame};
 use memdos_metrics::jsonl::{self, LineBuf, LineFramer, Piece, RawKind, Segment};
-use memdos_runner::ShardPool;
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -188,22 +176,16 @@ pub(crate) struct StageProf {
     pub(crate) decode_bin_ns: u64,
     /// Record → session routing (intern probe, offer, drop policy).
     pub(crate) dispatch_ns: u64,
-    /// Session queue draining (detector stepping) across the pool.
+    /// Session queue draining (detector stepping), in place in the slab.
     pub(crate) step_ns: u64,
-    /// Imposing the `(seq, sub)` order on the flush's events: the sort
-    /// on the inline path, the fused K-way merge + render on the pooled
-    /// path.
+    /// Imposing the `(seq, sub)` order on the flush's events (the sort).
     pub(crate) merge_ns: u64,
-    /// Event rendering and log append (inline path; the pooled path
-    /// bills its fused merge+render loop to `merge_ns`).
+    /// Event rendering and log append.
     pub(crate) write_ns: u64,
     /// The flush's session bookkeeping around the other stages: settling
     /// the drained sessions in their slab slots (quarantine notices,
     /// retiring and recycling, husk shrink, the terminal FIFO), the idle
-    /// scan and the mitigation step — plus, on the pooled path only,
-    /// lending the dirty sessions out of the slab and restoring them.
-    /// The inline path drains sessions in place and bills that to
-    /// `step_ns`.
+    /// scan and the mitigation step.
     pub(crate) reclaim_ns: u64,
 }
 
@@ -369,7 +351,7 @@ struct RetiredSession {
 
 /// Per-tenant routing state kept at the ingest side, so reopen, idle
 /// and eviction decisions never depend on flush timing (which would
-/// break the worker-count determinism guarantee).
+/// break the batch-size determinism guarantee).
 #[derive(Debug)]
 struct TenantSlot {
     /// The interned name, shared with every incarnation's session and
@@ -438,33 +420,15 @@ pub struct Engine {
     /// with session events at the next flush. Sorted by construction:
     /// `seq` increases monotonically at ingest and `sub` is constant.
     ingest_events: Vec<SessionEvent>,
-    /// Persistent dispatch pool, spawned lazily at the first flush that
-    /// can use more than one worker. Its finish hook sorts each shard's
-    /// run so [`Engine::merge_runs`] can K-way merge.
-    pool: Option<ShardPool<Session, SessionEvent>>,
-    /// `config.workers` clamped to the machine's available parallelism:
-    /// oversubscribing a CPU-bound pool adds channel latency without
-    /// adding concurrency (on a 1-core host a requested 4-worker pool
-    /// ran ~40 % *slower* than inline). The log is byte-identical at
-    /// any width, so the clamp is unobservable in output.
-    effective_workers: usize,
     /// Released sessions kept for [`Session::reopen`], so churn reuses
     /// their storage instead of allocating. At most `config.batch`: a
     /// flush interval opens at most about one session per arrival
     /// index, so that many spares cover the next interval's opens.
     spares: Vec<Session>,
-    /// Recycled flush-event buffer for the inline path.
+    /// Recycled flush-event buffer.
     events_buf: Vec<SessionEvent>,
-    /// Recycled working set of sessions lent out of the slab for a
-    /// pooled flush, with their `(slab slot, owner)` keys alongside.
-    scratch: Vec<Session>,
-    scratch_meta: Vec<(u32, u32)>,
-    /// Recycled per-shard run buffers for the pooled path.
-    runs: Vec<Vec<SessionEvent>>,
-    /// Recycled K-way merge state: `(seq, sub, run)` min-heap and
-    /// per-run cursors.
-    merge_heap: BinaryHeap<Reverse<(u64, u32, usize)>>,
-    merge_pos: Vec<usize>,
+    /// Recycled columnar buffers every monitoring session steps through.
+    batch_scratch: BatchScratch,
     /// Recycled log-line writer.
     render: LineBuf,
     /// Recycled decode buffer for escaped protocol strings (see
@@ -482,7 +446,7 @@ pub struct Engine {
     /// session closed, for the `mitigation_released` event.
     aborted_cases: Vec<Arc<str>>,
     /// Terminal-but-resident sessions (quarantined verdicts,
-    /// worker-closed husks), in the order they turned terminal. The
+    /// drain-closed husks), in the order they turned terminal. The
     /// ceiling eviction drains this before touching the recency heap:
     /// their detection work is done, so they go first instead of
     /// pinning slots while live tenants get evicted around them.
@@ -526,15 +490,9 @@ impl Engine {
             open_count: 0,
             sessions_opened: 0,
             ingest_events: Vec::new(),
-            pool: None,
-            effective_workers: config.workers.min(memdos_runner::cores()),
             spares: Vec::new(),
             events_buf: Vec::new(),
-            scratch: Vec::new(),
-            scratch_meta: Vec::new(),
-            runs: Vec::new(),
-            merge_heap: BinaryHeap::new(),
-            merge_pos: Vec::new(),
+            batch_scratch: BatchScratch::default(),
             render: LineBuf::new(),
             unescaped: String::new(),
             prof: StageProf::new(config.prof),
@@ -1154,9 +1112,9 @@ impl Engine {
 
     /// Evicts one open session to make room under the memory ceiling:
     /// an ordinary close with reason `evicted`, decided at ingest time
-    /// so it replays identically at any worker count. Terminal-but-
+    /// so it replays identically on every rerun. Terminal-but-
     /// resident sessions (quarantined verdicts whose idle exemption
-    /// would otherwise pin their slots forever, worker-closed husks) go
+    /// would otherwise pin their slots forever, drain-closed husks) go
     /// first, in the order they turned terminal; only when none remain
     /// does the least-recently-seen live session go. Stale entries in
     /// either structure (tenant closed, reopened, or spoke since the
@@ -1219,7 +1177,7 @@ impl Engine {
     /// marks the tenant's slot closed — taking it out of the open count
     /// the ceiling bounds, once — and queues the close on the session
     /// under `seq`, so it drains at the next flush. Deciding closes here
-    /// rather than on the workers keeps reopen and eviction independent
+    /// rather than in the drain keeps reopen and eviction independent
     /// of flush timing.
     // hot-path
     fn close_at_ingest(&mut self, idx: u32, owner: u32, seq: u64, reason: CloseReason) {
@@ -1245,9 +1203,8 @@ impl Engine {
         self.ingest_events.push(SessionEvent { seq, sub: SUB_INGEST, payload });
     }
 
-    /// Drains the dirty sessions' queued items — in place on the inline
-    /// path, across the persistent worker pool otherwise — and appends
-    /// the produced events to the log in `(seq, sub)` order, then
+    /// Drains the dirty sessions' queued items in place and appends the
+    /// produced events to the log in `(seq, sub)` order, then
     /// settles every drained session ([`Engine::settle`]) and applies
     /// the idle timeout and the mitigation step. Only sessions that
     /// queued work are touched — a 50k-tenant fleet with a handful of
@@ -1259,11 +1216,7 @@ impl Engine {
             return;
         }
         self.pending = 0;
-        if self.effective_workers <= 1 || self.dirty.len() <= 1 {
-            self.drain_inline();
-        } else {
-            self.drain_pooled();
-        }
+        self.drain_inline();
         // Settle each drained session where it sits, in the
         // (deterministic) order sessions first queued work.
         let t_reclaim = self.prof.start();
@@ -1279,11 +1232,9 @@ impl Engine {
         self.prof.reclaim_ns += d;
     }
 
-    /// The inline flush: a single worker (or session) would serialise
-    /// through the pool anyway, so each dirty session drains where it
+    /// The drain half of a flush: each dirty session drains where it
     /// sits in its slab slot, in first-queue order — no session struct
-    /// moves and no channel machinery runs — then the flush's events
-    /// are sorted and rendered.
+    /// moves — then the flush's events are sorted and rendered.
     fn drain_inline(&mut self) {
         let t0 = self.prof.start();
         let mut events = std::mem::take(&mut self.events_buf);
@@ -1291,7 +1242,7 @@ impl Engine {
         for &idx in &self.dirty {
             if let Some((_, session)) = self.slab.flush_mut(idx) {
                 queued += session.queued() as u64;
-                session.process_queued_into(&mut events);
+                session.process_queued_into(&mut events, &mut self.batch_scratch);
             }
         }
         self.stats.peak_queued = self.stats.peak_queued.max(queued);
@@ -1315,108 +1266,14 @@ impl Engine {
         self.events_buf = events;
     }
 
-    /// The pooled flush: the dirty sessions are lent out of the slab in
-    /// first-queue order, sharded across the workers, K-way merged into
-    /// the log and restored to their slots for the settle pass.
-    fn drain_pooled(&mut self) {
-        let t_lend = self.prof.start();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut meta = std::mem::take(&mut self.scratch_meta);
-        let mut queued: u64 = 0;
-        for &idx in &self.dirty {
-            if let Some((owner, session)) = self.slab.lend(idx) {
-                queued += session.queued() as u64;
-                meta.push((idx, owner));
-                scratch.push(session);
-            }
-        }
-        self.stats.peak_queued = self.stats.peak_queued.max(queued);
-        let d = self.prof.lap(t_lend);
-        self.prof.reclaim_ns += d;
-        let t0 = self.prof.start();
-        let workers = self.effective_workers;
-        let pool = self.pool.get_or_insert_with(|| {
-            ShardPool::with_finish(
-                workers,
-                |s: &mut Session, out: &mut Vec<SessionEvent>| s.process_queued_into(out),
-                // Each worker sorts its own runs, so the engine only
-                // merges (see the module docs on the hierarchical
-                // merge).
-                |run: &mut Vec<SessionEvent>| run.sort_by_key(|e| (e.seq, e.sub)),
-            )
-        });
-        let mut runs = std::mem::take(&mut self.runs);
-        pool.run_sharded_runs(&mut scratch, &mut runs);
-        let d = self.prof.lap(t0);
-        self.prof.step_ns += d;
-        let t1 = self.prof.start();
-        runs.push(std::mem::take(&mut self.ingest_events));
-        self.merge_runs(&mut runs);
-        // The ingest run went in last and `merge_runs` does not
-        // reorder the run list; reclaim its capacity.
-        if let Some(ingest) = runs.pop() {
-            self.ingest_events = ingest;
-        }
-        let d = self.prof.lap(t1);
-        self.prof.merge_ns += d;
-        self.runs = runs;
-        let t_restore = self.prof.start();
-        for ((idx, owner), session) in meta.drain(..).zip(scratch.drain(..)) {
-            self.slab.restore(idx, owner, session);
-        }
-        self.scratch = scratch;
-        self.scratch_meta = meta;
-        let d = self.prof.lap(t_restore);
-        self.prof.reclaim_ns += d;
-    }
-
-    /// K-way merges pre-sorted event runs into the log. Every run is
-    /// sorted by `(seq, sub)` (worker finish hooks sort shard runs; the
-    /// ingest run is sorted by construction) and the keys are globally
-    /// unique, so popping the smallest head across runs renders the one
-    /// total order without re-sorting. Heap and cursors are recycled.
-    /// Runs come back cleared.
-    fn merge_runs(&mut self, runs: &mut [Vec<SessionEvent>]) {
-        self.merge_heap.clear();
-        self.merge_pos.clear();
-        self.merge_pos.resize(runs.len(), 0);
-        for (rid, run) in runs.iter().enumerate() {
-            if let Some(e) = run.first() {
-                self.merge_heap.push(Reverse((e.seq, e.sub, rid)));
-            }
-        }
-        while let Some(Reverse((_, _, rid))) = self.merge_heap.pop() {
-            let Some(p) = self.merge_pos.get_mut(rid) else {
-                continue;
-            };
-            let at = *p;
-            *p = at + 1;
-            let Some(run) = runs.get(rid) else {
-                continue;
-            };
-            let Some(ev) = run.get(at) else {
-                continue;
-            };
-            let line = render_event(&mut self.render, ev);
-            self.log.push(line);
-            if let Some(next) = run.get(at + 1) {
-                self.merge_heap.push(Reverse((next.seq, next.sub, rid)));
-            }
-        }
-        for run in runs.iter_mut() {
-            run.clear();
-        }
-    }
-
-    /// Settles one drained session in its slab slot — the one
-    /// post-drain routine both flush paths share. A pending quarantine
+    /// Settles one drained session in its slab slot. A pending quarantine
     /// notice goes to the mitigation step. A closed incarnation whose
     /// close the ingest side decided is fully drained now, so it
     /// retires: its final counters are retained for snapshots and its
     /// storage moves to the spare list ([`Engine::retire`]). A closed
     /// incarnation the tenant already superseded (it reopened before
     /// this one drained) just retires. Anything else stays resident,
-    /// shrunk to a husk if terminal; a session closed worker-side only
+    /// shrunk to a husk if terminal; a session closed by its own drain
     /// (failed profile) must still drop later samples against its
     /// policy, and a terminal session joins the terminal FIFO the
     /// ceiling eviction drains first.
@@ -1486,11 +1343,11 @@ impl Engine {
     /// `idle_timeout` arrival indices, walking the shared recency heap
     /// instead of every tenant: pop while the oldest entry is past the
     /// timeout, dropping or refreshing stale entries lazily (same
-    /// protocol as eviction). Quarantined and worker-closed sessions are
+    /// protocol as eviction). Quarantined and drain-closed sessions are
     /// exempt — they re-arm at the current index so they stay evictable
     /// under ceiling pressure. Runs at flush boundaries, which are a
     /// pure function of the input, so the transition replays
-    /// deterministically at any worker count. The synthetic close
+    /// deterministically on every rerun. The synthetic close
     /// consumes a fresh arrival index and drains at the next flush.
     fn check_idle(&mut self) {
         let timeout = self.config.session.idle_timeout;
@@ -1541,7 +1398,7 @@ impl Engine {
     /// The mitigation response step, run at the end of every flush.
     /// Flush boundaries are a pure function of the input stream, so
     /// every decision here — engage, confirm, climb, release — and its
-    /// `mitigation_*` event replays identically at any worker count.
+    /// `mitigation_*` event replays identically on every rerun.
     /// Consumes the quarantine notices the flush drained (engaging a
     /// control on each freshly quarantined tenant, or skipping a
     /// notice whose session already closed underneath it), feeds one
@@ -1744,9 +1601,8 @@ mod tests {
     use crate::session::SessionConfig;
     use memdos_metrics::jsonl::JsonObject;
 
-    fn fast_config(workers: usize, batch: usize) -> Config {
+    fn fast_config(batch: usize) -> Config {
         Config {
-            workers,
             batch,
             session: SessionConfig { profile_ticks: 2_000, ..SessionConfig::default() },
             ..Config::default()
@@ -1782,36 +1638,57 @@ mod tests {
     }
 
     #[test]
-    fn log_is_identical_across_workers_and_batch_sizes() {
+    fn log_is_identical_across_batch_sizes() {
         let lines = synthetic_lines();
-        let reference = run(fast_config(1, 256), &lines);
+        let reference = run(fast_config(256), &lines);
         assert!(!reference.is_empty());
-        // Any worker count; any batch size up to the queue capacity
-        // (1024 default, 3 tenants → up to 3072 lines per flush).
-        for (workers, batch) in [(2, 256), (8, 256), (1, 7), (4, 1_024)] {
-            assert_eq!(
-                run(fast_config(workers, batch), &lines),
-                reference,
-                "workers={workers} batch={batch}"
-            );
+        // Any batch size up to the queue capacity (1024 default,
+        // 3 tenants → up to 3072 lines per flush).
+        for batch in [256, 7, 1_024] {
+            assert_eq!(run(fast_config(batch), &lines), reference, "batch={batch}");
         }
     }
 
     #[test]
-    fn oversized_batch_drops_visibly_and_stays_worker_invariant() {
-        let lines = synthetic_lines();
-        // A batch far beyond the queue capacity forces the drop policy;
-        // the drops are logged, and the log is still identical at any
-        // worker count because drops are decided at ingest time.
-        let reference = run(fast_config(1, 1_000_000), &lines);
-        assert!(reference.iter().any(|l| l.contains(r#""event":"dropped""#)));
-        assert_eq!(run(fast_config(8, 1_000_000), &lines), reference);
+    fn oversized_batch_drops_visibly() {
+        // A batch far beyond the queue capacity forces the drop policy,
+        // and the drops are logged.
+        let log = run(fast_config(1_000_000), &synthetic_lines());
+        assert!(log.iter().any(|l| l.contains(r#""event":"dropped""#)));
+    }
+
+    #[test]
+    fn flush_logs_in_seq_then_sub_order() {
+        // vm-a queues first but ends up holding the later arrival index:
+        // its second sample evicts the first from a one-slot queue, so it
+        // drains `opened` at seq 2 before vm-b drains `opened` at seq 1.
+        // The `dropped` event shares seq 2 with vm-a's `opened`.
+        let mut config = fast_config(1_000_000);
+        config.session.queue_capacity = 1;
+        let mut engine = Engine::new(config).unwrap();
+        engine.ingest_line(r#"{"tenant":"vm-a","access":1,"miss":2}"#);
+        engine.ingest_line(r#"{"tenant":"vm-b","access":1,"miss":2}"#);
+        engine.ingest_line(r#"{"tenant":"vm-a","access":3,"miss":4}"#);
+        engine.flush();
+        let got: Vec<(u64, String, String)> = engine
+            .log_lines()
+            .iter()
+            .map(|l| {
+                let o = JsonObject::parse(l).expect("line parses");
+                let field = |k: &str| o.get_str(k).expect(k).to_string();
+                (o.get_f64("seq").expect("seq") as u64, field("event"), field("tenant"))
+            })
+            .collect();
+        let want = [(1, "opened", "vm-b"), (2, "opened", "vm-a"), (2, "dropped", "vm-a")];
+        let want: Vec<(u64, String, String)> =
+            want.iter().map(|&(q, e, t)| (q, e.to_string(), t.to_string())).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
     fn log_contains_lifecycle_and_alarm() {
         let lines = synthetic_lines();
-        let log = run(fast_config(4, 256), &lines);
+        let log = run(fast_config(256), &lines);
         let count = |needle: &str| log.iter().filter(|l| l.contains(needle)).count();
         assert_eq!(count(r#""event":"opened""#), 3);
         assert_eq!(count(r#""event":"profile_ready""#), 3);
@@ -1827,7 +1704,7 @@ mod tests {
 
     #[test]
     fn malformed_lines_are_logged_not_fatal() {
-        let mut engine = Engine::new(fast_config(1, 4)).unwrap();
+        let mut engine = Engine::new(fast_config(4)).unwrap();
         engine.ingest_line("not json at all");
         engine.ingest_line(r#"{"tenant":"vm-0","access":1,"miss":2}"#);
         engine.flush();
@@ -1842,7 +1719,7 @@ mod tests {
     #[test]
     fn ingest_reader_consumes_jsonl() {
         let input = "{\"tenant\":\"vm-0\",\"access\":1,\"miss\":2}\n\n{\"tenant\":\"vm-0\",\"ctl\":\"close\"}\n";
-        let mut engine = Engine::new(fast_config(1, 256)).unwrap();
+        let mut engine = Engine::new(fast_config(256)).unwrap();
         let n = engine.ingest_reader(input.as_bytes()).unwrap();
         // Physical lines, blank included.
         assert_eq!(n, 3);
@@ -1859,7 +1736,7 @@ mod tests {
         enc.sample("vm-0", 1.0, 2.0, &mut bytes).unwrap();
         enc.sample("vm-1", 3.0, 4.0, &mut bytes).unwrap();
         enc.close("vm-0", &mut bytes).unwrap();
-        let mut engine = Engine::new(fast_config(1, 256)).unwrap();
+        let mut engine = Engine::new(fast_config(256)).unwrap();
         // 2 defines + 2 samples + 1 close.
         let n = engine.ingest_reader(&bytes[..]).unwrap();
         assert_eq!(n, 5);
@@ -1882,7 +1759,7 @@ mod tests {
         let mut bytes = Vec::new();
         binary::write_preamble(&mut bytes);
         binary::write_sample(&mut bytes, 7, 1.0, 2.0);
-        let mut engine = Engine::new(fast_config(1, 256)).unwrap();
+        let mut engine = Engine::new(fast_config(256)).unwrap();
         engine.ingest_reader(&bytes[..]).unwrap();
         assert_eq!(engine.malformed(), 1);
         assert!(engine
@@ -1900,7 +1777,7 @@ mod tests {
         input.extend_from_slice(b"{\"tenant\":\"vm-0\",\"acc{\"tenant\":\"vm-0\",\"access\":1,\"miss\":2}\n");
         input.extend_from_slice(&[0xff, 0xfe, b'\n']);
         input.extend_from_slice(b"{\"tenant\":\"vm-0\",\"ctl\":\"close\"}\n");
-        let mut engine = Engine::new(fast_config(1, 256)).unwrap();
+        let mut engine = Engine::new(fast_config(256)).unwrap();
         let n = engine.ingest_reader(&input[..]).unwrap();
         assert_eq!(n, 3);
         let stats = engine.stats();
@@ -1919,7 +1796,7 @@ mod tests {
 
     #[test]
     fn ingest_line_resyncs_fused_records() {
-        let mut engine = Engine::new(fast_config(1, 256)).unwrap();
+        let mut engine = Engine::new(fast_config(256)).unwrap();
         // Two valid records fused onto one line around a corrupted span.
         engine.ingest_line(
             "{\"tenant\":\"vm-0\",\"access\":1,\"miss\":2}garbage{\"tenant\":\"vm-1\",\"access\":3,\"miss\":4}",
@@ -1932,7 +1809,7 @@ mod tests {
 
     #[test]
     fn idle_timeout_closes_silent_tenants() {
-        let mut config = fast_config(1, 8);
+        let mut config = fast_config(8);
         config.session.idle_timeout = 16;
         let mut engine = Engine::new(config).unwrap();
         // vm-idle speaks once, then vm-busy floods past the timeout.
@@ -1959,7 +1836,7 @@ mod tests {
 
     #[test]
     fn closed_tenant_reopens_as_new_generation() {
-        let mut engine = Engine::new(fast_config(1, 4)).unwrap();
+        let mut engine = Engine::new(fast_config(4)).unwrap();
         engine.ingest_line(r#"{"tenant":"vm-0","access":1,"miss":2}"#);
         engine.ingest_line(r#"{"tenant":"vm-0","ctl":"close"}"#);
         engine.ingest_line(r#"{"tenant":"vm-0","access":3,"miss":4}"#);
@@ -1978,7 +1855,7 @@ mod tests {
 
     #[test]
     fn ceiling_evicts_lru_and_tenant_reopens() {
-        let mut config = fast_config(1, 4);
+        let mut config = fast_config(4);
         config.max_sessions = 2;
         let mut engine = Engine::new(config).unwrap();
         // vm-a is the least recently seen when vm-c arrives.
@@ -2006,7 +1883,7 @@ mod tests {
     }
 
     #[test]
-    fn eviction_log_is_worker_invariant() {
+    fn eviction_log_replays_identically() {
         // Rolling churn across 8 tenants under a ceiling of 3; drops,
         // evictions and reopens must replay byte-identically.
         let mut lines = Vec::new();
@@ -2020,24 +1897,19 @@ mod tests {
                 lines.push(format!(r#"{{"tenant":"vm-{}","ctl":"close"}}"#, (i / 97) % 8));
             }
         }
-        let config = |workers: usize| {
-            let mut c = fast_config(workers, 64);
-            c.max_sessions = 3;
-            c
-        };
-        let reference = run(config(1), &lines);
+        let mut config = fast_config(64);
+        config.max_sessions = 3;
+        let reference = run(config, &lines);
         assert!(
             reference.iter().any(|l| l.contains(r#""reason":"evicted""#)),
             "scenario must actually evict"
         );
-        for workers in [2, 4, 8] {
-            assert_eq!(run(config(workers), &lines), reference, "workers={workers}");
-        }
+        assert_eq!(run(config, &lines), reference);
     }
 
     #[test]
     fn snapshots_serve_live_and_retired_tenants() {
-        let mut engine = Engine::new(fast_config(1, 4)).unwrap();
+        let mut engine = Engine::new(fast_config(4)).unwrap();
         engine.ingest_line(r#"{"tenant":"vm-live","access":1,"miss":2}"#);
         engine.ingest_line(r#"{"tenant":"vm-gone","access":1,"miss":2}"#);
         engine.ingest_line(r#"{"tenant":"vm-gone","ctl":"close"}"#);
@@ -2061,7 +1933,7 @@ mod tests {
 
     #[test]
     fn resident_bytes_counts_each_session_struct_once() {
-        // A profile too short to finish leaves a worker-closed husk:
+        // A profile too short to finish leaves a drain-closed husk:
         // detector, profiler and queue released, only the name on the
         // heap. The struct itself sits in the slab slot, which the
         // engine counts, so the session's own figure must not add it
@@ -2112,15 +1984,10 @@ mod tests {
     /// husk), then either closes — so vm-b's session reuses vm-a's
     /// storage — or stays while an unrelated record takes the close's
     /// arrival index, so vm-b opens fresh; vm-b then runs the same
-    /// script. `workers` overrides the flush width (see
-    /// [`run_forced`]). With mitigation on, the loop releases and
-    /// reopens vm-a mid-script, so the prefix's state checks apply only
-    /// without it.
-    fn vm_b_run(config: Config, workers: usize, recycle: bool) -> Engine {
-        let checked = !config.mitigation.enabled;
+    /// script.
+    fn vm_b_run(config: Config, recycle: bool) -> Engine {
         let quarantine_after = config.session.quarantine_after;
         let mut engine = Engine::new(config).unwrap();
-        engine.effective_workers = workers;
         let sample = |tenant: &str, i: u64, attacked: bool| {
             let access = if attacked { 100 } else { 1000 + i % 10 };
             format!(r#"{{"tenant":"{tenant}","access":{access},"miss":{}}}"#, 100 + i % 5)
@@ -2129,40 +1996,34 @@ mod tests {
             engine.ingest_line(&sample("vm-a", i, i >= 2_500));
         }
         engine.flush();
-        if checked {
-            let a = engine.snapshot("vm-a").expect("vm-a is resident");
-            let expected = if quarantine_after > 0 {
-                SessionState::Quarantined
-            } else {
-                SessionState::Monitoring
-            };
-            assert_eq!(a.state, expected);
-        }
+        let a = engine.snapshot("vm-a").expect("vm-a is resident");
+        let expected = if quarantine_after > 0 {
+            SessionState::Quarantined
+        } else {
+            SessionState::Monitoring
+        };
+        assert_eq!(a.state, expected);
         if recycle {
             engine.ingest_line(r#"{"tenant":"vm-a","ctl":"close"}"#);
         } else {
             engine.ingest_line(r#"{"tenant":"vm-c","access":1,"miss":2}"#);
         }
         engine.flush();
-        if checked {
-            assert_eq!(engine.spares.len(), usize::from(recycle));
-        }
+        assert_eq!(engine.spares.len(), usize::from(recycle));
         for i in 0..4_000u64 {
             engine.ingest_line(&sample("vm-b", i, i >= 2_500));
         }
         engine.ingest_line(r#"{"tenant":"vm-b","ctl":"close"}"#);
         engine.finish();
-        if checked {
-            assert!(engine.spares.len() <= 1 + usize::from(recycle));
-        }
+        assert!(engine.spares.len() <= 1 + usize::from(recycle));
         engine
     }
 
-    /// vm-b's log lines from [`vm_b_run`] on the inline path.
+    /// vm-b's log lines from [`vm_b_run`].
     fn vm_b_lines(quarantine_after: u64, recycle: bool) -> Vec<String> {
-        let mut config = fast_config(1, 64);
+        let mut config = fast_config(64);
         config.session.quarantine_after = quarantine_after;
-        vm_b_run(config, 1, recycle)
+        vm_b_run(config, recycle)
             .log_lines()
             .iter()
             .filter(|l| l.contains(r#""tenant":"vm-b""#))
@@ -2182,58 +2043,6 @@ mod tests {
                 "quarantine_after={quarantine_after}"
             );
         }
-    }
-
-    /// Replays `lines` with the flush width forced to `workers`.
-    /// `Engine::new` clamps `config.workers` to the host's cores, so on a
-    /// one-vCPU host every worker-count comparison would otherwise run
-    /// the inline path against itself.
-    fn run_forced(config: Config, workers: usize, lines: &[String]) -> Engine {
-        let mut engine = Engine::new(config).unwrap();
-        engine.effective_workers = workers;
-        for line in lines {
-            engine.ingest_line(line);
-        }
-        engine.finish();
-        engine
-    }
-
-    #[test]
-    fn pooled_and_inline_flushes_write_identical_logs() {
-        // A 3,000-tenant fleet under a 256-session ceiling: evictions,
-        // reopens and spare recycling at every flush.
-        let fleet = crate::fleet::fleet_jsonl(&memdos_sim::fleet::FleetConfig {
-            tenants: 3_000,
-            span_ticks: 512,
-            zipf_s: 1.1,
-            min_interval: 4,
-            max_interval: 64,
-            churn: 0.2,
-            seed: 0xF1EE7,
-            attack: None,
-        })
-        .expect("fleet config is valid");
-        let config = crate::fleet::fleet_engine_config(1, 256);
-        let inline = run_forced(config, 1, &fleet);
-        let pooled = run_forced(config, 4, &fleet);
-        assert!(inline.pool.is_none() && pooled.pool.is_some(), "both flush paths ran");
-        assert!(inline.stats().evicted > 0 && inline.stats().reopened > 0);
-        assert_eq!(pooled.stats(), inline.stats());
-        assert_eq!(pooled.log_lines(), inline.log_lines(), "fleet log differs");
-
-        // Two tenants through attack, quarantine and the mitigation loop:
-        // a quarantine husk, its notice, the terminal FIFO, and a release
-        // whose close drains in the same flush as vm-b's samples.
-        let mut config = fast_config(1, 64);
-        config.session.quarantine_after = 1;
-        config.mitigation = crate::config::MitigationPolicy::enabled();
-        let inline = vm_b_run(config, 1, false);
-        let pooled = vm_b_run(config, 4, false);
-        assert!(pooled.pool.is_some(), "the pooled path ran");
-        assert_eq!(inline.stats().mitigations_engaged, 1);
-        assert_eq!(inline.stats().mitigations_released, 1);
-        assert_eq!(pooled.stats(), inline.stats());
-        assert_eq!(pooled.log_lines(), inline.log_lines(), "mitigation log differs");
     }
 
     #[test]
@@ -2301,34 +2110,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_runs_orders_presorted_runs() {
-        let mut engine = Engine::new(fast_config(1, 4)).unwrap();
-        let ev = |seq: u64, sub: u32| {
-            let payload = Event::Malformed { reason: Cow::Borrowed("probe"), bytes: None };
-            SessionEvent { seq, sub, payload }
-        };
-        let mut runs = vec![
-            vec![ev(0, 1), ev(3, 0), ev(9, 0)],
-            vec![ev(0, 0), ev(4, 2), ev(4, 5)],
-            Vec::new(),
-            vec![ev(2, 0)],
-        ];
-        engine.merge_runs(&mut runs);
-        let keys: Vec<u64> = engine
-            .log_lines()
-            .iter()
-            .map(|l| {
-                let o = JsonObject::parse(l).expect("line parses");
-                o.get_f64("seq").expect("seq") as u64
-            })
-            .collect();
-        assert_eq!(keys, vec![0, 0, 2, 3, 4, 4, 9]);
-        assert!(runs.iter().all(Vec::is_empty), "runs come back cleared");
-    }
-
-    #[test]
     fn drop_bursts_are_coalesced_and_recovery_logged() {
-        let mut config = fast_config(1, 1_000_000);
+        let mut config = fast_config(1_000_000);
         config.session.queue_capacity = 4;
         config.session.drop_policy = crate::session::DropPolicy::Newest;
         config.drop_log_every = 8;
@@ -2358,7 +2141,7 @@ mod tests {
 
     #[test]
     fn finish_appends_engine_stats_line() {
-        let mut engine = Engine::new(fast_config(2, 8)).unwrap();
+        let mut engine = Engine::new(fast_config(8)).unwrap();
         engine.ingest_line(r#"{"tenant":"vm-0","access":1,"miss":2}"#);
         engine.ingest_line("garbage");
         engine.finish();
@@ -2378,7 +2161,7 @@ mod tests {
     #[test]
     fn log_lines_are_valid_jsonl_with_seq() {
         let lines = synthetic_lines();
-        let log = run(fast_config(2, 128), &lines);
+        let log = run(fast_config(128), &lines);
         let mut last = None;
         for line in &log {
             let obj = JsonObject::parse(line).expect("log line parses");
@@ -2421,17 +2204,14 @@ mod tests {
             .map(|l| if Record::parse(l).is_ok() { escape_tenant(l) } else { l.clone() })
             .collect();
         assert_eq!(escape_tenant(&lines[0]), r#"{"tenant":"\u0076\u006d\u002d\u0061","access":1000,"miss":100}"#);
-        for workers in [1usize, 4] {
-            let plain = run(fast_config(workers, 256), &lines);
-            assert_eq!(run(fast_config(workers, 256), &escaped), plain, "workers={workers}");
-        }
+        assert_eq!(run(fast_config(256), &escaped), run(fast_config(256), &lines));
     }
 
     #[test]
     fn profiler_fields_appear_only_when_enabled() {
         let run_stats_line = |prof: bool| {
             let mut engine =
-                Engine::new(Config { prof, ..fast_config(1, 8) }).unwrap();
+                Engine::new(Config { prof, ..fast_config(8) }).unwrap();
             engine.ingest_line(r#"{"tenant":"vm-0","access":1,"miss":2}"#);
             engine.finish();
             engine.log_lines().last().cloned().expect("stats line")

@@ -13,8 +13,9 @@
 //! doing the recycling.
 //!
 //! Everything here is deterministic in the scenario seed; the tier-1
-//! test `tests/engine_fleet_determinism.rs` pins byte-identical verdict
-//! logs across worker counts on exactly this path, evictions included.
+//! test `tests/engine_fleet_determinism.rs` pins the verdict log on
+//! exactly this path, evictions included: byte-identical across reruns
+//! and equal to a recorded digest.
 
 use crate::config::Config;
 use crate::protocol::Record;
@@ -57,8 +58,9 @@ pub fn fleet_sds_params() -> SdsParams {
 /// (60 + 190 = 250 with [`fleet_sds_params`]), rounded up.
 pub const FLEET_PROFILE_TICKS: u64 = 256;
 
-/// Engine configuration for fleet replays: `workers` dispatch threads
-/// and a `max_sessions` resident ceiling (0 = unbounded). Batch and
+/// Engine configuration for fleet replays: a `max_sessions` resident
+/// ceiling (0 = unbounded); `workers` only fills the ignored
+/// [`Config::workers`]. Batch and
 /// queue sizes keep `batch <= queue_capacity` so the log stays
 /// batch-size-invariant; the idle timeout is off — fleet departures are
 /// explicit closes, and an idle sweep over a 50k-tenant tail would only

@@ -18,12 +18,11 @@
 //!   scattered through the engine).
 //! * [`engine`] — the slab-backed session registry (dense slots keyed
 //!   by the interned tenant id, an explicit `max_sessions` memory
-//!   ceiling with LRU-idle eviction), batched dispatch onto the
-//!   [`memdos_runner`] worker pool (sharded by tenant: per-tenant order
-//!   preserved, tenants parallel), and the deterministic `(seq, sub)`
-//!   hierarchically-merged event log. Replaying the same input yields a
-//!   byte-identical log at any worker count and batch size — including
-//!   across evictions.
+//!   ceiling with LRU-idle eviction), batched single-threaded flushes
+//!   that drain each dirty session in its slab slot, and the
+//!   deterministic `(seq, sub)`-ordered event log. Replaying the same
+//!   input yields a byte-identical log at any batch size that keeps the
+//!   queues from overflowing — including across evictions.
 //! * [`demo`] — the four-tenant demo stream (two periodic victims, two
 //!   non-periodic, bus-locking and LLC-cleansing attack windows), which
 //!   doubles as the fixture for the replay-determinism tier-1 test.

@@ -10,20 +10,20 @@
 //! memdos-engine respond [scenario] [tenants] [seed] [--chaos S]  # closed loop
 //! ```
 //!
-//! Configuration comes from the environment: `MEMDOS_THREADS` (worker
-//! count) and the `MEMDOS_ENGINE_*` knobs (see the README and
+//! Configuration comes from the environment: `MEMDOS_THREADS` (threads
+//! for the demo generator; the engine itself runs on one thread) and
+//! the `MEMDOS_ENGINE_*` knobs (see the README and
 //! [`Config::from_env`]), resolved **once** here in `main` — the
 //! library layer only ever sees the explicit [`Config`] value. The
 //! verdict event log goes to stdout; diagnostics go to stderr.
 //!
-//! `serve` accepts one connection at a time and ingests it to EOF — the
-//! parallelism budget goes to tenant dispatch inside the engine, not to
-//! connection handling. Accept failures retry on the deterministic
+//! `serve` accepts one connection at a time and ingests it to EOF into
+//! the one single-threaded engine. Accept failures retry on the deterministic
 //! capped [`Backoff`] schedule instead of dying or spinning.
 //!
 //! `soak` replays N seeded chaos scenarios (fault injection over the
 //! demo stream) and exits non-zero unless every scenario's verdict log
-//! is byte-identical across worker counts 1/2/4, memory stays bounded,
+//! is byte-identical across two replays, memory stays bounded,
 //! and every fault class fired. The JSONL report goes to stdout.
 //!
 //! `respond` runs one closed-loop mitigation scenario: a seeded fleet
@@ -38,7 +38,7 @@ use memdos_engine::demo::{demo_engine_config, demo_jsonl, LAYOUT, TENANTS};
 use memdos_engine::engine::Engine;
 use memdos_engine::fleet::{fleet_engine_config, fleet_jsonl, fleet_scenario};
 use memdos_engine::respond::{respond_engine_config, respond_scenario, run_respond, RespondScenario};
-use memdos_engine::soak::{run_soak, SoakConfig};
+use memdos_engine::soak::{run_soak, SoakConfig, REPLAYS};
 use memdos_engine::Config;
 use std::io::{BufReader, Write};
 
@@ -140,7 +140,7 @@ fn cmd_demo(seed: Option<&String>) -> Result<i32, Fail> {
     let mut engine = engine_from_env(true).map_err(bad)?;
     let workers = engine.config().workers;
     eprintln!(
-        "memdos-engine: simulating {} tenants (seed {seed}, {workers} workers)",
+        "memdos-engine: simulating {} tenants (seed {seed}, {workers} generator threads)",
         TENANTS.len()
     );
     let lines = demo_jsonl(seed, &LAYOUT, workers);
@@ -180,16 +180,16 @@ fn cmd_fleet(tenants: Option<&String>, seed: Option<&String>) -> Result<i32, Fai
         },
     };
     let seed = parse_seed(seed).map_err(bad)?;
-    // Environment knobs still apply (MEMDOS_THREADS, ceiling override);
-    // the fleet profile/SDS settings replace the Table 1 defaults.
+    // Environment knobs still apply (ceiling override, the stage
+    // profiler); the fleet profile/SDS settings replace the Table 1
+    // defaults.
     let env = Config::from_env().map_err(bad)?;
     let ceiling = if env.max_sessions > 0 { env.max_sessions } else { 16_384 };
-    let config = Config { workers: env.workers, prof: env.prof, ..fleet_engine_config(env.workers, ceiling) };
+    let config = Config { prof: env.prof, ..fleet_engine_config(env.workers, ceiling) };
     let scenario = fleet_scenario(tenants, seed);
     eprintln!(
-        "memdos-engine: fleet: {tenants} tenants over {} ticks (seed {seed}, {} workers, \
-         ceiling {ceiling})",
-        scenario.span_ticks, config.workers
+        "memdos-engine: fleet: {tenants} tenants over {} ticks (seed {seed}, ceiling {ceiling})",
+        scenario.span_ticks
     );
     let lines = fleet_jsonl(&scenario).map_err(|e| bad(format!("fleet: {e}")))?;
     let mut engine = Engine::new(config).map_err(bad)?;
@@ -248,13 +248,11 @@ fn cmd_respond(args: &[String]) -> Result<i32, Fail> {
         }
         positional += 1;
     }
-    // Environment knobs still apply (worker count, the stage profiler);
-    // the scenario profile/SDS settings replace the Table 1 defaults.
+    // Environment knobs still apply (the stage profiler); the scenario
+    // profile/SDS settings replace the Table 1 defaults.
     let env = Config::from_env().map_err(bad)?;
-    let workers = env.workers;
     eprintln!(
-        "memdos-engine: respond: scenario {} ({tenants} tenants, seed {seed}, {workers} \
-         workers{})",
+        "memdos-engine: respond: scenario {} ({tenants} tenants, seed {seed}{})",
         scenario.label(),
         match chaos {
             Some(s) => format!(", chaos seed {s}"),
@@ -262,7 +260,7 @@ fn cmd_respond(args: &[String]) -> Result<i32, Fail> {
         }
     );
     let fleet = respond_scenario(scenario, tenants, seed);
-    let config = Config { prof: env.prof, ..respond_engine_config(workers) };
+    let config = Config { prof: env.prof, ..respond_engine_config(env.workers) };
     let report = run_respond(&fleet, config, chaos).map_err(|e| bad(format!("respond: {e}")))?;
     {
         let out = std::io::stdout();
@@ -560,8 +558,8 @@ fn cmd_soak(args: &[String]) -> Result<i32, Fail> {
         }
     }
     eprintln!(
-        "memdos-engine: soak: {} seeded chaos scenarios (base seed {}), workers 1/2/4",
-        config.seeds, config.base_seed
+        "memdos-engine: soak: {} seeded chaos scenarios (base seed {}), {} replays each",
+        config.seeds, config.base_seed, REPLAYS
     );
     let report = run_soak(&config, |scenario| {
         eprintln!(

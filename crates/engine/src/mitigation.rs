@@ -29,7 +29,7 @@
 //! re-engages one rung up — repeat offenders escalate.
 //!
 //! Everything here is engine-side bookkeeping over per-flush state that
-//! is itself identical at any worker count, so mitigation decisions and
+//! is itself a pure function of the input, so mitigation decisions and
 //! their `mitigation_*` log events stay byte-identical too. No clocks,
 //! no maps with nondeterministic iteration order.
 

@@ -17,7 +17,7 @@
 //! chaos seed)`: the generator is seeded, flush boundaries are decided
 //! by line counts and round ticks, and mitigation decisions are made at
 //! flush boundaries, so the verdict log, the stats and the applied
-//! action trace are byte-identical at any worker count
+//! action trace are byte-identical on every rerun
 //! (`tests/engine_mitigation_determinism.rs` pins this).
 
 use crate::chaos::{FaultPlan, FaultPlanConfig};

@@ -282,24 +282,19 @@ pub struct SessionSnapshot<'a> {
 /// within a handful of victim samples.
 const RECOVERY_ALPHA: f64 = 0.2;
 
-/// Reusable per-worker columnar buffers for the monitoring batch path:
-/// a run of consecutive queued samples is transposed into
-/// structure-of-arrays columns so the detector steps the whole run
-/// through its branch-light `step_batch` loop, and the step column is
-/// then replayed tick by tick to emit events. Shared by every
-/// session on the worker between flushes, so steady-state batching
-/// allocates nothing.
-#[derive(Default)]
-struct BatchScratch {
+/// Reusable columnar buffers for the monitoring batch path: a run of
+/// consecutive queued samples is transposed into structure-of-arrays
+/// columns so the detector steps the whole run through its
+/// branch-light `step_batch` loop, and the step column is then
+/// replayed tick by tick to emit events. The engine owns one and lends
+/// it to every session it drains, so steady-state batching allocates
+/// nothing.
+#[derive(Debug, Default)]
+pub(crate) struct BatchScratch {
     seqs: Vec<u64>,
     access: Vec<f64>,
     miss: Vec<f64>,
     steps: Vec<DetectorStep>,
-}
-
-thread_local! {
-    // lint:allow(shared-state) -- per-worker columnar scratch; thread_local makes it worker-private by construction
-    static SCRATCH: std::cell::RefCell<BatchScratch> = std::cell::RefCell::new(BatchScratch::default());
 }
 
 /// A per-tenant detection session.
@@ -527,7 +522,7 @@ impl Session {
     }
 
     /// Releases the working set of a terminal session that must stay
-    /// resident (quarantined, or closed worker-side with no ingest-side
+    /// resident (quarantined, or closed by its own drain with no ingest-side
     /// close): detector, profiler and queue capacity are dropped, the
     /// identity and counters remain so later samples still drop against
     /// the right policy and the final accounting stays intact. Terminal
@@ -590,10 +585,14 @@ impl Session {
     }
 
     /// Drains the queue through the lifecycle, appending the session's
-    /// events for this flush to `events` — the engine passes a recycled
-    /// buffer so the steady-state flush allocates nothing here.
+    /// events for this flush to `events` — the engine passes recycled
+    /// buffers so the steady-state flush allocates nothing here.
     // hot-path
-    pub(crate) fn process_queued_into(&mut self, events: &mut Vec<SessionEvent>) {
+    pub(crate) fn process_queued_into(
+        &mut self,
+        events: &mut Vec<SessionEvent>,
+        scratch: &mut BatchScratch,
+    ) {
         while let Some(item) = self.queue.pop_front() {
             let seq = item.seq();
             let mut sub = 0u32;
@@ -631,7 +630,9 @@ impl Session {
                     // samples queued behind it step as one column. A
                     // monitoring session has always logged `opened`, so
                     // the run's events start at `sub` 0.
-                    SessionState::Monitoring => self.step_monitoring_run(seq, obs, events),
+                    SessionState::Monitoring => {
+                        self.step_monitoring_run(seq, obs, events, scratch)
+                    }
                     SessionState::Quarantined | SessionState::Closed => {
                         // Items queued before the state flipped; counted
                         // when offered, nothing to process.
@@ -668,7 +669,7 @@ impl Session {
     }
 
     /// Gathers the run of consecutive queued samples starting at
-    /// `(seq0, obs0)` into the worker's columnar scratch, steps the
+    /// `(seq0, obs0)` into the columnar `scratch`, steps the
     /// monitor over it and walks the steps tick by tick. Only called
     /// with `state == Monitoring` and the `opened` event already
     /// emitted. Verdict-class transitions and the alarm budget are
@@ -683,49 +684,47 @@ impl Session {
         seq0: u64,
         obs0: Observation,
         events: &mut Vec<SessionEvent>,
+        scratch: &mut BatchScratch,
     ) {
-        SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            let BatchScratch { seqs, access, miss, steps } = &mut *scratch;
-            seqs.clear();
-            access.clear();
-            miss.clear();
-            seqs.push(seq0);
-            access.push(obs0.access_num);
-            miss.push(obs0.miss_num);
-            while let Some(&Item::Obs(seq, obs)) = self.queue.front() {
-                seqs.push(seq);
-                access.push(obs.access_num);
-                miss.push(obs.miss_num);
-                self.queue.pop_front();
+        let BatchScratch { seqs, access, miss, steps } = scratch;
+        seqs.clear();
+        access.clear();
+        miss.clear();
+        seqs.push(seq0);
+        access.push(obs0.access_num);
+        miss.push(obs0.miss_num);
+        while let Some(&Item::Obs(seq, obs)) = self.queue.front() {
+            seqs.push(seq);
+            access.push(obs.access_num);
+            miss.push(obs.miss_num);
+            self.queue.pop_front();
+        }
+        let mut columns = seqs.iter().zip(access.iter());
+        let batch = ObservationBatch::new(access, miss);
+        let consumed = self.monitor.step_batch(batch, steps, |step: MonitorStep| {
+            let Some((&seq, &access_num)) = columns.next() else {
+                return ControlFlow::Break(());
+            };
+            let mut sub = 0u32;
+            self.ewma_access += RECOVERY_ALPHA * (access_num - self.ewma_access);
+            if let Some(from) = step.changed_from {
+                let (tenant, to, tick) = (self.tenant.clone(), step.verdict, step.tick);
+                let payload = Event::Verdict { tenant, from, to, tick };
+                events.push(SessionEvent { seq, sub, payload });
+                sub += 1;
             }
-            let mut columns = seqs.iter().zip(access.iter());
-            let batch = ObservationBatch::new(access, miss);
-            let consumed = self.monitor.step_batch(batch, steps, |step: MonitorStep| {
-                let Some((&seq, &access_num)) = columns.next() else {
-                    return ControlFlow::Break(());
-                };
-                let mut sub = 0u32;
-                self.ewma_access += RECOVERY_ALPHA * (access_num - self.ewma_access);
-                if let Some(from) = step.changed_from {
-                    let (tenant, to, tick) = (self.tenant.clone(), step.verdict, step.tick);
-                    let payload = Event::Verdict { tenant, from, to, tick };
-                    events.push(SessionEvent { seq, sub, payload });
-                    sub += 1;
-                }
-                let budget = self.config.quarantine_after;
-                if step.became_active && budget > 0 && step.alarms >= budget {
-                    self.state = SessionState::Quarantined;
-                    let payload =
-                        Event::Quarantined { tenant: self.tenant.clone(), alarms: step.alarms };
-                    events.push(SessionEvent { seq, sub, payload });
-                    self.quarantine_notice = Some(seq);
-                    return ControlFlow::Break(());
-                }
-                ControlFlow::Continue(())
-            });
-            self.dropped += (seqs.len() - consumed) as u64;
+            let budget = self.config.quarantine_after;
+            if step.became_active && budget > 0 && step.alarms >= budget {
+                self.state = SessionState::Quarantined;
+                let payload =
+                    Event::Quarantined { tenant: self.tenant.clone(), alarms: step.alarms };
+                events.push(SessionEvent { seq, sub, payload });
+                self.quarantine_notice = Some(seq);
+                return ControlFlow::Break(());
+            }
+            ControlFlow::Continue(())
         });
+        self.dropped += (seqs.len() - consumed) as u64;
     }
 
     /// One `dropped` event payload (the engine logs it at the arrival
@@ -758,7 +757,7 @@ mod tests {
         /// session's events for this flush.
         fn process_queued(&mut self) -> Vec<SessionEvent> {
             let mut events = Vec::new();
-            self.process_queued_into(&mut events);
+            self.process_queued_into(&mut events, &mut BatchScratch::default());
             events
         }
     }

@@ -16,12 +16,10 @@
 //! a duplicate-free list of sessions that queued work since the last
 //! flush without scanning all 50k slots (see `engine::flush`).
 //!
-//! A flush works on sessions where they sit ([`Slab::flush_mut`]): the
-//! inline path drains each dirty entry in place and every flush settles
-//! it in place, so a session struct moves only when it retires
-//! ([`Slab::remove`], into the engine's spare list). Only the pooled
-//! path, which hands sessions to worker threads, moves them out
-//! ([`Slab::lend`]) and back ([`Slab::restore`]).
+//! A flush works on sessions where they sit ([`Slab::flush_mut`]): it
+//! drains and settles each dirty entry in place, so a session struct
+//! moves only when it retires ([`Slab::remove`], into the engine's
+//! spare list).
 
 /// A slot store with owner-stamped entries and a LIFO free list.
 ///
@@ -34,8 +32,7 @@ pub(crate) struct Slab<T> {
     /// Recycled slot indices, popped LIFO so reuse order is a pure
     /// function of the release order.
     free: Vec<u32>,
-    /// Number of live entries (slots holding `Some`, plus slots lent
-    /// out via [`Slab::lend`] and not yet restored).
+    /// Number of live entries (slots holding `Some`).
     live: usize,
 }
 
@@ -139,28 +136,6 @@ impl<T> Slab<T> {
         Some(entry.value)
     }
 
-    /// Moves the entry's value out so a worker thread can process it,
-    /// leaving the slot allocated but empty, and clears the dirty flag.
-    /// The caller must [`Slab::restore`] the value before the next
-    /// insert/lookup cycle; while lent, lookups on this index miss.
-    pub(crate) fn lend(&mut self, idx: u32) -> Option<(u32, T)> {
-        match self.slots.get_mut(idx as usize) {
-            Some(slot @ Some(_)) => slot.take().map(|e| (e.owner, e.value)),
-            _ => None,
-        }
-    }
-
-    /// Returns a lent value to its slot (clean).
-    pub(crate) fn restore(&mut self, idx: u32, owner: u32, value: T) {
-        if let Some(slot) = self.slots.get_mut(idx as usize) {
-            *slot = Some(Entry {
-                owner,
-                dirty: false,
-                value,
-            });
-        }
-    }
-
     /// Iterates live entries in slot order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
         self.slots
@@ -196,19 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn lend_and_restore_keep_the_slot() {
-        let mut slab: Slab<String> = Slab::new();
-        let a = slab.insert(0, "a".to_string());
-        let (owner, v) = slab.lend(a).unwrap();
-        assert_eq!((owner, v.as_str()), (0, "a"));
-        assert!(slab.get(a, 0).is_none(), "lent slot must miss");
-        assert_eq!(slab.len(), 1, "a lent entry stays live");
-        slab.restore(a, owner, v);
-        assert_eq!(slab.get(a, 0).map(String::as_str), Some("a"));
-        assert_eq!(slab.capacity(), 1);
-    }
-
-    #[test]
     fn freed_slots_reuse_lifo() {
         let mut slab: Slab<u64> = Slab::new();
         let a = slab.insert(0, 10);
@@ -235,16 +197,13 @@ mod tests {
     }
 
     #[test]
-    fn dirty_flag_dedupes_and_resets_on_drain_or_lend() {
+    fn dirty_flag_dedupes_and_resets_on_drain() {
         let mut slab: Slab<u64> = Slab::new();
         let idx = slab.insert(0, 1);
         assert!(slab.mark_dirty(idx), "first mark reports clean->dirty");
         assert!(!slab.mark_dirty(idx), "second mark is a no-op");
         assert_eq!(slab.flush_mut(idx).map(|(_, v)| *v), Some(1));
         assert!(slab.mark_dirty(idx), "an in-place drain clears the flag");
-        let (owner, v) = slab.lend(idx).unwrap();
-        slab.restore(idx, owner, v);
-        assert!(slab.mark_dirty(idx), "restore clears the flag");
     }
 
     #[test]

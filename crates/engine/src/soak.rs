@@ -2,14 +2,15 @@
 //!
 //! One soak **scenario** is a pure function of its seed: generate the
 //! four-tenant demo stream (compact [`SOAK_LAYOUT`]), run it through a
-//! seeded [`FaultPlan`], then replay the chaotic stream into the engine
-//! once per worker count in [`WORKER_SWEEP`]. Per scenario the harness
-//! checks the engine's core resilience invariants:
+//! seeded [`FaultPlan`], then replay the chaotic stream into a fresh
+//! engine [`REPLAYS`] times with the same configuration. Per scenario
+//! the harness checks the engine's core resilience invariants:
 //!
 //! * **no panic** — the scenario completing is the assertion; nothing
 //!   in the pipeline may unwind on corrupted input;
-//! * **determinism** — the verdict log is byte-identical at every
-//!   worker count (what `MEMDOS_THREADS` controls in the CLI);
+//! * **determinism** — the verdict log is byte-identical on every
+//!   replay (the engine is single-threaded, so this catches state that
+//!   leaks between engines or depends on anything but the input);
 //! * **bounded memory** — the queued-item high-water mark stays under
 //!   `sessions × (queue capacity + slack)`, so no fault class can grow
 //!   a buffer without bound;
@@ -26,8 +27,9 @@ use crate::engine::{Engine, EngineStats};
 use memdos_metrics::jsonl::JsonObject;
 use memdos_stats::rng::derive_seed;
 
-/// Worker counts every scenario is replayed at.
-pub const WORKER_SWEEP: [usize; 3] = [1, 2, 4];
+/// Times every scenario is replayed: a reference run and a rerun of
+/// the same configuration, whose logs must match.
+pub const REPLAYS: usize = 2;
 
 /// Close-queue slack allowed above the sample-queue capacity in the
 /// bounded-memory check (control items bypass the sample drop policy).
@@ -85,9 +87,9 @@ pub struct ScenarioReport {
     /// Chaotic stream length, in lines (duplicates/replays add,
     /// truncation/muting removes).
     pub delivered_lines: usize,
-    /// Verdict-log length of the reference (1-worker) run.
+    /// Verdict-log length of the reference run.
     pub log_lines: usize,
-    /// Logs byte-identical across the whole [`WORKER_SWEEP`].
+    /// Logs byte-identical across all [`REPLAYS`].
     pub identical: bool,
     /// Queued-item high-water mark stayed under the capacity bound.
     pub bounded: bool,
@@ -139,7 +141,7 @@ pub struct SoakReport {
 }
 
 impl SoakReport {
-    /// Every scenario's log was worker-invariant.
+    /// Every scenario's log replayed identically.
     pub fn all_identical(&self) -> bool {
         self.scenarios.iter().all(|s| s.identical)
     }
@@ -209,8 +211,8 @@ fn run_engine(
     Ok((engine.log_lines().to_vec(), engine.stats(), engine.session_count()))
 }
 
-/// Runs one seeded scenario: generate, perturb, replay across the
-/// worker sweep, check invariants.
+/// Runs one seeded scenario: generate, perturb, replay [`REPLAYS`]
+/// times, check invariants.
 ///
 /// # Errors
 ///
@@ -223,8 +225,8 @@ pub fn run_scenario(config: &SoakConfig, index: u64) -> Result<ScenarioReport, S
     let mut reference: Option<(Vec<String>, EngineStats, usize)> = None;
     let mut identical = true;
     let mut bounded = true;
-    for workers in WORKER_SWEEP {
-        let cfg = scenario_engine_config(workers, &config.layout);
+    let cfg = scenario_engine_config(1, &config.layout);
+    for _ in 0..REPLAYS {
         let (log, stats, sessions) = run_engine(cfg, &chaotic)?;
         let bound =
             (sessions as u64) * (cfg.session.queue_capacity + QUEUE_SLACK) as u64;
@@ -241,7 +243,7 @@ pub fn run_scenario(config: &SoakConfig, index: u64) -> Result<ScenarioReport, S
         }
     }
     let (log, stats, sessions) =
-        reference.ok_or_else(|| "empty worker sweep".to_string())?;
+        reference.ok_or_else(|| "no replays".to_string())?;
     Ok(ScenarioReport {
         index,
         seed,
@@ -296,7 +298,7 @@ mod tests {
         let report = run_soak(&config, |_| {}).unwrap();
         assert_eq!(report.scenarios.len(), 1);
         let s = report.scenarios.first().unwrap();
-        assert!(s.identical, "log must be worker-invariant under chaos");
+        assert!(s.identical, "log must replay identically under chaos");
         assert!(s.bounded, "peak_queued {} exceeded bound", s.stats.peak_queued);
         assert!(s.trace.total() > 0, "chaos rates must fire on 2600 lines");
         assert!(s.log_lines > 0);

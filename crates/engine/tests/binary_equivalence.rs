@@ -3,7 +3,7 @@
 //! The contract this file pins, the same way `parser_equivalence.rs`
 //! pins fast-vs-slow JSONL parsing: ingesting the *same record stream*
 //! through the JSONL reader and through the binary reader produces
-//! **byte-identical** verdict logs — at any worker count and any batch
+//! **byte-identical** verdict logs — on every rerun and at any batch
 //! size, including the `engine_stats` trailer. Define frames are
 //! zero-width metadata, so the binary stream's samples and closes land
 //! on exactly the arrival indices their JSONL twins would.
@@ -65,9 +65,8 @@ fn to_binary(recs: &[Rec]) -> Vec<u8> {
     out
 }
 
-fn config(workers: usize, batch: usize) -> Config {
+fn config(batch: usize) -> Config {
     Config {
-        workers,
         batch,
         session: SessionConfig { profile_ticks: 2_000, ..SessionConfig::default() },
         ..Config::default()
@@ -88,32 +87,21 @@ fn binary_and_jsonl_logs_are_byte_identical() {
     let recs = scenario();
     let jsonl = to_jsonl(&recs);
     let binary = to_binary(&recs);
-    let reference = run_bytes(config(1, 256), &jsonl);
+    let reference = run_bytes(config(256), &jsonl);
     assert!(
         reference.iter().any(|l| l.contains(r#""to":"alarm""#)),
         "scenario must actually alarm"
     );
-    // Worker-count invariance at a fixed batch: the acceptance bar is
-    // byte-identical logs at workers 1/2/4 for *both* formats.
-    for workers in [1usize, 2, 4] {
-        assert_eq!(
-            run_bytes(config(workers, 256), &jsonl),
-            reference,
-            "jsonl workers={workers}"
-        );
-        assert_eq!(
-            run_bytes(config(workers, 256), &binary),
-            reference,
-            "binary workers={workers}"
-        );
-    }
+    // At a fixed batch a rerun and the other format log the same bytes.
+    assert_eq!(run_bytes(config(256), &jsonl), reference, "jsonl rerun");
+    assert_eq!(run_bytes(config(256), &binary), reference, "binary");
     // Across batch sizes only `peak_queued` in the stats trailer may
     // legitimately move, so pin jsonl == binary pairwise per config.
-    for (workers, batch) in [(1, 7), (2, 7), (4, 1_024)] {
+    for batch in [7, 256, 1_024] {
         assert_eq!(
-            run_bytes(config(workers, batch), &jsonl),
-            run_bytes(config(workers, batch), &binary),
-            "workers={workers} batch={batch}"
+            run_bytes(config(batch), &jsonl),
+            run_bytes(config(batch), &binary),
+            "batch={batch}"
         );
     }
 }
@@ -123,19 +111,15 @@ fn quarantine_replays_identically_on_both_formats() {
     let recs = scenario();
     let jsonl = to_jsonl(&recs);
     let binary = to_binary(&recs);
-    let cfg = |workers: usize| {
-        let mut c = config(workers, 256);
-        c.session.quarantine_after = 1;
-        c
-    };
-    let reference = run_bytes(cfg(1), &jsonl);
+    let mut cfg = config(256);
+    cfg.session.quarantine_after = 1;
+    let reference = run_bytes(cfg, &jsonl);
     assert!(
         reference.iter().any(|l| l.contains(r#""event":"quarantined""#)),
         "scenario must actually quarantine"
     );
-    for workers in [1usize, 2, 4] {
-        assert_eq!(run_bytes(cfg(workers), &binary), reference, "workers={workers}");
-    }
+    assert_eq!(run_bytes(cfg, &binary), reference, "binary");
+    assert_eq!(run_bytes(cfg, &binary), reference, "binary rerun");
 }
 
 #[test]
@@ -152,7 +136,7 @@ fn corrupted_binary_degrades_to_malformed_events() {
     }
     let at = 8 + rng.next_below((binary.len() - 64) as u64) as usize;
     binary.drain(at..at + 5);
-    let mut engine = Engine::new(config(2, 256)).unwrap();
+    let mut engine = Engine::new(config(256)).unwrap();
     engine.ingest_reader(&binary[..]).unwrap();
     engine.finish();
     let stats = engine.stats();
@@ -178,7 +162,7 @@ fn convert_style_roundtrip_preserves_the_log() {
     let binary = to_binary(&recs);
     let jsonl = to_jsonl(&recs);
     assert_eq!(
-        run_bytes(config(2, 256), &binary),
-        run_bytes(config(2, 256), &jsonl)
+        run_bytes(config(256), &binary),
+        run_bytes(config(256), &jsonl)
     );
 }

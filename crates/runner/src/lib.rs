@@ -39,10 +39,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod shard;
-
-pub use shard::ShardPool;
-
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 

@@ -40,7 +40,8 @@
 //! * **L8 shared-state** — interior-mutability and locking primitives
 //!   (`Mutex`, `RwLock`, `Atomic*`, `RefCell`, `cell::Cell`,
 //!   `static mut`) are confined to the sanctioned concurrency layer
-//!   (the `runner` crate, which owns `ShardPool`). Everyone else stays
+//!   (the `runner` crate, whose `parallel_map` and grid fan hand jobs to
+//!   worker threads). Everyone else stays
 //!   single-owner so replay never depends on lock acquisition order.
 //! * **L9 hot-propagate** — the L7 allocation contract follows the call
 //!   graph: a `// hot-path` fn calling (transitively) into an allocating
@@ -158,8 +159,8 @@ const DETECTOR_AUTHORITY_CRATES: [&str; 1] = ["core"];
 /// marked `// hot-path` there are held to the L7/L9 no-String rule.
 const HOT_PATH_CRATES: [&str; 2] = ["engine", "metrics"];
 
-/// The sanctioned concurrency layer: `runner` owns `ShardPool` and the
-/// worker fan, so it is the one crate where L8's shared-state primitives
+/// The sanctioned concurrency layer: `runner` owns `parallel_map` and
+/// the grid fan, so it is the one crate where L8's shared-state primitives
 /// are part of the design rather than a leak.
 const SHARED_STATE_SANCTIONED_CRATES: [&str; 1] = ["runner"];
 

@@ -50,10 +50,11 @@ pub struct FileScope {
     /// not build `String`s (`format!`, `.to_string()`, …) — the L7
     /// family.
     pub hot_path_checked: bool,
-    /// True for the modules sanctioned to hold cross-thread shared
-    /// state (`runner`, `engine::shard`): everywhere else
+    /// True for the crate sanctioned to hold cross-thread shared state
+    /// (`runner`, whose `parallel_map` and grid fan hand jobs to worker
+    /// threads): everywhere else
     /// `Mutex`/`RwLock`/`Atomic*`/`RefCell`/`Cell`/`static mut` are
-    /// banned — the L8 family. Cross-shard mutable state is how
+    /// banned — the L8 family. Cross-thread mutable state is how
     /// determinism dies at fleet scale.
     pub shared_state_sanctioned: bool,
 }
@@ -659,10 +660,10 @@ pub fn check_file(
                     "L8/shared-state",
                     "shared-state",
                     format!(
-                        "`{prim}` outside the sanctioned shared-state modules \
-                         (runner, engine::shard); cross-shard mutable state breaks \
-                         the deterministic-merge contract — route state through the \
-                         shard owner, or justify with lint:allow(shared-state)"
+                        "`{prim}` outside the sanctioned shared-state crate \
+                         (runner: parallel_map and the grid fan); cross-thread mutable \
+                         state breaks the determinism contract — keep state single-owner, \
+                         fan out through runner, or justify with lint:allow(shared-state)"
                     ),
                 );
             }

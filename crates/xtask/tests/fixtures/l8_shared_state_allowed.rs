@@ -26,7 +26,7 @@ static TABLE: OnceLock<Vec<u64>> = OnceLock::new();
 static LIMIT: u64 = 1024;
 
 /// Owner-checked slab in the engine's style: plain vectors, integer
-/// generations and a lend/restore discipline instead of interior
+/// generations and values moved out and back in instead of interior
 /// mutability. The names echo concurrency idioms ("slots", "free
 /// list", "generation") but nothing here is shared state.
 pub struct Slab<T> {
@@ -36,12 +36,12 @@ pub struct Slab<T> {
 }
 
 impl<T> Slab<T> {
-    pub fn lend(&mut self, idx: usize) -> Option<T> {
+    pub fn take(&mut self, idx: usize) -> Option<T> {
         self.generation = self.generation.wrapping_add(1);
         self.slots.get_mut(idx).and_then(Option::take)
     }
 
-    pub fn restore(&mut self, idx: usize, value: T) {
+    pub fn put_back(&mut self, idx: usize, value: T) {
         if let Some(slot) = self.slots.get_mut(idx) {
             *slot = Some(value);
         } else {

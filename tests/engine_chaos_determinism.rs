@@ -4,18 +4,17 @@
 //! A fault scenario is a pure function of its seed: applying the same
 //! [`FaultPlan`] seed to the same clean stream must reproduce the
 //! chaotic stream and the fault trace byte-for-byte, and replaying that
-//! chaotic stream must produce a byte-identical verdict log at worker
-//! counts 1, 2 and 4. Distinct seeds must produce distinct fault
+//! chaotic stream into fresh engines must produce a byte-identical
+//! verdict log every time. Distinct seeds must produce distinct fault
 //! traces — otherwise the soak's N scenarios would silently retest one.
 //!
-//! Worker counts are passed explicitly through `engine::Config` (not
-//! via `MEMDOS_THREADS`) because Rust tests share one process
-//! environment.
+//! The engine runs on one thread, so the first test's name ("across
+//! worker counts") now means across the soak's replays.
 
 use memdos::engine::chaos::{FaultPlan, FaultPlanConfig};
 use memdos::engine::demo::{demo_jsonl, DemoLayout};
 use memdos::engine::engine::Engine;
-use memdos::engine::soak::{scenario_engine_config, WORKER_SWEEP};
+use memdos::engine::soak::{scenario_engine_config, REPLAYS};
 use memdos::stats::rng::derive_seed;
 use std::sync::OnceLock;
 
@@ -34,8 +33,8 @@ fn clean_lines() -> &'static [String] {
     LINES.get_or_init(|| demo_jsonl(0xC0DE, &CHAOS_LAYOUT, memdos::runner::threads()))
 }
 
-fn replay(lines: &[String], workers: usize) -> Vec<String> {
-    let mut engine = Engine::new(scenario_engine_config(workers, &CHAOS_LAYOUT))
+fn replay(lines: &[String]) -> Vec<String> {
+    let mut engine = Engine::new(scenario_engine_config(1, &CHAOS_LAYOUT))
         .expect("scenario config is valid");
     for line in lines {
         engine.ingest_line(line);
@@ -57,17 +56,11 @@ fn same_fault_seed_is_byte_identical_across_worker_counts() {
     assert_eq!(again, chaotic, "fault injection is not a pure function of its seed");
     assert_eq!(trace_again.fingerprint(), trace.fingerprint());
 
-    // And the engine's log over the chaotic stream is worker-invariant.
-    let mut reference: Option<Vec<String>> = None;
-    for workers in WORKER_SWEEP {
-        let log = replay(&chaotic, workers);
-        assert!(!log.is_empty());
-        match &reference {
-            None => reference = Some(log),
-            Some(ref_log) => {
-                assert_eq!(&log, ref_log, "workers={workers} diverged from the reference log");
-            }
-        }
+    // And the engine's log over the chaotic stream replays identically.
+    let reference = replay(&chaotic);
+    assert!(!reference.is_empty());
+    for rerun in 1..REPLAYS {
+        assert_eq!(replay(&chaotic), reference, "rerun {rerun} diverged from the reference log");
     }
 }
 

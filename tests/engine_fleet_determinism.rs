@@ -3,16 +3,12 @@
 //!
 //! A fleet scenario (thousands of zipf-scheduled tenants with churn)
 //! replayed under a memory ceiling far below the tenant count must
-//! produce a byte-identical verdict log at worker counts 1, 2 and 4 —
-//! the ceiling forces continuous LRU eviction, generation-bumping
-//! reopens and slab slot recycling, and none of it may depend on how
-//! sessions were sharded. This is the determinism contract Issue 8
-//! extends to the fleet path; the demo-stream variant lives in
-//! `engine_replay_determinism.rs`.
-//!
-//! Worker counts are passed explicitly through `engine::Config` (not
-//! via `MEMDOS_THREADS`) because Rust tests share one process
-//! environment.
+//! produce a byte-identical verdict log on every rerun, equal to a
+//! recorded digest — the ceiling forces continuous LRU eviction,
+//! generation-bumping reopens and slab slot recycling, and none of it
+//! may depend on anything but the input. The demo-stream variant lives
+//! in `engine_replay_determinism.rs`. The engine runs on one thread, so
+//! the rerun test's name ("across workers") now means across reruns.
 
 use memdos::engine::engine::Engine;
 use memdos::engine::fleet::{fleet_engine_config, fleet_jsonl};
@@ -42,9 +38,8 @@ fn fleet_lines() -> &'static [String] {
     })
 }
 
-fn replay(lines: &[String], workers: usize) -> (Vec<String>, memdos::engine::engine::EngineStats, usize) {
-    let mut engine =
-        Engine::new(fleet_engine_config(workers, CEILING)).expect("fleet config is valid");
+fn replay(lines: &[String]) -> (Vec<String>, memdos::engine::engine::EngineStats, usize) {
+    let mut engine = Engine::new(fleet_engine_config(1, CEILING)).expect("fleet config is valid");
     for line in lines {
         engine.ingest_line(line);
     }
@@ -66,10 +61,10 @@ fn digest(log: &[String]) -> u64 {
 
 #[test]
 fn fleet_log_matches_its_pinned_digest() {
-    // Pins the exact bytes, not just worker invariance: a change to how
+    // Pins the exact bytes, not just rerun invariance: a change to how
     // sessions are stored, recycled or rendered must leave the log of
     // this eviction-heavy scenario byte-identical.
-    let (log, _, _) = replay(fleet_lines(), 1);
+    let (log, _, _) = replay(fleet_lines());
     assert_eq!(log.len(), 280_659);
     assert_eq!(digest(&log), 0x4e80_536e_1de5_57c0, "fleet log bytes changed");
 }
@@ -77,7 +72,7 @@ fn fleet_log_matches_its_pinned_digest() {
 #[test]
 fn fleet_replay_is_byte_identical_across_workers_including_evictions() {
     let lines = fleet_lines();
-    let (reference, stats, open) = replay(lines, 1);
+    let (reference, stats, open) = replay(lines);
     assert!(!reference.is_empty());
     // The scenario actually exercises the machinery under test.
     assert!(
@@ -90,10 +85,8 @@ fn fleet_replay_is_byte_identical_across_workers_including_evictions() {
         reference.iter().any(|l| l.contains(r#""reason":"evicted""#)),
         "evictions must be visible in the log"
     );
-    for workers in [2, 4] {
-        let (log, w_stats, w_open) = replay(lines, workers);
-        assert_eq!(log, reference, "log diverged at workers={workers}");
-        assert_eq!(w_stats, stats, "stats diverged at workers={workers}");
-        assert_eq!(w_open, open, "open-session count diverged at workers={workers}");
-    }
+    let (log, r_stats, r_open) = replay(lines);
+    assert_eq!(log, reference, "log diverged on rerun");
+    assert_eq!(r_stats, stats, "stats diverged on rerun");
+    assert_eq!(r_open, open, "open-session count diverged on rerun");
 }

