@@ -5,23 +5,16 @@
 //! grows with ΔW, because the minimum delay is `H_C · ΔW · T_PCM`.
 
 use memdos_attacks::AttackKind;
-use memdos_bench::sensitivity::{median_delay, median_recall, median_specificity, print_sweep, sweep, SweepDetector};
-use memdos_core::config::SdsParams;
+use memdos_bench::sensitivity::{
+    fig16_points, median_delay, median_recall, median_specificity, print_sweep, sweep,
+    SweepDetector,
+};
 use memdos_workloads::catalog::Application;
 
 fn main() {
     memdos_bench::banner("fig16_sens_dw");
     let stages = memdos_bench::scale();
-    let dws = [20usize, 50, 100, 150, 200];
-    let points: Vec<(String, SdsParams)> = dws
-        .iter()
-        .map(|&dw| {
-            let mut p = SdsParams::default();
-            p.sdsb.step = dw;
-            p.sdsp.step = dw;
-            (format!("{dw}"), p)
-        })
-        .collect();
+    let points = fig16_points();
     let result = sweep(
         Application::KMeans,
         AttackKind::BusLocking,

@@ -6,22 +6,15 @@
 //! Since DFT-ACF cost is negligible, small ΔW_P (5–10) is recommended.
 
 use memdos_attacks::AttackKind;
-use memdos_bench::sensitivity::{median_delay, median_recall, print_sweep, sweep, SweepDetector};
-use memdos_core::config::SdsParams;
+use memdos_bench::sensitivity::{
+    fig18_points, median_delay, median_recall, print_sweep, sweep, SweepDetector,
+};
 use memdos_workloads::catalog::Application;
 
 fn main() {
     memdos_bench::banner("fig18_sens_dwp");
     let stages = memdos_bench::scale();
-    let steps = [5usize, 10, 15, 20, 25];
-    let points: Vec<(String, SdsParams)> = steps
-        .iter()
-        .map(|&s| {
-            let mut p = SdsParams::default();
-            p.sdsp.step_ma = s;
-            (format!("{s}"), p)
-        })
-        .collect();
+    let points = fig18_points();
     let result = sweep(
         Application::FaceNet,
         AttackKind::LlcCleansing,

@@ -10,6 +10,15 @@
 //! tick) are measured too, since every experiment's wall time is
 //! dominated by them.
 //!
+//! The JSONL number writer is measured too: every sample the engine's
+//! wire carries holds two fractional counters, and `jsonl::write_f64`
+//! renders each one with an exact integer kernel instead of `Display`.
+//! `jsonl_write_f64_ns` is that writer on respond-like jittered counter
+//! values, `jsonl_write_f64_display_ns` the same values through `f64`'s
+//! `Display` (`write!` into the same reused buffer, which is what
+//! `write_f64` did before the kernel), and `speedup_write_f64` their
+//! ratio.
+//!
 //! Besides printing human-readable results, the run writes one
 //! machine-readable report, `BENCH_2.json` at the workspace root
 //! (override the path with `MEMDOS_BENCH_OUT`): a flat JSON object with
@@ -418,6 +427,38 @@ fn bench_sim_server_tick(report: &mut Report) {
     report.push("sim_server_tick_9vms_ns", ns);
 }
 
+/// `jsonl::write_f64` against `Display` on respond-like counters: a
+/// flat 1000 ± 4 % access trace and its 100 ± 4 % miss twin.
+fn bench_jsonl_write_f64(report: &mut Report) {
+    use memdos_metrics::jsonl::write_f64;
+    use memdos_stats::rng::{derive_seed, Rng};
+    use std::fmt::Write as _;
+    let mut rng = Rng::new(derive_seed(0xF64, 0));
+    let values: Vec<f64> = (0..1024)
+        .map(|i| {
+            let base = if i % 2 == 0 { 1_000.0 } else { 100.0 };
+            base * (1.0 + 0.04 * rng.next_gaussian())
+        })
+        .collect();
+    let mut out = String::with_capacity(64);
+    let mut i = 0usize;
+    let kernel_ns = bench("jsonl_write_f64", || {
+        out.clear();
+        write_f64(&mut out, black_box(values[i % values.len()]));
+        black_box(&out);
+        i += 1;
+    });
+    let display_ns = bench("jsonl_write_f64_display", || {
+        out.clear();
+        let _ = write!(out, "{}", black_box(values[i % values.len()]));
+        black_box(&out);
+        i += 1;
+    });
+    report.push("jsonl_write_f64_ns", kernel_ns);
+    report.push("jsonl_write_f64_display_ns", display_ns);
+    report.push("speedup_write_f64", display_ns / kernel_ns);
+}
+
 fn main() {
     println!("memdos micro-benchmarks (median of {PASSES} passes)");
     let mut report = Report::default();
@@ -430,5 +471,6 @@ fn main() {
     bench_cache_access(&mut report);
     bench_sim_event_step(&mut report);
     bench_sim_server_tick(&mut report);
+    bench_jsonl_write_f64(&mut report);
     report.write();
 }

@@ -69,6 +69,33 @@ pub fn sweep(
     })
 }
 
+/// Fig. 16's points: the sliding step ΔW of both SDS/B and SDS/P, from
+/// 20 to 200 samples (swept on k-means under bus locking).
+pub fn fig16_points() -> Vec<(String, SdsParams)> {
+    [20usize, 50, 100, 150, 200]
+        .iter()
+        .map(|&dw| {
+            let mut p = SdsParams::default();
+            p.sdsb.step = dw;
+            p.sdsp.step = dw;
+            (format!("{dw}"), p)
+        })
+        .collect()
+}
+
+/// Fig. 18's points: the SDS/P recomputation step ΔW_P, from 5 to 25
+/// MA values (swept on FaceNet under LLC cleansing).
+pub fn fig18_points() -> Vec<(String, SdsParams)> {
+    [5usize, 10, 15, 20, 25]
+        .iter()
+        .map(|&s| {
+            let mut p = SdsParams::default();
+            p.sdsp.step_ma = s;
+            (format!("{s}"), p)
+        })
+        .collect()
+}
+
 /// Prints the three §5.3 panels (recall & specificity, then delay) for a
 /// sweep, in the paper's median [p10, p90] format.
 pub fn print_sweep(title: &str, x_name: &str, points: &[SweepPoint], stages: &StageConfig) {

@@ -106,9 +106,11 @@ impl Record {
     /// through [`write_record`], into one `String` sized for the line.
     pub fn to_line(&self) -> String {
         // `{"tenant":"` … `","access":` … `,"miss":` … `}` is 31 bytes of
-        // framing. Counter values (integers below 9e15, short fractions)
-        // fit in 48 more; only an extreme magnitude, which `Display`
-        // writes without an exponent, grows the buffer.
+        // framing. `write_f64` writes a counter value in at most 22
+        // bytes (an integer below 9e15, or a fraction from its kernel: a
+        // sign, `0.00` and 17 digits at most), so 80 holds both; only a
+        // value outside the kernel's domain (below 1e-3 or from 2^52),
+        // which `Display` writes without an exponent, grows the buffer.
         let mut out = String::with_capacity(self.tenant().len() + 80);
         let kind = match self {
             Record::Sample { obs, .. } => {

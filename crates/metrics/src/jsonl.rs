@@ -7,8 +7,9 @@
 //! [`crate::report`]: small, explicit, dependency-free.
 //!
 //! Serialization is deterministic: keys are emitted in insertion order,
-//! floats through Rust's shortest-roundtrip `Display` (the same bytes on
-//! every platform for the same bit pattern), and escaping covers exactly
+//! floats as the shortest round-trip digits `f64`'s `Display` prints
+//! (the same bytes on every platform for the same bit pattern; see
+//! [`write_f64`]), and escaping covers exactly
 //! `"`/`\\` plus control characters (as `\u00XX`). Parsing accepts the
 //! standard JSON escapes and both integer and float notation.
 //!
@@ -620,18 +621,26 @@ impl Parser<'_> {
 
     fn parse_number(&mut self) -> Result<JsonValue, String> {
         let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid UTF-8 in number".to_string())?;
-        text.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| format!("malformed number {text:?} at byte {start}"))
+        let (span, value) = scan_number(self.text, start);
+        self.pos += span.len();
+        value.map(JsonValue::Num).ok_or_else(|| format!("malformed number {span:?} at byte {start}"))
     }
+}
+
+/// The one number scanner both parsers share: the span of number bytes
+/// (`[-+.eE0-9]`) starting at `start`, found with one slice search, and
+/// its value through `str::parse` (`None` if malformed). The span is
+/// ASCII and follows a character boundary, so it is a `&str` slice of
+/// `text` with no UTF-8 check.
+// hot-path
+fn scan_number(text: &str, start: usize) -> (&str, Option<f64>) {
+    let rest = text.as_bytes().get(start..).unwrap_or_default();
+    let len = rest
+        .iter()
+        .position(|b| !matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'))
+        .unwrap_or(rest.len());
+    let span = text.get(start..start + len).unwrap_or_default();
+    (span, span.parse::<f64>().ok())
 }
 
 /// Appends `n` in decimal without going through `core::fmt`.
@@ -663,24 +672,34 @@ pub fn write_i64(out: &mut String, n: i64) {
     write_u64(out, n.unsigned_abs());
 }
 
-/// Appends `n` in the codec's canonical number format: integers without
-/// a fraction (fast digit loop), everything else through Rust's
-/// shortest-roundtrip `Display`, non-finite values as `null`. This is
-/// the single authority both [`JsonObject::to_line`] and [`LineBuf`]
-/// render numbers through, so their outputs are byte-identical.
+/// Appends `n` in the codec's canonical number format: the bytes of
+/// `f64`'s `Display`, except that integers below `9e15` print through
+/// the integer digit loop (so `-0.0` prints as `0`) and non-finite
+/// values print as `null`. Fractions are written by an exact integer
+/// kernel (private module `decimal`) that emits the shortest round-trip
+/// digits `Display` prints. Where the kernel cannot decide exactly
+/// (outside `1e-3 <= |n| < 2^53`, power-of-two significands, exact
+/// ties) it declines and `Display` itself writes the number. This is
+/// the single number authority every renderer ([`JsonObject::to_line`],
+/// [`LineBuf`], [`write_record`]) writes through, so their outputs are
+/// byte-identical.
 // hot-path
 pub fn write_f64(out: &mut String, n: f64) {
-    if n.is_finite() {
-        // Integers print without a fraction; everything else uses
-        // shortest-roundtrip formatting.
-        // lint:allow(float-eq) -- exact zero fraction selects integer formatting; near-integers must round-trip via {n}
-        if n.fract() == 0.0 && n.abs() < 9.0e15 {
-            write_i64(out, n as i64);
-        } else {
-            let _ = write!(out, "{n}");
-        }
-    } else {
+    if !n.is_finite() {
         out.push_str("null");
+        return;
+    }
+    // The kernel writes only fractional values, so it goes first: the
+    // common fractional counter then never pays for `fract` (a libm
+    // call on baseline x86-64).
+    if crate::decimal::write_shortest(out, n) {
+        return;
+    }
+    // lint:allow(float-eq) -- exact zero fraction selects integer formatting; near-integers must round-trip via Display
+    if n.fract() == 0.0 && n.abs() < 9.0e15 {
+        write_i64(out, n as i64);
+    } else {
+        let _ = write!(out, "{n}");
     }
 }
 
@@ -1102,19 +1121,13 @@ impl<'a> RawParser<'a> {
         }
     }
 
-    /// Scans the number's span with one slice search, then parses it as
-    /// [`Parser`] does. The span is ASCII, so it is a `&str` slice of the
-    /// input with no UTF-8 check.
+    /// Scans and parses a number through the same [`scan_number`] as
+    /// [`Parser`].
     // hot-path
     fn parse_number_raw(&mut self) -> Result<f64, ()> {
-        let rest = self.bytes.get(self.pos..).unwrap_or_default();
-        let len = rest
-            .iter()
-            .position(|b| !matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'))
-            .unwrap_or(rest.len());
-        let text = self.text.get(self.pos..self.pos + len).ok_or(())?;
-        self.pos += len;
-        text.parse::<f64>().map_err(|_| ())
+        let (span, value) = scan_number(self.text, self.pos);
+        self.pos += span.len();
+        value.ok_or(())
     }
 
     // hot-path

@@ -51,6 +51,7 @@
 
 pub mod accuracy;
 pub mod binary;
+mod decimal;
 pub mod delay;
 pub mod experiment;
 pub mod jsonl;

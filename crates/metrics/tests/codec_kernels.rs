@@ -7,13 +7,23 @@
 //!   field writer as `JsonObject::to_line`; the two must agree byte for
 //!   byte on hostile tenant names and on every number class the
 //!   canonical format distinguishes.
+//! * `jsonl::write_f64` writes non-integers with an exact integer
+//!   kernel instead of `Display`; it must equal [`reference_f64`], the
+//!   canonical number format spelled out with `format!`, on every value
+//!   the respond and fleet scenarios emit, on seeded random bit patterns
+//!   and in-domain values (each ±1 ulp), and on a list of edges.
 //!
 //! The corpora are seeded (`memdos_stats::rng`), so a failure reproduces
 //! from its case number alone. The `#[ignore]`d tests repeat the checks
 //! at a much larger N; run them in release with `--include-ignored`.
 
 use memdos_metrics::binary::{checksum, FRAME_LEN, MAX_NAME_LEN};
-use memdos_metrics::jsonl::{parse_record_borrowed, write_record, JsonObject, RawKind};
+use memdos_engine::fleet::{fleet_scenario, fleet_templates};
+use memdos_engine::respond::{respond_scenario, respond_templates, RespondScenario};
+use memdos_metrics::jsonl::{
+    parse_record_borrowed, write_f64, write_record, JsonObject, RawKind,
+};
+use memdos_sim::fleet::{FleetConfig, FleetEventKind, FleetGenerator, VmTemplate};
 use memdos_stats::rng::{derive_seed, Rng};
 
 /// Textbook Fletcher-16: both sums reduced `% 255` after every byte.
@@ -289,4 +299,147 @@ fn write_record_matches_jsonobject_rendering_on_random_bits() {
         let miss = rng.next_below(1 << 40) as f64 / 64.0;
         assert_record_matches(&tenant, RawKind::Sample { access, miss });
     }
+}
+
+/// The canonical number format, spelled out with `format!`: `null` for
+/// non-finite values, the integer's digits for integers below `9e15`,
+/// and `f64`'s `Display` for everything else.
+fn reference_f64(n: f64) -> String {
+    if !n.is_finite() {
+        "null".to_string()
+    } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
+        format!("{}", n as i64)
+    } else {
+        format!("{n}")
+    }
+}
+
+/// Asserts `write_f64` equals the reference on `v` and its two
+/// neighbouring doubles; returns how many values it checked.
+fn assert_f64_matches(out: &mut String, v: f64) -> usize {
+    for n in [v, v.next_down(), v.next_up()] {
+        out.clear();
+        write_f64(out, n);
+        assert_eq!(*out, reference_f64(n), "bits {:#018x}", n.to_bits());
+    }
+    3
+}
+
+/// Every `access`/`miss` value a fleet generator emits for `config`.
+fn scenario_values(config: FleetConfig, templates: &[VmTemplate]) -> Vec<f64> {
+    let mut gen = FleetGenerator::new(config, templates).expect("scenario validates");
+    let mut values = Vec::new();
+    gen.drive(templates, |item| {
+        if let FleetEventKind::Sample { access, miss } = item.kind {
+            values.extend([access, miss]);
+        }
+    });
+    values
+}
+
+/// The three respond scenarios' values at 512 tenants, seed 42.
+fn respond_values() -> Vec<f64> {
+    let templates = respond_templates();
+    RespondScenario::ALL
+        .iter()
+        .flat_map(|&kind| scenario_values(respond_scenario(kind, 512, 42), &templates))
+        .collect()
+}
+
+/// Checks every value exactly (no neighbours: the corpus is the point).
+fn check_corpus(values: &[f64]) {
+    let mut out = String::new();
+    for &v in values {
+        out.clear();
+        write_f64(&mut out, v);
+        assert_eq!(out, reference_f64(v), "bits {:#018x}", v.to_bits());
+    }
+}
+
+/// Random bit patterns (every magnitude, so mostly the fallback's
+/// domain) and random values inside the kernel's domain: a uniform
+/// significand at a binary exponent from 2^-10 to 2^52, either sign.
+/// Returns the number of values checked.
+fn check_random(cases: u64) -> usize {
+    let mut out = String::new();
+    let mut checked = 0;
+    for case in 0..cases {
+        let mut rng = Rng::new(derive_seed(0xF64D, case));
+        checked += assert_f64_matches(&mut out, f64::from_bits(rng.next_u64()));
+        let exp = rng.next_below(63) as i32 - 10;
+        let sign = if rng.next_below(2) == 0 { 1.0 } else { -1.0 };
+        let v = sign * (1.0 + rng.next_f64()) * 2f64.powi(exp);
+        checked += assert_f64_matches(&mut out, v);
+        // Respond-like counters: uniform in [0, 2000).
+        checked += assert_f64_matches(&mut out, rng.next_f64() * 2_000.0);
+    }
+    checked
+}
+
+#[test]
+fn write_f64_matches_display_on_respond_values() {
+    let values = respond_values();
+    assert!(values.len() > 1_000_000, "{} values", values.len());
+    check_corpus(&values);
+}
+
+#[test]
+fn write_f64_matches_display_on_fleet_values() {
+    check_corpus(&scenario_values(fleet_scenario(2_000, 42), &fleet_templates()));
+}
+
+#[test]
+fn write_f64_matches_display_on_random_values() {
+    check_random(20_000);
+}
+
+#[test]
+fn write_f64_matches_display_on_edges() {
+    let mut edges = vec![
+        0.0,
+        1e-3,
+        9.0e15,
+        8.999_999_999_999_998e15,
+        9_007_199_254_740_992.0,
+        4_503_599_627_370_496.0,
+        4_503_599_627_370_495.5,
+        f64::MIN_POSITIVE,
+        5e-324,
+        2.225_073_858_507_2e-308,
+        f64::MAX,
+        f64::EPSILON,
+        1.0 + 2f64.powi(-17),
+        0.1,
+        0.2,
+        0.3,
+        2.0 / 3.0,
+        17.25,
+        992.099_892_479_364_7,
+    ];
+    // Every power of ten from 1e-5 to 1e16.
+    edges.extend((-5..=16).map(|e| 10f64.powi(e)));
+    // Exact power-of-two significands around and inside the domain.
+    edges.extend((-20..=60).map(|e| 2f64.powi(e)));
+    // Short fractions with few significant bits: ties live here.
+    edges.extend((1..=64).map(|i| 1.0 + f64::from(i) * 2f64.powi(-17)));
+    let mut out = String::new();
+    for v in edges {
+        assert_f64_matches(&mut out, v);
+        assert_f64_matches(&mut out, -v);
+    }
+    for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        out.clear();
+        write_f64(&mut out, v);
+        assert_eq!(out, "null");
+    }
+}
+
+#[test]
+#[ignore = "large-N number sweep (>= 10 M values); run in release with --include-ignored"]
+fn write_f64_matches_display_large_n() {
+    let mut checked = check_random(1_200_000);
+    let fleet = scenario_values(fleet_scenario(50_000, 42), &fleet_templates());
+    check_corpus(&fleet);
+    checked += fleet.len();
+    assert!(checked >= 10_000_000, "{checked} values");
 }
