@@ -142,84 +142,82 @@ impl LlcCleanseAttack {
 
 impl VmProgram for LlcCleanseAttack {
     fn next_op(&mut self, ctx: &mut ProgramCtx<'_>) -> MemOp {
-        loop {
-            match self.phase {
-                Phase::Prime { set, way } => {
-                    let line = self.line_for(set, way);
-                    let (mut nset, mut nway) = (set, way + 1);
-                    if nway == self.cfg.ways {
-                        nway = 0;
-                        nset += 1;
-                    }
-                    self.phase = if nset == self.cfg.sets {
-                        Phase::Probe { set: 0, way: 0 }
-                    } else {
-                        Phase::Prime { set: nset, way: nway }
-                    };
-                    return MemOp::read(line);
+        match self.phase {
+            Phase::Prime { set, way } => {
+                let line = self.line_for(set, way);
+                let (mut nset, mut nway) = (set, way + 1);
+                if nway == self.cfg.ways {
+                    nway = 0;
+                    nset += 1;
                 }
-                Phase::Probe { set, way } => {
-                    // First consume the outcome of the previous probe op.
+                self.phase = if nset == self.cfg.sets {
+                    Phase::Probe { set: 0, way: 0 }
+                } else {
+                    Phase::Prime { set: nset, way: nway }
+                };
+                MemOp::read(line)
+            }
+            Phase::Probe { set, way } => {
+                // First consume the outcome of the previous probe op.
+                self.absorb_outcome(ctx.last_outcome);
+                let line = self.line_for(set, way);
+                self.in_flight = Some((set, way));
+                let (mut nset, mut nway) = (set, way + 1);
+                if nway == self.cfg.ways {
+                    nway = 0;
+                    nset += 1;
+                }
+                if nset == self.cfg.sets {
+                    // The final in-flight outcome is absorbed on the
+                    // first cleansing op; close enough for a 1-op tail.
+                    self.phase = Phase::Cleanse { target_idx: 0, way: 0, passes: 0 };
+                } else {
+                    self.phase = Phase::Probe { set: nset, way: nway };
+                }
+                MemOp::read(line)
+            }
+            Phase::Cleanse { target_idx, way, passes } => {
+                if target_idx == 0 && way == 0 {
                     self.absorb_outcome(ctx.last_outcome);
-                    let line = self.line_for(set, way);
-                    self.in_flight = Some((set, way));
-                    let (mut nset, mut nway) = (set, way + 1);
-                    if nway == self.cfg.ways {
-                        nway = 0;
-                        nset += 1;
+                    if passes == 0 {
+                        self.finish_probe();
                     }
-                    if nset == self.cfg.sets {
-                        // The final in-flight outcome is absorbed on the
-                        // first cleansing op; close enough for a 1-op tail.
-                        self.phase = Phase::Cleanse { target_idx: 0, way: 0, passes: 0 };
-                    } else {
-                        self.phase = Phase::Probe { set: nset, way: nway };
-                    }
-                    return MemOp::read(line);
                 }
-                Phase::Cleanse { target_idx, way, passes } => {
-                    if target_idx == 0 && way == 0 {
-                        self.absorb_outcome(ctx.last_outcome);
-                        if passes == 0 {
-                            self.finish_probe();
-                        }
-                    }
-                    if self.targets.is_empty() {
-                        // Nothing occupied: idle briefly, then re-probe.
+                if self.targets.is_empty() {
+                    // Nothing occupied: idle briefly, then re-probe.
+                    self.phase = Phase::Prime { set: 0, way: 0 };
+                    return MemOp::Compute { cycles: 10_000 };
+                }
+                let set = match self.targets.get(target_idx) {
+                    Some(&s) => s,
+                    // Out-of-range cursor (target list shrank after a
+                    // re-probe): restart the probe cycle.
+                    None => {
                         self.phase = Phase::Prime { set: 0, way: 0 };
                         return MemOp::Compute { cycles: 10_000 };
                     }
-                    let set = match self.targets.get(target_idx) {
-                        Some(&s) => s,
-                        // Out-of-range cursor (target list shrank after a
-                        // re-probe): restart the probe cycle.
-                        None => {
-                            self.phase = Phase::Prime { set: 0, way: 0 };
-                            return MemOp::Compute { cycles: 10_000 };
-                        }
-                    };
-                    let line = self.line_for(set, way);
-                    let (mut nidx, mut nway) = (target_idx, way + 1);
-                    if nway == self.cfg.ways {
-                        nway = 0;
-                        nidx += 1;
-                    }
-                    if nidx == self.targets.len() {
-                        let next_passes = passes + 1;
-                        if self.cfg.passes_per_probe > 0
-                            && next_passes >= self.cfg.passes_per_probe
-                        {
-                            self.phase = Phase::Prime { set: 0, way: 0 };
-                        } else {
-                            self.phase =
-                                Phase::Cleanse { target_idx: 0, way: 0, passes: next_passes };
-                        }
+                };
+                let line = self.line_for(set, way);
+                let (mut nidx, mut nway) = (target_idx, way + 1);
+                if nway == self.cfg.ways {
+                    nway = 0;
+                    nidx += 1;
+                }
+                if nidx == self.targets.len() {
+                    let next_passes = passes + 1;
+                    if self.cfg.passes_per_probe > 0
+                        && next_passes >= self.cfg.passes_per_probe
+                    {
+                        self.phase = Phase::Prime { set: 0, way: 0 };
                     } else {
                         self.phase =
-                            Phase::Cleanse { target_idx: nidx, way: nway, passes };
+                            Phase::Cleanse { target_idx: 0, way: 0, passes: next_passes };
                     }
-                    return MemOp::read(line);
+                } else {
+                    self.phase =
+                        Phase::Cleanse { target_idx: nidx, way: nway, passes };
                 }
+                MemOp::read(line)
             }
         }
     }

@@ -65,8 +65,11 @@
 //! [`parse_record_borrowed`](jsonl::parse_record_borrowed): tenant
 //! names stay `&str` slices of the input line (escaped ones decode into
 //! a reused scratch buffer) and route through the intern index
-//! ([`TenantId`]) without touching the heap. Lines it rejects go
-//! through [`jsonl::resync_line`] recovery.
+//! ([`TenantId`]) without touching the heap. A line it rejects goes to
+//! [`jsonl::resync_line`], which returns the valid objects embedded in
+//! it as spans of the line; each span decodes through the same record
+//! parser and routes like a clean line, and every skipped span is
+//! logged as `malformed` with the parse error's message.
 //!
 //! ## Determinism guarantee
 //!
@@ -97,7 +100,6 @@
 pub use crate::config::Config;
 use crate::event::{render_event, Escalation, Event, Release, SessionEvent, StatsLine};
 use crate::mitigation::{CaseStep, Coordinator, MitigationAction};
-use crate::protocol::Record;
 use crate::session::{
     BatchScratch, CloseReason, Offered, Session, SessionSnapshot, SessionState,
 };
@@ -105,7 +107,7 @@ use crate::slab::Slab;
 use memdos_core::detector::Observation;
 use memdos_core::CoreError;
 use memdos_metrics::binary::{self, BinDecoder, BinFrame};
-use memdos_metrics::jsonl::{self, LineBuf, LineFramer, Piece, RawKind, Segment};
+use memdos_metrics::jsonl::{self, LineBuf, LineFramer, Piece, RawKind, RawRecord, Segment};
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -641,19 +643,12 @@ impl Engine {
             Ok(raw) => {
                 let seq = self.alloc_seq();
                 let t1 = self.prof.start();
-                match raw.kind {
-                    RawKind::Sample { access, miss } => self.route_sample(
-                        seq,
-                        raw.tenant,
-                        Observation { access_num: access, miss_num: miss },
-                    ),
-                    RawKind::Close => self.route_close(seq, raw.tenant),
-                }
+                self.route_record(seq, raw);
                 let d = self.prof.lap(t1);
                 self.prof.dispatch_ns += d;
             }
             // lint:allow(hot-propagate) -- resync recovers from corrupt input; the fault path may allocate
-            Err(_) => self.ingest_resync(line),
+            Err(_) => self.ingest_resync(line, &mut scratch),
         }
         self.unescaped = scratch;
         if self.pending >= self.config.batch {
@@ -662,17 +657,17 @@ impl Engine {
     }
 
     /// Recovers what it can from a line the record parser rejected: each
-    /// embedded valid record re-enters the normal path under its own
-    /// arrival index and each corrupted span becomes a `malformed`
-    /// event.
-    fn ingest_resync(&mut self, line: &str) {
+    /// embedded object decodes through the same record parser as a clean
+    /// line and routes under its own arrival index, and each corrupted
+    /// span (or rejected record) becomes a `malformed` event.
+    fn ingest_resync(&mut self, line: &str, scratch: &mut String) {
         for segment in jsonl::resync_line(line) {
             let seq = self.alloc_seq();
             match segment {
-                Segment::Object(obj) => match Record::from_object(&obj) {
-                    Ok(record) => {
+                Segment::Object(span) => match jsonl::parse_record_borrowed(span, scratch) {
+                    Ok(raw) => {
                         self.stats.resynced += 1;
-                        self.ingest_record(seq, record);
+                        self.route_record(seq, raw);
                     }
                     Err(e) => self.push_malformed(seq, Cow::Borrowed(e.reason()), None),
                 },
@@ -864,14 +859,16 @@ impl Engine {
         }
     }
 
-    /// Routes one record recovered by resynchronisation. Clean lines
-    /// route their borrowed fields through the same
-    /// [`Engine::route_sample`]/[`Engine::route_close`], so both share
-    /// one behaviour.
-    fn ingest_record(&mut self, seq: u64, record: Record) {
-        match record {
-            Record::Sample { tenant, obs } => self.route_sample(seq, &tenant, obs),
-            Record::Close { tenant } => self.route_close(seq, &tenant),
+    /// Routes one decoded JSONL record — from a clean line or recovered
+    /// by resynchronisation — to its tenant's session.
+    // hot-path
+    fn route_record(&mut self, seq: u64, raw: RawRecord<'_>) {
+        match raw.kind {
+            RawKind::Sample { access, miss } => {
+                let obs = Observation { access_num: access, miss_num: miss };
+                self.route_sample(seq, raw.tenant, obs);
+            }
+            RawKind::Close => self.route_close(seq, raw.tenant),
         }
     }
 
@@ -1598,6 +1595,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Record;
     use crate::session::SessionConfig;
     use memdos_metrics::jsonl::JsonObject;
 

@@ -340,13 +340,12 @@ fn cmd_convert(args: &[String]) -> Result<i32, Fail> {
 /// interns tenant names to dense wire ids and emits each tenant's
 /// define frame before its first record. Lines decode as the engine
 /// ingests them: through the borrowed record parser, falling back on a
-/// reject to resynchronisation, which recovers every embedded record;
-/// every span neither accepts counts as skipped.
+/// reject to resynchronisation, whose recovered spans decode through the
+/// same parser; every span neither accepts counts as skipped.
 fn convert_jsonl2bin(
     mut reader: Box<dyn std::io::BufRead>,
     mut writer: Box<dyn Write>,
 ) -> Result<(u64, u64), String> {
-    use memdos_engine::protocol::{Record, RecordError};
     use memdos_metrics::binary::Encoder;
     use memdos_metrics::jsonl::{self, LineFramer, Piece, RawKind, Segment};
     let mut framer = LineFramer::new(jsonl::DEFAULT_MAX_LINE);
@@ -375,16 +374,12 @@ fn convert_jsonl2bin(
         }
         for segment in jsonl::resync_line(line) {
             let record = match segment {
-                Segment::Object(obj) => Record::from_object(&obj),
-                Segment::Skipped { .. } => Err(RecordError::Syntax),
+                Segment::Object(span) => jsonl::parse_record_borrowed(span, &mut scratch).ok(),
+                Segment::Skipped { .. } => None,
             };
             match record {
-                Ok(Record::Sample { tenant, obs }) => {
-                    let kind = RawKind::Sample { access: obs.access_num, miss: obs.miss_num };
-                    encode(&tenant, kind, out)?;
-                }
-                Ok(Record::Close { tenant }) => encode(&tenant, RawKind::Close, out)?,
-                Err(_) => skipped += 1,
+                Some(raw) => encode(raw.tenant, raw.kind, out)?,
+                None => skipped += 1,
             }
         }
         Ok(())

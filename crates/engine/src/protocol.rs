@@ -13,7 +13,7 @@
 //! engine can log and count malformed input without dying.
 
 use memdos_core::detector::Observation;
-use memdos_metrics::jsonl::{parse_record_borrowed, write_record, JsonObject, RawKind, RawRecord};
+use memdos_metrics::jsonl::{parse_record_borrowed, write_record, RawKind, RawRecord};
 
 pub use memdos_metrics::jsonl::RecordError;
 
@@ -43,10 +43,8 @@ impl Record {
     }
 
     /// Decodes one JSONL line through [`parse_record_borrowed`], the
-    /// record parser the engine ingests with. It accepts and rejects
-    /// exactly like [`JsonObject::parse`] followed by
-    /// [`Record::from_object`] (pinned by the engine's
-    /// parser-equivalence suite).
+    /// record decoder the engine ingests clean lines and resynchronised
+    /// spans with, and takes ownership of the tenant name.
     ///
     /// # Errors
     ///
@@ -68,38 +66,6 @@ impl Record {
             },
             RawKind::Close => Record::Close { tenant: raw.tenant.to_string() },
         }
-    }
-
-    /// Decodes an already-parsed object — the path resynchronised
-    /// records take (see [`memdos_metrics::jsonl::resync_line`]), where
-    /// the object comes out of a dirty line rather than a clean one.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`RecordError`] class for a missing `tenant`, an
-    /// unknown `ctl` verb, or missing/non-finite counters.
-    // lint:allow(hot-propagate) -- the resync decode path owns its tenant key; it runs only after a parse fault, not per sample
-    pub fn from_object(obj: &JsonObject) -> Result<Record, RecordError> {
-        let tenant = obj
-            .get_str("tenant")
-            .ok_or(RecordError::MissingTenant)?
-            .to_string();
-        if tenant.is_empty() {
-            return Err(RecordError::EmptyTenant);
-        }
-        if let Some(ctl) = obj.get("ctl") {
-            return match ctl.as_str() {
-                Some("close") => Ok(Record::Close { tenant }),
-                Some(_) => Err(RecordError::UnknownCtl),
-                None => Err(RecordError::CtlNotString),
-            };
-        }
-        let access = obj.get_f64("access").ok_or(RecordError::MissingAccess)?;
-        let miss = obj.get_f64("miss").ok_or(RecordError::MissingMiss)?;
-        if !access.is_finite() || !miss.is_finite() {
-            return Err(RecordError::NonFinite);
-        }
-        Ok(Record::Sample { tenant, obs: Observation { access_num: access, miss_num: miss } })
     }
 
     /// Encodes the record as one JSONL line (no trailing newline)
@@ -126,6 +92,7 @@ impl Record {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memdos_metrics::jsonl::JsonObject;
 
     #[test]
     fn sample_roundtrips() {
@@ -194,30 +161,6 @@ mod tests {
         assert!(Record::parse(r#"{"tenant":"vm-0","ctl":"open"}"#).is_err());
         assert!(Record::parse(r#"{"tenant":"vm-0","ctl":7}"#).is_err());
         assert!(Record::parse(r#"{"tenant":"vm-0","access":"x","miss":2}"#).is_err());
-    }
-
-    #[test]
-    fn parse_agrees_with_the_object_parser() {
-        let lines = [
-            r#"{"tenant":"vm-0","access":1234,"miss":56}"#,
-            r#"{"tenant":"vm-1","ctl":"close"}"#,
-            r#" { "tenant" : "vm-2" , "access" : 1e3 , "miss" : 0.5 } "#,
-            "not json",
-            r#"{"access":1,"miss":2}"#,
-            r#"{"tenant":"","access":1,"miss":2}"#,
-            r#"{"tenant":"vm-0","ctl":"open"}"#,
-            r#"{"tenant":"vm-0","access":1e999,"miss":2}"#,
-            "{\"tenant\":\"vm\\u002d9\",\"access\":1,\"miss\":2}",
-            "{\"\\u0074enant\":\"vm-8\",\"access\":3,\"miss\":4}",
-        ];
-        for line in lines {
-            let reference = JsonObject::parse(line)
-                .map_err(|_| RecordError::Syntax)
-                .and_then(|obj| Record::from_object(&obj));
-            assert_eq!(Record::parse(line), reference, "line {line:?}");
-        }
-        let r = Record::parse("{\"tenant\":\"vm\\u002d9\",\"access\":1,\"miss\":2}").unwrap();
-        assert_eq!(r.tenant(), "vm-9");
     }
 
     #[test]

@@ -13,17 +13,25 @@
 //! `"`/`\\` plus control characters (as `\u00XX`). Parsing accepts the
 //! standard JSON escapes and both integer and float notation.
 //!
-//! Two surfaces share that grammar:
+//! The grammar is written once, as a private in-place scanner whose one
+//! object walker hands each `key : value` pair to a caller's closure,
+//! strings as spans of the input. Everything that reads JSON drives it:
 //!
-//! * the [`JsonObject`] tree — general, allocating, used by reports and
-//!   the resynchronisation path;
-//! * the record path — one record parser and one record encoder.
-//!   [`parse_record_borrowed`] decodes a protocol record as borrowed
-//!   spans (escaped protocol strings decode into a caller-owned scratch
-//!   buffer) with no steady-state heap allocation; it crosses every run
-//!   of plain string or number bytes with one slice search.
-//!   [`write_record`] renders a record into the caller's buffer, and
-//!   [`LineBuf`] renders event lines into a reusable one.
+//! * [`parse_record_borrowed`], the engine's one record decoder, keeps
+//!   the first value of each protocol key and decodes only the escaped
+//!   strings it needs, into a caller-owned scratch buffer, so a clean
+//!   line costs no heap allocation;
+//! * [`JsonObject::parse`] and [`JsonObject::parse_prefix`] copy every
+//!   pair into an owned tree, for reports and tests;
+//! * [`resync_line`] finds the objects embedded in a dirty line and
+//!   returns them as spans, which the caller decodes with
+//!   [`parse_record_borrowed`] like any clean line.
+//!
+//! A syntax error is a small `Copy` value on the hot path; its message
+//! (`expected ':' at byte 9, found 't'`, …) is built only where one is
+//! shown: [`JsonObject::parse`]'s `Err` and a resync skip reason.
+//! [`write_record`] renders a record into the caller's buffer, and
+//! [`LineBuf`] renders event lines into a reusable one.
 //!
 //! All three renderers — [`JsonObject::to_line`], [`LineBuf`] and
 //! [`write_record`] — write every field through one private field
@@ -164,37 +172,46 @@ impl JsonObject {
     /// lines, nested values, unterminated strings, bad escapes, or
     /// malformed numbers.
     pub fn parse(line: &str) -> Result<Self, String> {
-        let mut parser = Parser { bytes: line.as_bytes(), text: line, pos: 0 };
-        let obj = parser.parse_object()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(format!("trailing content at byte {}", parser.pos));
-        }
-        Ok(obj)
+        let mut p = RawParser::new(line);
+        let obj = JsonObject::walk(&mut p).and_then(|obj| p.end().map(|()| obj));
+        obj.map_err(|e| e.message(line))
     }
 
     /// Parses one object from the front of `text`, returning it together
     /// with the number of bytes consumed. Unlike [`JsonObject::parse`],
-    /// trailing content after the closing `}` is allowed — this is the
-    /// building block of [`resync_line`], which recovers records from
-    /// lines where a corrupted record and a valid one were fused.
+    /// trailing content after the closing `}` is allowed — the same walk
+    /// [`resync_line`] makes at each `{` of a dirty line.
     ///
     /// # Errors
     ///
     /// Returns a description of the first syntax problem.
     pub fn parse_prefix(text: &str) -> Result<(Self, usize), String> {
-        let mut parser = Parser { bytes: text.as_bytes(), text, pos: 0 };
-        let obj = parser.parse_object()?;
-        Ok((obj, parser.pos))
+        let mut p = RawParser::new(text);
+        let obj = JsonObject::walk(&mut p).map_err(|e| e.message(text))?;
+        Ok((obj, p.pos))
+    }
+
+    /// Walks one object, copying every pair into the tree.
+    fn walk(p: &mut RawParser<'_>) -> Result<Self, SyntaxError> {
+        let mut obj = JsonObject::new();
+        p.object(|key, value| {
+            let value = match value {
+                RawValue::Str(s) => JsonValue::Str(s.owned()),
+                RawValue::Num(n) => JsonValue::Num(n),
+                RawValue::Bool(b) => JsonValue::Bool(b),
+            };
+            obj.entries.push((key.owned(), value));
+        })?;
+        Ok(obj)
     }
 }
 
 /// One segment of a dirty input line, in line order: either a recovered
 /// object or a span of bytes the decoder had to skip to resynchronise.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Segment {
-    /// A valid flat object recovered from the line.
-    Object(JsonObject),
+pub enum Segment<'a> {
+    /// The span of the line, `{` to `}`, holding one valid flat object.
+    Object(&'a str),
     /// Bytes skipped while hunting for the next parsable record.
     Skipped {
         /// Number of bytes the span covers.
@@ -205,66 +222,66 @@ pub enum Segment {
 }
 
 /// Scans a line that failed (or may fail) to parse as a single object
-/// and recovers every embedded valid record, resynchronising past
+/// and recovers every embedded valid object, resynchronising past
 /// corrupted spans.
 ///
-/// The scanner walks the line left to right: at each `{` it attempts a
-/// prefix parse ([`JsonObject::parse_prefix`]); on success the object is
-/// emitted and scanning resumes after it, on failure the next `{` is
-/// tried. Bytes not covered by a recovered object are reported as
-/// [`Segment::Skipped`] spans carrying the first parse failure seen in
-/// the span, so a truncated record fused with a healthy one
-/// (`{"a":1,"b{"tenant":...}`) loses only the corrupted prefix.
+/// The scanner walks the line left to right: at each `{` it walks one
+/// object with the same grammar as [`JsonObject::parse_prefix`]; on
+/// success the object's span is emitted as [`Segment::Object`] and
+/// scanning resumes after it, on failure the next `{` is tried. Bytes
+/// not covered by a recovered object are reported as
+/// [`Segment::Skipped`] spans carrying the message of the first parse
+/// failure seen in the span, so a truncated record fused with a healthy
+/// one (`{"a":1,"b{"tenant":...}`) loses only the corrupted prefix.
 ///
 /// Whitespace-only residue is not reported. The scan is linear in the
 /// number of `{` candidates; callers bounding line length (see
 /// [`LineFramer`]) bound its cost.
-pub fn resync_line(line: &str) -> Vec<Segment> {
+pub fn resync_line(line: &str) -> Vec<Segment<'_>> {
     let mut segments = Vec::new();
-    let bytes = line.as_bytes();
     let mut pos = 0usize;
     // Start of the current unconsumed (potentially skipped) span, plus
-    // the first parse failure inside it.
+    // the first parse failure inside it and the brace it counts from.
     let mut skip_from = 0usize;
-    let mut skip_reason: Option<String> = None;
-    let flush_skip = |segments: &mut Vec<Segment>,
-                          from: usize,
-                          to: usize,
-                          reason: &mut Option<String>| {
-        let span = line.get(from..to).unwrap_or("");
-        if !span.trim().is_empty() {
-            segments.push(Segment::Skipped {
-                bytes: to - from,
-                reason: reason
-                    .take()
-                    .unwrap_or_else(|| "no object found".to_string()),
-            });
-        }
-        *reason = None;
-    };
-    while pos < bytes.len() {
-        let Some(off) = line.get(pos..).and_then(|rest| rest.find('{')) else {
-            break;
-        };
+    let mut first_error: Option<(usize, SyntaxError)> = None;
+    while let Some(off) = line.get(pos..).and_then(|rest| rest.find('{')) {
         let brace = pos + off;
-        match line.get(brace..).map(JsonObject::parse_prefix) {
-            Some(Ok((obj, consumed))) => {
-                flush_skip(&mut segments, skip_from, brace, &mut skip_reason);
-                segments.push(Segment::Object(obj));
-                pos = brace + consumed;
+        let text = line.get(brace..).unwrap_or_default();
+        let mut p = RawParser::new(text);
+        match p.object(|_, _| {}) {
+            Ok(()) => {
+                push_skipped(&mut segments, line, skip_from..brace, first_error.take());
+                segments.push(Segment::Object(text.get(..p.pos).unwrap_or_default()));
+                pos = brace + p.pos;
                 skip_from = pos;
             }
-            Some(Err(reason)) => {
-                if skip_reason.is_none() {
-                    skip_reason = Some(reason);
-                }
+            Err(e) => {
+                first_error.get_or_insert((brace, e));
                 pos = brace + 1;
             }
-            None => break,
         }
     }
-    flush_skip(&mut segments, skip_from, bytes.len(), &mut skip_reason);
+    push_skipped(&mut segments, line, skip_from..line.len(), first_error);
     segments
+}
+
+/// Reports `span` of `line` as skipped unless it is blank. Its reason is
+/// the message of `error` (found walking from that brace), or
+/// `no object found`.
+fn push_skipped(
+    segments: &mut Vec<Segment<'_>>,
+    line: &str,
+    span: std::ops::Range<usize>,
+    error: Option<(usize, SyntaxError)>,
+) {
+    if line.get(span.clone()).unwrap_or_default().trim().is_empty() {
+        return;
+    }
+    let reason = match error {
+        Some((brace, e)) => e.message(line.get(brace..).unwrap_or_default()),
+        None => "no object found".to_string(),
+    };
+    segments.push(Segment::Skipped { bytes: span.len(), reason });
 }
 
 /// One piece of a JSONL byte stream, as [`LineFramer`] hands it to its
@@ -470,168 +487,11 @@ fn write_field(out: &mut String, first: bool, key: &str, value: Field<'_>) {
     }
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    text: &'a str,
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect_byte(&mut self, b: u8) -> Result<(), String> {
-        match self.bump() {
-            Some(got) if got == b => Ok(()),
-            Some(got) => Err(format!(
-                "expected '{}' at byte {}, found '{}'",
-                b as char,
-                self.pos - 1,
-                got as char
-            )),
-            None => Err(format!("expected '{}' at end of line", b as char)),
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<JsonObject, String> {
-        self.skip_ws();
-        self.expect_byte(b'{')?;
-        let mut obj = JsonObject::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(obj);
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect_byte(b':')?;
-            self.skip_ws();
-            let value = self.parse_value()?;
-            obj.entries.push((key, value));
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(obj),
-                Some(b) => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found '{}'",
-                        self.pos - 1,
-                        b as char
-                    ))
-                }
-                None => return Err("unterminated object".to_string()),
-            }
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
-            Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", JsonValue::Bool(false)),
-            Some(b'{' | b'[') => Err(format!(
-                "nested values are not part of the protocol (byte {})",
-                self.pos
-            )),
-            Some(_) => self.parse_number(),
-            None => Err("expected a value at end of line".to_string()),
-        }
-    }
-
-    fn parse_keyword(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-        let end = self.pos + word.len();
-        if self.bytes.get(self.pos..end) == Some(word.as_bytes()) {
-            self.pos = end;
-            Ok(value)
-        } else {
-            Err(format!("malformed keyword at byte {}", self.pos))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect_byte(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000c}'),
-                    Some(b'u') => {
-                        let end = self.pos + 4;
-                        let hex = self
-                            .bytes
-                            .get(self.pos..end)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                        // Surrogate pairs are outside the protocol's
-                        // character set; reject rather than mis-decode.
-                        let c = char::from_u32(code)
-                            .ok_or_else(|| format!("\\u{hex} is not a scalar value"))?;
-                        out.push(c);
-                        self.pos = end;
-                    }
-                    Some(b) => return Err(format!("bad escape '\\{}'", b as char)),
-                    None => return Err("unterminated escape".to_string()),
-                },
-                Some(b) if b < 0x20 => {
-                    return Err("raw control character in string".to_string())
-                }
-                Some(_) => {
-                    // Re-read the character that starts at the byte we
-                    // consumed, to keep UTF-8 sequences intact. Only
-                    // that character is decoded: validating the whole
-                    // tail per character made a long string quadratic.
-                    let start = self.pos - 1;
-                    let c = self
-                        .text
-                        .get(start..)
-                        .and_then(|rest| rest.chars().next())
-                        .ok_or("invalid UTF-8 in string")?;
-                    out.push(c);
-                    self.pos = start + c.len_utf8();
-                }
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        let (span, value) = scan_number(self.text, start);
-        self.pos += span.len();
-        value.map(JsonValue::Num).ok_or_else(|| format!("malformed number {span:?} at byte {start}"))
-    }
-}
-
-/// The one number scanner both parsers share: the span of number bytes
-/// (`[-+.eE0-9]`) starting at `start`, found with one slice search, and
-/// its value through `str::parse` (`None` if malformed). The span is
-/// ASCII and follows a character boundary, so it is a `&str` slice of
-/// `text` with no UTF-8 check.
+/// The number scanner: the span of number bytes (`[-+.eE0-9]`) starting
+/// at `start`, found with one slice search, and its value through
+/// `str::parse` (`None` if malformed). The span is ASCII and follows a
+/// character boundary, so it is a `&str` slice of `text` with no UTF-8
+/// check.
 // hot-path
 fn scan_number(text: &str, start: usize) -> (&str, Option<f64>) {
     let rest = text.as_bytes().get(start..).unwrap_or_default();
@@ -869,13 +729,16 @@ pub fn write_record(out: &mut String, tenant: &str, kind: RawKind) {
 }
 
 /// Parses one protocol record directly from the line's bytes — the
-/// engine's one record parser.
+/// engine's one record decoder, for clean lines and for the spans
+/// [`resync_line`] recovers alike.
 ///
-/// The grammar and field semantics are those of [`JsonObject::parse`]
-/// followed by record validation: flat objects only, duplicate keys
-/// first-wins (after escape decoding), the same escape/number syntax,
-/// and the same [`RecordError`] class for every rejected line. The
-/// parser is total: every line yields a record or a reject.
+/// It walks the line with the crate's one object walker (the grammar of
+/// [`JsonObject::parse`]), keeps the first value of each protocol key
+/// (after escape decoding, as [`JsonObject::get`] would find it), then
+/// validates the record: a non-empty string `tenant`, and either a
+/// string `ctl` that says `close` or finite numbers `access` and
+/// `miss`. The parser is total: every line yields a record or a reject,
+/// and every syntax error is [`RecordError::Syntax`].
 ///
 /// Strings are scanned in place. The few that need decoding — an
 /// escaped key, tenant name or `ctl` value — are decoded into
@@ -891,53 +754,24 @@ pub fn parse_record_borrowed<'a>(
     line: &'a str,
     scratch: &'a mut String,
 ) -> Result<RawRecord<'a>, RecordError> {
-    let mut p = RawParser { bytes: line.as_bytes(), text: line, pos: 0 };
     // First occurrence per protocol key, matching `JsonObject::get`.
     let mut tenant: Option<RawValue<'_>> = None;
     let mut ctl: Option<RawValue<'_>> = None;
     let mut access: Option<RawValue<'_>> = None;
     let mut miss: Option<RawValue<'_>> = None;
-
-    p.skip_ws();
-    if p.bump() != Some(b'{') {
-        return Err(RecordError::Syntax);
-    }
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.parse_string_raw().map_err(|()| RecordError::Syntax)?;
-            p.skip_ws();
-            if p.bump() != Some(b':') {
-                return Err(RecordError::Syntax);
-            }
-            p.skip_ws();
-            let value = p.parse_value_raw().map_err(|()| RecordError::Syntax)?;
-            let slot = match key.decode(scratch) {
-                "tenant" => Some(&mut tenant),
-                "ctl" => Some(&mut ctl),
-                "access" => Some(&mut access),
-                "miss" => Some(&mut miss),
-                _ => None,
-            };
-            if let Some(slot) = slot {
-                slot.get_or_insert(value);
-            }
-            p.skip_ws();
-            match p.bump() {
-                Some(b',') => continue,
-                Some(b'}') => break,
-                _ => return Err(RecordError::Syntax),
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(RecordError::Syntax);
-    }
-    // Record validation, in the order of `Record::from_object`.
+    let mut p = RawParser::new(line);
+    p.object(|key, value| {
+        let slot = match key.decode(scratch) {
+            "tenant" => &mut tenant,
+            "ctl" => &mut ctl,
+            "access" => &mut access,
+            "miss" => &mut miss,
+            _ => return,
+        };
+        slot.get_or_insert(value);
+    })
+    .and_then(|()| p.end())
+    .map_err(|_| RecordError::Syntax)?;
     let Some(RawValue::Str(tenant)) = tenant else {
         return Err(RecordError::MissingTenant);
     };
@@ -949,7 +783,7 @@ pub fn parse_record_borrowed<'a>(
     let kind = match ctl {
         Some(RawValue::Str(verb)) if verb.decode(scratch) == "close" => RawKind::Close,
         Some(RawValue::Str(_)) => return Err(RecordError::UnknownCtl),
-        Some(RawValue::Num(_) | RawValue::Bool) => return Err(RecordError::CtlNotString),
+        Some(RawValue::Num(_) | RawValue::Bool(_)) => return Err(RecordError::CtlNotString),
         None => {
             let Some(RawValue::Num(access)) = access else {
                 return Err(RecordError::MissingAccess);
@@ -999,11 +833,18 @@ impl<'a> RawStr<'a> {
             }
         }
     }
+
+    /// The decoded value as an owned string.
+    fn owned(self) -> String {
+        let mut out = String::new();
+        unescape_into(self.span(), &mut out);
+        out
+    }
 }
 
 /// Appends the decoded value of a string span that
-/// [`RawParser::parse_string_raw`] already validated, so every escape in
-/// it is well formed. Decodes exactly as [`Parser::parse_string`] does.
+/// [`RawParser::string`] already validated, so every escape in it is
+/// well formed.
 // hot-path
 fn unescape_into(raw: &str, out: &mut String) {
     let mut rest = raw;
@@ -1035,14 +876,79 @@ fn unescape_into(raw: &str, out: &mut String) {
 enum RawValue<'a> {
     Str(RawStr<'a>),
     Num(f64),
-    Bool,
+    Bool(bool),
 }
 
-/// The in-place twin of [`Parser`]: identical control flow and
-/// validation, but strings come back as spans of the input instead of
-/// freshly decoded `String`s. Any divergence between the two is a bug —
-/// the engine's parser-equivalence suite drives both over the same
-/// corpus.
+/// The grammar rule a line broke, with the bytes its message quotes
+/// (`None` where the line ended instead); [`SyntaxError::message`]
+/// spells each one out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rule {
+    /// `{`, `:` or a key's opening `"` is missing.
+    Expected { want: u8, found: Option<u8> },
+    /// Neither `,` nor `}` after a field.
+    CommaOrBrace(Option<u8>),
+    Nested,
+    MissingValue,
+    Keyword,
+    /// The message re-scans the number span from the offset.
+    Number,
+    TruncatedUnicode,
+    BadUnicode,
+    NotScalar,
+    BadEscape(u8),
+    UnterminatedEscape,
+    RawControl,
+    UnterminatedString,
+    Trailing,
+}
+
+/// Why [`RawParser`] stopped: the rule and the byte offset its message
+/// names (for the `\u` rules, the offset of the four hex bytes). It is
+/// `Copy` and allocates nothing; [`SyntaxError::message`] renders it on
+/// the error path only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SyntaxError {
+    rule: Rule,
+    at: usize,
+}
+
+impl SyntaxError {
+    /// The human-readable message, given the text the parser walked (the
+    /// offsets count from its start).
+    fn message(self, text: &str) -> String {
+        let at = self.at;
+        let hex = || text.get(at..at + 4).unwrap_or_default();
+        match self.rule {
+            Rule::Expected { want, found: Some(b) } => {
+                format!("expected '{}' at byte {at}, found '{}'", char::from(want), char::from(b))
+            }
+            Rule::Expected { want, found: None } => {
+                format!("expected '{}' at end of line", char::from(want))
+            }
+            Rule::CommaOrBrace(Some(b)) => {
+                format!("expected ',' or '}}' at byte {at}, found '{}'", char::from(b))
+            }
+            Rule::CommaOrBrace(None) => "unterminated object".to_string(),
+            Rule::Nested => format!("nested values are not part of the protocol (byte {at})"),
+            Rule::MissingValue => "expected a value at end of line".to_string(),
+            Rule::Keyword => format!("malformed keyword at byte {at}"),
+            Rule::Number => format!("malformed number {:?} at byte {at}", scan_number(text, at).0),
+            Rule::TruncatedUnicode => "truncated \\u escape".to_string(),
+            Rule::BadUnicode => format!("bad \\u escape {:?}", hex()),
+            Rule::NotScalar => format!("\\u{} is not a scalar value", hex()),
+            Rule::BadEscape(b) => format!("bad escape '\\{}'", char::from(b)),
+            Rule::UnterminatedEscape => "unterminated escape".to_string(),
+            Rule::RawControl => "raw control character in string".to_string(),
+            Rule::UnterminatedString => "unterminated string".to_string(),
+            Rule::Trailing => format!("trailing content at byte {at}"),
+        }
+    }
+}
+
+/// The crate's one JSON grammar: an in-place scanner over a line whose
+/// strings come back as spans of the input. [`RawParser::object`] is
+/// its one object walker; every parse in this module drives it.
 struct RawParser<'a> {
     bytes: &'a [u8],
     text: &'a str,
@@ -1050,6 +956,10 @@ struct RawParser<'a> {
 }
 
 impl<'a> RawParser<'a> {
+    fn new(text: &'a str) -> Self {
+        RawParser { bytes: text.as_bytes(), text, pos: 0 }
+    }
+
     // hot-path
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
@@ -1069,87 +979,154 @@ impl<'a> RawParser<'a> {
         }
     }
 
-    /// Scans a quoted string, validating the same escape grammar as
-    /// [`Parser::parse_string`] without decoding it. Each run of plain
-    /// bytes is crossed with one slice search for the next `"`, `\` or
-    /// control byte; only those bytes are looked at one by one.
+    /// An error under `rule` at the current offset.
     // hot-path
-    fn parse_string_raw(&mut self) -> Result<RawStr<'a>, ()> {
-        if self.bump() != Some(b'"') {
-            return Err(());
+    fn error(&self, rule: Rule) -> SyntaxError {
+        SyntaxError { rule, at: self.pos }
+    }
+
+    /// Consumes `want`, or fails at the byte found instead.
+    // hot-path
+    fn require(&mut self, want: u8) -> Result<(), SyntaxError> {
+        match self.peek() {
+            Some(b) if b == want => {
+                self.pos += 1;
+                Ok(())
+            }
+            found => Err(self.error(Rule::Expected { want, found })),
         }
+    }
+
+    /// Walks one object, `{ key : value , … }`, after optional
+    /// whitespace, handing each pair to `field` in line order and
+    /// leaving the parser just past the closing `}`. Values are flat:
+    /// strings, numbers and `true`/`false`.
+    // hot-path
+    fn object(
+        &mut self,
+        mut field: impl FnMut(RawStr<'a>, RawValue<'a>),
+    ) -> Result<(), SyntaxError> {
+        self.skip_ws();
+        self.require(b'{')?;
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.require(b':')?;
+            self.skip_ws();
+            let value = self.value()?;
+            field(key, value);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                found => return Err(self.error(Rule::CommaOrBrace(found))),
+            }
+        }
+    }
+
+    /// Skips trailing whitespace and requires the end of the text.
+    // hot-path
+    fn end(&mut self) -> Result<(), SyntaxError> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(self.error(Rule::Trailing))
+        }
+    }
+
+    /// Scans a quoted string, validating its escapes without decoding
+    /// them. Each run of plain bytes is crossed with one slice search for
+    /// the next `"`, `\` or control byte; only those bytes are looked at
+    /// one by one.
+    // hot-path
+    fn string(&mut self) -> Result<RawStr<'a>, SyntaxError> {
+        self.require(b'"')?;
         let start = self.pos;
         let mut escaped = false;
         loop {
             let rest = self.bytes.get(self.pos..).unwrap_or_default();
-            // No stop byte before the end of the line: unterminated.
-            let at = rest
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
-                .ok_or(())?;
+            let Some(at) = rest.iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20) else {
+                return Err(self.error(Rule::UnterminatedString));
+            };
             self.pos += at + 1;
             match rest.get(at) {
                 Some(b'"') => {
                     // Both span boundaries sit on ASCII quotes, so the
                     // slice is valid UTF-8 whenever the input is (it
                     // is: we were handed a `&str`).
-                    let span = self.text.get(start..self.pos - 1).ok_or(())?;
+                    let span = self.text.get(start..self.pos - 1).unwrap_or_default();
                     return Ok(if escaped { RawStr::Escaped(span) } else { RawStr::Plain(span) });
                 }
                 Some(b'\\') => {
                     escaped = true;
                     match self.bump() {
                         Some(b'"' | b'\\' | b'/' | b'n' | b'r' | b't' | b'b' | b'f') => {}
-                        Some(b'u') => {
-                            let end = self.pos + 4;
-                            let hex = self
-                                .bytes
-                                .get(self.pos..end)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or(())?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|_| ())?;
-                            // Same scalar-value check as `Parser`.
-                            char::from_u32(code).ok_or(())?;
-                            self.pos = end;
-                        }
-                        _ => return Err(()),
+                        Some(b'u') => self.unicode_escape()?,
+                        Some(b) => return Err(self.error(Rule::BadEscape(b))),
+                        None => return Err(self.error(Rule::UnterminatedEscape)),
                     }
                 }
                 // A raw control byte.
-                _ => return Err(()),
+                _ => return Err(self.error(Rule::RawControl)),
             }
         }
     }
 
-    /// Scans and parses a number through the same [`scan_number`] as
-    /// [`Parser`].
+    /// Validates the four hex digits after `\u`: they must name a
+    /// Unicode scalar value (a surrogate is outside the protocol's
+    /// character set and rejected rather than mis-decoded).
     // hot-path
-    fn parse_number_raw(&mut self) -> Result<f64, ()> {
+    fn unicode_escape(&mut self) -> Result<(), SyntaxError> {
+        let end = self.pos + 4;
+        let Some(hex) = self.bytes.get(self.pos..end).and_then(|h| std::str::from_utf8(h).ok())
+        else {
+            return Err(self.error(Rule::TruncatedUnicode));
+        };
+        let code = u32::from_str_radix(hex, 16).map_err(|_| self.error(Rule::BadUnicode))?;
+        char::from_u32(code).ok_or_else(|| self.error(Rule::NotScalar))?;
+        self.pos = end;
+        Ok(())
+    }
+
+    /// Scans and parses a number through [`scan_number`].
+    // hot-path
+    fn number(&mut self) -> Result<f64, SyntaxError> {
         let (span, value) = scan_number(self.text, self.pos);
+        let value = value.ok_or(self.error(Rule::Number))?;
         self.pos += span.len();
-        value.ok_or(())
+        Ok(value)
     }
 
     // hot-path
-    fn parse_value_raw(&mut self) -> Result<RawValue<'a>, ()> {
+    fn value(&mut self) -> Result<RawValue<'a>, SyntaxError> {
         match self.peek() {
-            Some(b'"') => self.parse_string_raw().map(RawValue::Str),
-            Some(b't') => self.parse_keyword_raw("true"),
-            Some(b'f') => self.parse_keyword_raw("false"),
-            Some(b'{' | b'[') => Err(()),
-            Some(_) => self.parse_number_raw().map(RawValue::Num),
-            None => Err(()),
+            Some(b'"') => self.string().map(RawValue::Str),
+            Some(b't') => self.keyword("true", true),
+            Some(b'f') => self.keyword("false", false),
+            Some(b'{' | b'[') => Err(self.error(Rule::Nested)),
+            Some(_) => self.number().map(RawValue::Num),
+            None => Err(self.error(Rule::MissingValue)),
         }
     }
 
     // hot-path
-    fn parse_keyword_raw(&mut self, word: &str) -> Result<RawValue<'a>, ()> {
+    fn keyword(&mut self, word: &str, value: bool) -> Result<RawValue<'a>, SyntaxError> {
         let end = self.pos + word.len();
         if self.bytes.get(self.pos..end) == Some(word.as_bytes()) {
             self.pos = end;
-            Ok(RawValue::Bool)
+            Ok(RawValue::Bool(value))
         } else {
-            Err(())
+            Err(self.error(Rule::Keyword))
         }
     }
 }
@@ -1247,7 +1224,10 @@ mod tests {
         assert_eq!(segments.len(), 2, "{segments:?}");
         assert!(matches!(&segments[0], Segment::Skipped { bytes: 21, .. }));
         match &segments[1] {
-            Segment::Object(obj) => assert_eq!(obj.get_str("tenant"), Some("vm-1")),
+            Segment::Object(span) => {
+                let obj = JsonObject::parse(span).unwrap();
+                assert_eq!(obj.get_str("tenant"), Some("vm-1"));
+            }
             other => panic!("expected object, got {other:?}"),
         }
     }
@@ -1256,10 +1236,10 @@ mod tests {
     fn resync_recovers_multiple_fused_records() {
         let line = r#"{"a":1}{"b":2}garbage{"c":3}"#;
         let segments = resync_line(line);
-        let objects: Vec<&JsonObject> = segments
+        let objects: Vec<JsonObject> = segments
             .iter()
             .filter_map(|s| match s {
-                Segment::Object(o) => Some(o),
+                Segment::Object(span) => Some(JsonObject::parse(span).unwrap()),
                 Segment::Skipped { .. } => None,
             })
             .collect();

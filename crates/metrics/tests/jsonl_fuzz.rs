@@ -75,7 +75,9 @@ fn decode_piece(piece: Piece<'_>, frames: &mut Vec<Frame>) {
         return;
     }
     frames.extend(resync_line(text).into_iter().map(|segment| match segment {
-        Segment::Object(obj) => Frame::Object(obj),
+        Segment::Object(span) => {
+            Frame::Object(JsonObject::parse(span).expect("a recovered span is one object"))
+        }
         Segment::Skipped { bytes, reason } => Frame::Skipped { bytes, reason },
     }));
 }

@@ -7,9 +7,9 @@
 //! chaotic stream into fresh engines must produce a byte-identical
 //! verdict log every time. Distinct seeds must produce distinct fault
 //! traces — otherwise the soak's N scenarios would silently retest one.
-//!
-//! The engine runs on one thread, so the first test's name ("across
-//! worker counts") now means across the soak's replays.
+//! The seed-7 log is also pinned by a digest: its `malformed` events
+//! carry the resync skip reasons and record rejects as log text, so a
+//! drift in any of them changes the bytes.
 
 use memdos::engine::chaos::{FaultPlan, FaultPlanConfig};
 use memdos::engine::demo::{demo_jsonl, DemoLayout};
@@ -43,8 +43,20 @@ fn replay(lines: &[String]) -> Vec<String> {
     engine.log_lines().to_vec()
 }
 
+/// FNV-1a 64 over the log, one `\n` after each line.
+fn digest(log: &[String]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for line in log {
+        for &b in line.as_bytes().iter().chain(b"\n") {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
 #[test]
-fn same_fault_seed_is_byte_identical_across_worker_counts() {
+fn same_fault_seed_is_byte_identical_across_reruns() {
     let clean = clean_lines();
     let (chaotic, trace) = FaultPlan::apply(7, FaultPlanConfig::chaos(), clean)
         .expect("chaos rates are valid");
@@ -59,6 +71,10 @@ fn same_fault_seed_is_byte_identical_across_worker_counts() {
     // And the engine's log over the chaotic stream replays identically.
     let reference = replay(&chaotic);
     assert!(!reference.is_empty());
+    // The digest pins reason text only if the log carries some.
+    let malformed = reference.iter().filter(|l| l.contains(r#""event":"malformed""#)).count();
+    assert_eq!((reference.len(), malformed), (75, 42));
+    assert_eq!(digest(&reference), 0xb94b_7eb9_ce20_3eba, "chaos log bytes changed");
     for rerun in 1..REPLAYS {
         assert_eq!(replay(&chaotic), reference, "rerun {rerun} diverged from the reference log");
     }
@@ -83,3 +99,4 @@ fn distinct_seeds_produce_distinct_fault_traces() {
         }
     }
 }
+

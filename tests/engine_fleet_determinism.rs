@@ -7,8 +7,7 @@
 //! recorded digest — the ceiling forces continuous LRU eviction,
 //! generation-bumping reopens and slab slot recycling, and none of it
 //! may depend on anything but the input. The demo-stream variant lives
-//! in `engine_replay_determinism.rs`. The engine runs on one thread, so
-//! the rerun test's name ("across workers") now means across reruns.
+//! in `engine_replay_determinism.rs`.
 
 use memdos::engine::engine::Engine;
 use memdos::engine::fleet::{fleet_engine_config, fleet_jsonl};
@@ -70,7 +69,7 @@ fn fleet_log_matches_its_pinned_digest() {
 }
 
 #[test]
-fn fleet_replay_is_byte_identical_across_workers_including_evictions() {
+fn fleet_replay_is_byte_identical_across_reruns_including_evictions() {
     let lines = fleet_lines();
     let (reference, stats, open) = replay(lines);
     assert!(!reference.is_empty());

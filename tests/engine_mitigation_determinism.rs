@@ -7,8 +7,7 @@
 //! workload itself and cascade. This test pins the whole loop: for each
 //! respond scenario shape, the verdict log (`mitigation_*` events
 //! included), the engine stats and the applied-action trace must be
-//! byte-identical on a rerun. The engine runs on one thread, so the
-//! test's name ("across workers") now means across reruns.
+//! byte-identical on a rerun.
 
 use memdos::engine::respond::{
     respond_engine_config, respond_scenario, run_respond, RespondReport, RespondScenario,
@@ -24,7 +23,7 @@ fn run(kind: RespondScenario) -> RespondReport {
 }
 
 #[test]
-fn respond_loop_is_byte_identical_across_workers() {
+fn respond_loop_is_byte_identical_across_reruns() {
     for kind in RespondScenario::ALL {
         let reference = run(kind);
         assert!(!reference.log.is_empty());

@@ -3,9 +3,7 @@
 //!
 //! Replaying the four-tenant demo JSONL must produce a byte-identical
 //! verdict event log across reruns, and across regenerations of the
-//! stream on different generator thread counts. The engine runs on one
-//! thread, so the first test's name ("across workers") now means across
-//! reruns.
+//! stream on different generator thread counts.
 
 use memdos::engine::demo::{demo_engine_config, demo_jsonl, LAYOUT, TENANTS};
 use memdos::engine::engine::Engine;
@@ -28,7 +26,7 @@ fn replay(lines: &[String]) -> Vec<String> {
 }
 
 #[test]
-fn demo_replay_is_byte_identical_across_workers_and_reruns() {
+fn demo_replay_is_byte_identical_across_reruns() {
     let lines = demo_lines();
     let reference = replay(lines);
     assert!(!reference.is_empty());
