@@ -58,18 +58,17 @@
 //!
 //! ## Ingest path
 //!
-//! A JSONL stream is framed by [`jsonl::LineFramer`], so line
-//! splitting, the line cap and UTF-8 recovery never depend on how the
-//! reader chunks its input.
-//! Each line decodes through the one record parser,
-//! [`parse_record_borrowed`](jsonl::parse_record_borrowed): tenant
-//! names stay `&str` slices of the input line (escaped ones decode into
-//! a reused scratch buffer) and route through the intern index
-//! ([`TenantId`]) without touching the heap. A line it rejects goes to
-//! [`jsonl::resync_line`], which returns the valid objects embedded in
-//! it as spans of the line; each span decodes through the same record
-//! parser and routes like a clean line, and every skipped span is
-//! logged as `malformed` with the parse error's message.
+//! Input decodes through the one wire reader, [`memdos_metrics::wire`]
+//! (as `convert` does): [`Engine::ingest_reader`] pushes chunks into a
+//! [`wire::Reader`], which negotiates JSONL or binary, frames, resyncs
+//! and binds binary wire ids, and [`Engine::ingest_line`] calls its line
+//! decoder, [`wire::decode_line`]. The engine is the reader's sink: it
+//! gets records, their tenant names still `&str` spans of the input or
+//! of the wire-id binding, and malformed spans, each logged as
+//! `malformed`. A record routes
+//! through the intern index ([`TenantId`]) without touching the heap;
+//! the binary wire memoises the interned id with its binding, so a warm
+//! id skips the probe.
 //!
 //! ## Determinism guarantee
 //!
@@ -106,8 +105,8 @@ use crate::session::{
 use crate::slab::Slab;
 use memdos_core::detector::Observation;
 use memdos_core::CoreError;
-use memdos_metrics::binary::{self, BinDecoder, BinFrame};
-use memdos_metrics::jsonl::{self, LineBuf, LineFramer, Piece, RawKind, RawRecord, Segment};
+use memdos_metrics::jsonl::{LineBuf, RawKind};
+use memdos_metrics::wire;
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -170,11 +169,11 @@ pub struct EngineStats {
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct StageProf {
     enabled: bool,
-    /// Line → record decoding (the record parse; resync recovery is
-    /// not billed here).
+    /// JSONL decoding in the wire reader: line framing, the record
+    /// parse and resync recovery (the sink's own work excluded).
     pub(crate) decode_ns: u64,
-    /// Binary-stream decoding (frame scan, checksum, resync) when the
-    /// reader negotiated the binary wire format.
+    /// Binary-stream decoding in the wire reader (frame scan, checksum,
+    /// resync, wire-id lookup) when it negotiated the binary format.
     pub(crate) decode_bin_ns: u64,
     /// Record → session routing (intern probe, offer, drop policy).
     pub(crate) dispatch_ns: u64,
@@ -203,6 +202,12 @@ impl StageProf {
         } else {
             0
         }
+    }
+
+    /// Total of the stages a decode step can run into: routing and the
+    /// flush stages.
+    fn billed(&self) -> u64 {
+        self.dispatch_ns + self.step_ns + self.merge_ns + self.write_ns + self.reclaim_ns
     }
 
     /// Elapsed ns since a [`StageProf::start`] stamp (0 when disabled).
@@ -324,20 +329,36 @@ impl InternIndex {
     }
 }
 
-/// Binary-protocol tenant directory for one ingest stream: wire id →
-/// tenant name, as bound by [`BinFrame::Define`] frames. `cached`
-/// memoises the engine's interned [`TenantId`] — ids are stable for the
-/// engine's lifetime, so once warm a sample routes with two vector hops
-/// and no intern-index probe at all.
-#[derive(Debug, Default)]
-struct WireTable {
-    slots: Vec<Option<WireEntry>>,
-}
+/// The engine consumes the wire reader's output: each record and each
+/// malformed span takes the next arrival index, a record routes to its
+/// session, and each input span ends with the batch check.
+impl wire::Sink for Engine {
+    // hot-path
+    fn record(&mut self, record: wire::Record<'_>) {
+        let seq = self.alloc_seq();
+        let t0 = self.prof.start();
+        if record.recovered {
+            self.stats.resynced += 1;
+        }
+        self.route(seq, record);
+        let d = self.prof.lap(t0);
+        self.prof.dispatch_ns += d;
+    }
 
-#[derive(Debug)]
-struct WireEntry {
-    name: String,
-    cached: Option<TenantId>,
+    /// Logs the span as a `malformed` event. The hot reject paths pass
+    /// static reasons, so they never render one.
+    fn malformed(&mut self, reason: Cow<'static, str>, bytes: Option<usize>) {
+        let seq = self.alloc_seq();
+        self.stats.malformed += 1;
+        let payload = Event::Malformed { reason, bytes };
+        self.ingest_events.push(SessionEvent { seq, sub: SUB_INGEST, payload });
+    }
+
+    fn end_span(&mut self) {
+        if self.pending >= self.config.batch {
+            self.flush();
+        }
+    }
 }
 
 /// Final accounting of a reclaimed incarnation, retained per tenant so
@@ -434,7 +455,7 @@ pub struct Engine {
     /// Recycled log-line writer.
     render: LineBuf,
     /// Recycled decode buffer for escaped protocol strings (see
-    /// [`jsonl::parse_record_borrowed`]).
+    /// [`wire::decode_line`]).
     unescaped: String,
     prof: StageProf,
     /// The mitigation response loop: per-tenant cases, rung memory and
@@ -627,295 +648,121 @@ impl Engine {
 
     /// Ingests one input line, flushing when the batch fills.
     ///
-    /// The line decodes through [`jsonl::parse_record_borrowed`]. A line
-    /// it rejects is resynchronised: every embedded valid record is
-    /// recovered (each under its own arrival index, in line order) and
-    /// the corrupted spans are logged as `malformed` events — one bad
-    /// byte never costs more than its own span.
+    /// The line decodes through [`wire::decode_line`]: its record, or —
+    /// when the record parser rejects the line — every embedded valid
+    /// record (each under its own arrival index, in line order) and a
+    /// `malformed` event per corrupted span, so one bad byte never costs
+    /// more than its own span.
     // hot-path
     pub fn ingest_line(&mut self, line: &str) {
         let mut scratch = std::mem::take(&mut self.unescaped);
-        let t0 = self.prof.start();
-        let parsed = jsonl::parse_record_borrowed(line, &mut scratch);
-        let d = self.prof.lap(t0);
-        self.prof.decode_ns += d;
-        match parsed {
-            Ok(raw) => {
-                let seq = self.alloc_seq();
-                let t1 = self.prof.start();
-                self.route_record(seq, raw);
-                let d = self.prof.lap(t1);
-                self.prof.dispatch_ns += d;
-            }
-            // lint:allow(hot-propagate) -- resync recovers from corrupt input; the fault path may allocate
-            Err(_) => self.ingest_resync(line, &mut scratch),
-        }
+        self.decode(|sink| {
+            // lint:allow(hot-propagate) -- the line decoder allocates only on its resync fault path
+            wire::decode_line(line, &mut scratch, sink);
+            Some(wire::Format::Jsonl)
+        });
         self.unescaped = scratch;
         if self.pending >= self.config.batch {
             self.flush();
         }
     }
 
-    /// Recovers what it can from a line the record parser rejected: each
-    /// embedded object decodes through the same record parser as a clean
-    /// line and routes under its own arrival index, and each corrupted
-    /// span (or rejected record) becomes a `malformed` event.
-    fn ingest_resync(&mut self, line: &str, scratch: &mut String) {
-        for segment in jsonl::resync_line(line) {
-            let seq = self.alloc_seq();
-            match segment {
-                Segment::Object(span) => match jsonl::parse_record_borrowed(span, scratch) {
-                    Ok(raw) => {
-                        self.stats.resynced += 1;
-                        self.route_record(seq, raw);
-                    }
-                    Err(e) => self.push_malformed(seq, Cow::Borrowed(e.reason()), None),
-                },
-                Segment::Skipped { bytes, reason } => {
-                    self.push_malformed(seq, Cow::Owned(reason), Some(bytes));
-                }
-            }
-        }
-    }
-
-    /// Ingests every byte of `reader`, negotiating the wire format from
-    /// the first bytes of the stream: a stream opening with the binary
-    /// preamble ([`binary::MAGIC`]) decodes through the [`BinDecoder`];
-    /// anything else is JSONL, framed by [`jsonl::LineFramer`] into lines
-    /// that each go through [`Engine::ingest_line`]. Returns the number of
-    /// input spans consumed (physical lines for JSONL, frames for
-    /// binary).
-    /// Invalid UTF-8, oversized lines and corrupted frames are logged
-    /// and skipped, never fatal.
+    /// Ingests every byte of `reader` through one [`wire::Reader`],
+    /// which negotiates the wire format from the first bytes. Returns
+    /// the number of input spans consumed (physical lines for JSONL,
+    /// frames for binary). Invalid UTF-8, oversized lines and corrupted
+    /// frames are logged and skipped, never fatal.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the reader; input ingested before the
     /// error remains processed.
     pub fn ingest_reader<R: BufRead>(&mut self, mut reader: R) -> std::io::Result<u64> {
-        // Sniff up to one preamble, accumulating across short reads.
-        // Divergence from the magic at any byte settles on JSONL with
-        // the sniffed bytes replayed into the line decoder.
-        let mut sniffed: Vec<u8> = Vec::new();
-        let is_binary = loop {
+        let mut wire = wire::Reader::default();
+        loop {
             let chunk = reader.fill_buf()?;
             if chunk.is_empty() {
-                break false;
+                break;
             }
-            let need = binary::MAGIC.len().saturating_sub(sniffed.len());
-            let take = need.min(chunk.len());
-            sniffed.extend_from_slice(chunk.get(..take).unwrap_or(chunk));
-            reader.consume(take);
-            let prefix = binary::MAGIC.get(..sniffed.len()).unwrap_or(&[]);
-            if sniffed != prefix {
-                break false;
-            }
-            if sniffed.len() == binary::MAGIC.len() {
-                break true;
+            let len = chunk.len();
+            self.decode(|sink| {
+                wire.push(chunk, sink);
+                wire.format()
+            });
+            reader.consume(len);
+        }
+        let mut spans = 0;
+        self.decode(|sink| {
+            spans = wire.finish(sink);
+            wire.format()
+        });
+        self.flush();
+        Ok(spans)
+    }
+
+    /// Runs one decode step with the engine as its sink, billing the
+    /// step's own time to the decode stage of the format it returns: its
+    /// wall time less what the stages it ran into (routing, flushes)
+    /// billed meanwhile.
+    // hot-path
+    fn decode(&mut self, step: impl FnOnce(&mut Engine) -> Option<wire::Format>) {
+        let (t0, billed) = (self.prof.start(), self.prof.billed());
+        let format = step(self);
+        let d = self.prof.lap(t0).saturating_sub(self.prof.billed().wrapping_sub(billed));
+        match format {
+            Some(wire::Format::Binary) => self.prof.decode_bin_ns += d,
+            Some(wire::Format::Jsonl) | None => self.prof.decode_ns += d,
+        }
+    }
+
+    /// Routes one decoded record to its tenant's session, opening one
+    /// on first contact. A sample for a closed tenant reopens it as the
+    /// next generation (churn); a close for a reclaimed tenant is a
+    /// no-op, and one for a session already closing queues an idempotent
+    /// repeat that logs nothing. `tenant` may borrow from the input —
+    /// nothing is cloned unless a session opens.
+    // hot-path
+    fn route(&mut self, seq: u64, record: wire::Record<'_>) {
+        let tenant = record.tenant;
+        let addr = match self.resolve(tenant, record.memo) {
+            None => self.open_session(seq, tenant, None, 0),
+            Some(id) => {
+                let Some(slot) = self.slots.get_mut(id.index()) else {
+                    return;
+                };
+                slot.last_seen = seq;
+                match (slot.session, record.kind) {
+                    (Some(idx), RawKind::Close) => Some((idx, id.0)),
+                    (Some(idx), RawKind::Sample { .. }) if !slot.closed_at_ingest => {
+                        Some((idx, id.0))
+                    }
+                    (None, RawKind::Close) => None,
+                    // A still-draining old incarnation keeps its slab
+                    // slot until its final events drain; samples route
+                    // to a fresh session.
+                    (_, RawKind::Sample { .. }) => {
+                        let generation = slot.generation.saturating_add(1);
+                        let addr = self.open_session(seq, tenant, Some(id), generation);
+                        self.stats.reopened += u64::from(addr.is_some());
+                        addr
+                    }
+                }
             }
         };
-        if is_binary {
-            self.ingest_reader_binary(reader)
-        } else {
-            self.ingest_reader_jsonl(&sniffed, reader)
-        }
-    }
-
-    /// The JSONL arm of [`Engine::ingest_reader`]; `prefix` holds bytes
-    /// the format sniff already consumed from the reader.
-    fn ingest_reader_jsonl<R: BufRead>(
-        &mut self,
-        prefix: &[u8],
-        mut reader: R,
-    ) -> std::io::Result<u64> {
-        let mut framer = LineFramer::new(jsonl::DEFAULT_MAX_LINE);
-        framer.push(prefix, |piece| self.ingest_piece(piece));
-        loop {
-            let len = {
-                let chunk = reader.fill_buf()?;
-                if chunk.is_empty() {
-                    break;
-                }
-                framer.push(chunk, |piece| self.ingest_piece(piece));
-                chunk.len()
-            };
-            reader.consume(len);
-        }
-        framer.finish(|piece| self.ingest_piece(piece));
-        self.flush();
-        Ok(framer.lines())
-    }
-
-    /// Ingests one framed piece of a JSONL stream: text takes
-    /// [`Engine::ingest_line`], a span the framer skipped (oversized
-    /// line, invalid UTF-8) becomes a `malformed` event.
-    fn ingest_piece(&mut self, piece: Piece<'_>) {
-        match piece {
-            Piece::Text(line) => self.ingest_line(line),
-            Piece::Skipped { bytes, reason } => {
-                let seq = self.alloc_seq();
-                self.push_malformed(seq, Cow::Owned(reason.to_string()), Some(bytes));
-                if self.pending >= self.config.batch {
-                    self.flush();
-                }
-            }
-        }
-    }
-
-    /// The binary arm of [`Engine::ingest_reader`]: the preamble is
-    /// already consumed; everything after is fixed-width frames.
-    fn ingest_reader_binary<R: BufRead>(&mut self, mut reader: R) -> std::io::Result<u64> {
-        let mut dec = BinDecoder::new();
-        let mut frames: Vec<BinFrame> = Vec::new();
-        let mut wire = WireTable::default();
-        loop {
-            let len = {
-                let chunk = reader.fill_buf()?;
-                if chunk.is_empty() {
-                    break;
-                }
-                let t0 = self.prof.start();
-                dec.push_bytes(chunk);
-                let d = self.prof.lap(t0);
-                self.prof.decode_bin_ns += d;
-                chunk.len()
-            };
-            reader.consume(len);
-            dec.drain_into(&mut frames);
-            for frame in frames.drain(..) {
-                self.ingest_bin_frame(frame, &mut wire);
-            }
-        }
-        let t0 = self.prof.start();
-        let tail = dec.finish();
-        let d = self.prof.lap(t0);
-        self.prof.decode_bin_ns += d;
-        for frame in tail {
-            self.ingest_bin_frame(frame, &mut wire);
-        }
-        self.stats.resynced += dec.resynced();
-        self.flush();
-        Ok(dec.frames())
-    }
-
-    /// Routes one decoded binary frame. Sample and close frames consume
-    /// an arrival index exactly like their JSONL twins (so a converted
-    /// stream replays under identical `seq` values); a define frame is
-    /// zero-width metadata — it binds a wire id without consuming a
-    /// `seq` — unless it is invalid, in which case it surfaces as an
-    /// ordinary `malformed` span.
-    // hot-path
-    fn ingest_bin_frame(&mut self, frame: BinFrame, wire: &mut WireTable) {
-        match frame {
-            BinFrame::Sample { tenant, access, miss } => {
-                let seq = self.alloc_seq();
-                let t0 = self.prof.start();
-                let obs = Observation { access_num: access, miss_num: miss };
-                match wire.slots.get_mut(tenant as usize).and_then(Option::as_mut) {
-                    Some(entry) => self.route_sample_wire(seq, entry, obs),
-                    None => self.push_malformed(seq, Cow::Borrowed("undefined wire id"), None),
-                }
-                let d = self.prof.lap(t0);
-                self.prof.dispatch_ns += d;
-            }
-            BinFrame::Close { tenant } => {
-                let seq = self.alloc_seq();
-                let t0 = self.prof.start();
-                match wire.slots.get(tenant as usize).and_then(Option::as_ref) {
-                    Some(entry) => {
-                        let name = &entry.name;
-                        self.route_close(seq, name);
-                    }
-                    None => self.push_malformed(seq, Cow::Borrowed("undefined wire id"), None),
-                }
-                let d = self.prof.lap(t0);
-                self.prof.dispatch_ns += d;
-            }
-            BinFrame::Define { tenant, name } => {
-                if tenant >= binary::MAX_WIRE_ID {
-                    let seq = self.alloc_seq();
-                    self.push_malformed(seq, Cow::Borrowed("wire id out of range"), None);
-                } else {
-                    let slot = tenant as usize;
-                    if wire.slots.len() <= slot {
-                        wire.slots.resize_with(slot + 1, || None);
-                    }
-                    if let Some(e) = wire.slots.get_mut(slot) {
-                        *e = Some(WireEntry { name, cached: None });
-                    }
-                    // No seq consumed: defines are invisible to the
-                    // event log, so binary and JSONL replays of the
-                    // same stream stay byte-identical.
-                    return;
-                }
-            }
-            BinFrame::Skipped { bytes, reason } => {
-                let seq = self.alloc_seq();
-                self.push_malformed(seq, Cow::Borrowed(reason), Some(bytes));
-            }
-        }
-        if self.pending >= self.config.batch {
-            self.flush();
-        }
-    }
-
-    /// Routes one decoded JSONL record — from a clean line or recovered
-    /// by resynchronisation — to its tenant's session.
-    // hot-path
-    fn route_record(&mut self, seq: u64, raw: RawRecord<'_>) {
-        match raw.kind {
+        let Some((idx, owner)) = addr else {
+            return;
+        };
+        match record.kind {
             RawKind::Sample { access, miss } => {
                 let obs = Observation { access_num: access, miss_num: miss };
-                self.route_sample(seq, raw.tenant, obs);
+                self.offer_sample(idx, owner, seq, obs);
             }
-            RawKind::Close => self.route_close(seq, raw.tenant),
+            RawKind::Close => self.close_at_ingest(idx, owner, seq, CloseReason::Ctl),
         }
-    }
-
-    /// Routes one sample to its tenant's session, handling drops,
-    /// recoveries and reopen-after-close. `tenant` may borrow from the
-    /// input line — nothing is cloned unless a session opens.
-    // hot-path
-    fn route_sample(&mut self, seq: u64, tenant: &str, obs: Observation) {
-        let Some((idx, owner)) = self.sample_session(seq, tenant) else {
-            return;
-        };
-        self.offer_sample(idx, owner, seq, obs);
-    }
-
-    /// Routes one binary sample through the wire directory. A warm
-    /// `cached` id skips the name lookup; a cold one resolves by name
-    /// (opening the session if the tenant is new) and warms the cache —
-    /// interned ids never go stale, so the hint is set at most once per
-    /// wire binding.
-    // hot-path
-    fn route_sample_wire(&mut self, seq: u64, entry: &mut WireEntry, obs: Observation) {
-        let id = match entry.cached {
-            Some(id) => id,
-            None => match self.tenant_id(&entry.name) {
-                Some(id) => {
-                    entry.cached = Some(id);
-                    id
-                }
-                None => {
-                    let addr = self.sample_session(seq, &entry.name);
-                    entry.cached = self.tenant_id(&entry.name);
-                    let Some((idx, owner)) = addr else {
-                        return;
-                    };
-                    self.offer_sample(idx, owner, seq, obs);
-                    return;
-                }
-            },
-        };
-        let Some((idx, owner)) = self.sample_session_known(seq, id, &entry.name) else {
-            return;
-        };
-        self.offer_sample(idx, owner, seq, obs);
     }
 
     /// Offers one sample to the session at `(idx, owner)` and logs what
-    /// happened — the shared back half of every sample route.
+    /// happened.
     // hot-path
     fn offer_sample(&mut self, idx: u32, owner: u32, seq: u64, obs: Observation) {
         let Some(session) = self.slab.get_mut(idx, owner) else {
@@ -957,77 +804,24 @@ impl Engine {
         }
     }
 
-    /// Routes one close request to its tenant's session. A close for an
-    /// unknown tenant opens a session first so the lifecycle stays
-    /// visible in the log; a close for an already-reclaimed tenant is a
-    /// no-op, and one for a session already closing queues an
-    /// idempotent repeat that logs nothing.
-    // hot-path
-    fn route_close(&mut self, seq: u64, tenant: &str) {
-        let addr = match self.tenant_id(tenant) {
-            Some(id) => self.slots.get_mut(id.index()).and_then(|slot| {
-                slot.last_seen = seq;
-                slot.session.map(|idx| (idx, id.0))
-            }),
-            None => self.open_session(seq, tenant, None, 0),
-        };
-        if let Some((idx, owner)) = addr {
-            self.close_at_ingest(idx, owner, seq, CloseReason::Ctl);
-        }
-    }
-
     /// Resolves `tenant` to its interned id without allocating.
     // hot-path
     fn tenant_id(&self, tenant: &str) -> Option<TenantId> {
         self.ids.find(tenant, &self.slots)
     }
 
-    /// Looks up (or opens, or reopens after churn/eviction) the session
-    /// a sample for `tenant` should land in, returning its
-    /// `(slab slot, owner)` address.
+    /// [`Engine::tenant_id`] through a record's memo: a warm memo (a
+    /// binary wire binding seen before) skips the intern probe, and a
+    /// probe that finds the tenant warms it. Interned ids never go
+    /// stale, and the reader clears the memo when its binding changes.
     // hot-path
-    fn sample_session(&mut self, seq: u64, tenant: &str) -> Option<(u32, u32)> {
-        match self.tenant_id(tenant) {
-            Some(id) => self.sample_session_known(seq, id, tenant),
-            None => self.open_session(seq, tenant, None, 0),
+    fn resolve(&self, tenant: &str, memo: &mut Option<u32>) -> Option<TenantId> {
+        if let Some(id) = *memo {
+            return Some(TenantId(id));
         }
-    }
-
-    /// [`Engine::sample_session`] for a caller that already interned the
-    /// tenant (the binary wire directory caches the id), skipping the
-    /// name lookup.
-    // hot-path
-    fn sample_session_known(&mut self, seq: u64, id: TenantId, tenant: &str) -> Option<(u32, u32)> {
-        enum Plan {
-            Use(u32, u32),
-            Open,
-            Reopen(u32),
-        }
-        let plan = match self.slots.get_mut(id.index()) {
-            Some(slot) => {
-                slot.last_seen = seq;
-                match slot.session {
-                    Some(idx) if !slot.closed_at_ingest => Plan::Use(idx, id.0),
-                    // Closed (and possibly reclaimed): the tenant is
-                    // speaking again — churn.
-                    Some(_) | None => Plan::Reopen(slot.generation.saturating_add(1)),
-                }
-            }
-            None => Plan::Open,
-        };
-        match plan {
-            Plan::Use(idx, owner) => Some((idx, owner)),
-            Plan::Open => self.open_session(seq, tenant, Some(id), 0),
-            Plan::Reopen(generation) => {
-                // Tenant churn: a closed tenant is speaking again. A
-                // still-draining old incarnation keeps its slab slot
-                // until its final events drain; samples route to a
-                // fresh session.
-                let addr = self.open_session(seq, tenant, Some(id), generation)?;
-                self.stats.reopened += 1;
-                Some(addr)
-            }
-        }
+        let id = self.tenant_id(tenant)?;
+        *memo = Some(id.0);
+        Some(id)
     }
 
     /// Opens incarnation `generation` of `tenant` and points the tenant
@@ -1190,14 +984,6 @@ impl Engine {
         if self.slab.mark_dirty(idx) {
             self.dirty.push(idx);
         }
-    }
-
-    /// Records one malformed span in the log and the stats. The (hot)
-    /// reject paths pass static reasons, so they never render one.
-    fn push_malformed(&mut self, seq: u64, reason: Cow<'static, str>, bytes: Option<usize>) {
-        self.stats.malformed += 1;
-        let payload = Event::Malformed { reason, bytes };
-        self.ingest_events.push(SessionEvent { seq, sub: SUB_INGEST, payload });
     }
 
     /// Drains the dirty sessions' queued items in place and appends the
@@ -1755,8 +1541,8 @@ mod tests {
     #[test]
     fn binary_undefined_wire_id_is_malformed_not_fatal() {
         let mut bytes = Vec::new();
-        binary::write_preamble(&mut bytes);
-        binary::write_sample(&mut bytes, 7, 1.0, 2.0);
+        memdos_metrics::binary::write_preamble(&mut bytes);
+        memdos_metrics::binary::write_sample(&mut bytes, 7, 1.0, 2.0);
         let mut engine = Engine::new(fast_config(256)).unwrap();
         engine.ingest_reader(&bytes[..]).unwrap();
         assert_eq!(engine.malformed(), 1);
@@ -1803,6 +1589,34 @@ mod tests {
         assert_eq!(engine.session_count(), 2);
         assert_eq!(engine.stats().resynced, 2);
         assert_eq!(engine.malformed(), 1);
+    }
+
+    #[test]
+    fn resynced_counts_recovered_records_on_both_wires() {
+        // The same sample and close with 3 junk bytes between them. On
+        // JSONL they share one line the record parser rejects, so both
+        // are recovered by resynchronisation; binary frames decode one
+        // by one, so nothing is recovered and the junk counts once, as
+        // malformed.
+        let line = r#"{"tenant":"vm-0","access":1,"miss":2}xyz{"tenant":"vm-0","ctl":"close"}"#;
+        let mut jsonl = Engine::new(fast_config(256)).unwrap();
+        jsonl.ingest_reader(line.as_bytes()).unwrap();
+        let mut bytes = Vec::new();
+        memdos_metrics::binary::write_preamble(&mut bytes);
+        memdos_metrics::binary::write_define(&mut bytes, 0, "vm-0").unwrap();
+        memdos_metrics::binary::write_sample(&mut bytes, 0, 1.0, 2.0);
+        bytes.extend_from_slice(b"xyz");
+        memdos_metrics::binary::write_close(&mut bytes, 0);
+        let mut binary = Engine::new(fast_config(256)).unwrap();
+        binary.ingest_reader(&bytes[..]).unwrap();
+        for (wire, engine, resynced) in [("jsonl", &jsonl, 2), ("binary", &binary, 0)] {
+            let stats = engine.stats();
+            assert_eq!((stats.malformed, stats.resynced), (1, resynced), "{wire}");
+            assert!(
+                engine.log_lines().iter().any(|l| l.contains(r#""event":"closed""#)),
+                "{wire}: both records route"
+            );
+        }
     }
 
     #[test]

@@ -40,6 +40,7 @@ use memdos_engine::fleet::{fleet_engine_config, fleet_jsonl, fleet_scenario};
 use memdos_engine::respond::{respond_engine_config, respond_scenario, run_respond, RespondScenario};
 use memdos_engine::soak::{run_soak, SoakConfig, REPLAYS};
 use memdos_engine::Config;
+use memdos_metrics::wire::{convert, Converted, Format};
 use std::io::{BufReader, Write};
 
 fn main() {
@@ -301,16 +302,19 @@ fn cmd_respond(args: &[String]) -> Result<i32, Fail> {
     Ok(0)
 }
 
-/// Re-encodes a record stream between the JSONL and binary wire
-/// formats (`jsonl2bin` / `bin2jsonl`). Input and output default to
-/// stdin/stdout; `-` selects them explicitly. Spans neither decoder
-/// accepts are skipped with a count on stderr — a converted stream
-/// carries exactly the records of the source, so replaying either
-/// through the engine produces the same verdict log (pinned by the
-/// binary equivalence suite).
+/// Re-encodes a record stream into the JSONL or binary wire format
+/// (`jsonl2bin` / `bin2jsonl` name the output; the input format is
+/// negotiated as `replay` negotiates it) through
+/// [`memdos_metrics::wire::convert`]. Input and output default to
+/// stdin/stdout; `-` selects them explicitly. Every malformed span is
+/// skipped with a count on stderr, so a converted stream carries exactly
+/// the records the engine would route from the source, and replaying
+/// either produces the same verdict log (pinned by the binary
+/// equivalence suite).
 fn cmd_convert(args: &[String]) -> Result<i32, Fail> {
-    let direction = match args.first().map(String::as_str) {
-        Some(d @ ("jsonl2bin" | "bin2jsonl")) => d,
+    let (direction, to) = match args.first().map(String::as_str) {
+        Some(d @ "jsonl2bin") => (d, Format::Binary),
+        Some(d @ "bin2jsonl") => (d, Format::Jsonl),
         _ => return Err(bad("convert requires a direction: jsonl2bin | bin2jsonl")),
     };
     let failed = |p: &str, e: std::io::Error| io_fail(format!("convert: {p}: {e}"));
@@ -318,182 +322,14 @@ fn cmd_convert(args: &[String]) -> Result<i32, Fail> {
         None | Some("-") => Box::new(std::io::stdin().lock()),
         Some(p) => Box::new(BufReader::new(std::fs::File::open(p).map_err(|e| failed(p, e))?)),
     };
-    // Stdout is line-buffered: unwrapped, `bin2jsonl` would make one
-    // write call per record.
     let writer: Box<dyn Write> = match args.get(2).map(String::as_str) {
-        None | Some("-") => Box::new(std::io::BufWriter::new(std::io::stdout().lock())),
-        Some(p) => {
-            let file = std::fs::File::create(p).map_err(|e| failed(p, e))?;
-            Box::new(std::io::BufWriter::new(file))
-        }
+        None | Some("-") => Box::new(std::io::stdout().lock()),
+        Some(p) => Box::new(std::fs::File::create(p).map_err(|e| failed(p, e))?),
     };
-    let (records, skipped) = match direction {
-        "jsonl2bin" => convert_jsonl2bin(reader, writer),
-        _ => convert_bin2jsonl(reader, writer),
-    }
-    .map_err(|e| io_fail(format!("convert: {e}")))?;
+    let Converted { records, skipped } =
+        convert(reader, writer, to).map_err(|e| io_fail(format!("convert: {e}")))?;
     eprintln!("memdos-engine: convert: {direction}: {records} records, {skipped} spans skipped");
     Ok(0)
-}
-
-/// The `jsonl2bin` arm: decode lines, re-encode frames. The encoder
-/// interns tenant names to dense wire ids and emits each tenant's
-/// define frame before its first record. Lines decode as the engine
-/// ingests them: through the borrowed record parser, falling back on a
-/// reject to resynchronisation, whose recovered spans decode through the
-/// same parser; every span neither accepts counts as skipped.
-fn convert_jsonl2bin(
-    mut reader: Box<dyn std::io::BufRead>,
-    mut writer: Box<dyn Write>,
-) -> Result<(u64, u64), String> {
-    use memdos_metrics::binary::Encoder;
-    use memdos_metrics::jsonl::{self, LineFramer, Piece, RawKind, Segment};
-    let mut framer = LineFramer::new(jsonl::DEFAULT_MAX_LINE);
-    let mut enc = Encoder::new();
-    let mut out: Vec<u8> = Vec::new();
-    let mut scratch = String::new();
-    let (mut records, mut skipped) = (0u64, 0u64);
-    let mut failed: Result<(), String> = Ok(());
-    let mut encode = |tenant: &str, kind: RawKind, out: &mut Vec<u8>| {
-        let encoded = match kind {
-            RawKind::Sample { access, miss } => enc.sample(tenant, access, miss, out),
-            RawKind::Close => enc.close(tenant, out),
-        };
-        encoded.map(|()| records += 1).map_err(|e| e.to_string())
-    };
-    let mut piece = |piece: Piece<'_>, out: &mut Vec<u8>| -> Result<(), String> {
-        let line = match piece {
-            Piece::Text(line) => line,
-            Piece::Skipped { .. } => {
-                skipped += 1;
-                return Ok(());
-            }
-        };
-        if let Ok(raw) = jsonl::parse_record_borrowed(line, &mut scratch) {
-            return encode(raw.tenant, raw.kind, out);
-        }
-        for segment in jsonl::resync_line(line) {
-            let record = match segment {
-                Segment::Object(span) => jsonl::parse_record_borrowed(span, &mut scratch).ok(),
-                Segment::Skipped { .. } => None,
-            };
-            match record {
-                Some(raw) => encode(raw.tenant, raw.kind, out)?,
-                None => skipped += 1,
-            }
-        }
-        Ok(())
-    };
-    loop {
-        let len = {
-            let chunk = reader.fill_buf().map_err(|e| e.to_string())?;
-            if chunk.is_empty() {
-                break;
-            }
-            framer.push(chunk, |p| {
-                if failed.is_ok() {
-                    failed = piece(p, &mut out);
-                }
-            });
-            chunk.len()
-        };
-        reader.consume(len);
-        failed.clone()?;
-        if out.len() >= 64 * 1024 {
-            writer.write_all(&out).map_err(|e| e.to_string())?;
-            out.clear();
-        }
-    }
-    framer.finish(|p| {
-        if failed.is_ok() {
-            failed = piece(p, &mut out);
-        }
-    });
-    failed?;
-    writer.write_all(&out).map_err(|e| e.to_string())?;
-    writer.flush().map_err(|e| e.to_string())?;
-    Ok((records, skipped))
-}
-
-/// The `bin2jsonl` arm: decode frames, render protocol lines. Define
-/// frames populate the local wire directory and emit nothing — they
-/// have no JSONL twin.
-fn convert_bin2jsonl(
-    mut reader: Box<dyn std::io::BufRead>,
-    mut writer: Box<dyn Write>,
-) -> Result<(u64, u64), String> {
-    use memdos_metrics::binary::{BinDecoder, BinFrame, MAGIC};
-    use memdos_metrics::jsonl::{write_record, RawKind};
-    let mut dec = BinDecoder::new();
-    let mut names: Vec<Option<String>> = Vec::new();
-    let mut line = String::new();
-    let mut records = 0u64;
-    let mut skipped = 0u64;
-    // The decoder leaves the preamble to the caller (the engine's
-    // reader sniffs it the same way); anything else at the front goes
-    // through frame resync like any other corruption.
-    let mut preamble = 0usize;
-    let mut render = |frame: BinFrame, writer: &mut Box<dyn Write>| -> Result<(), String> {
-        let (tenant, kind) = match frame {
-            BinFrame::Define { tenant, name } => {
-                let slot = tenant as usize;
-                if names.len() <= slot {
-                    names.resize_with(slot + 1, || None);
-                }
-                if let Some(e) = names.get_mut(slot) {
-                    *e = Some(name);
-                }
-                return Ok(());
-            }
-            BinFrame::Sample { tenant, access, miss } => (tenant, RawKind::Sample { access, miss }),
-            BinFrame::Close { tenant } => (tenant, RawKind::Close),
-            BinFrame::Skipped { .. } => {
-                skipped += 1;
-                return Ok(());
-            }
-        };
-        let Some(name) = names.get(tenant as usize).and_then(Option::as_ref) else {
-            skipped += 1;
-            return Ok(());
-        };
-        line.clear();
-        write_record(&mut line, name, kind);
-        line.push('\n');
-        writer.write_all(line.as_bytes()).map_err(|e| e.to_string())?;
-        records += 1;
-        Ok(())
-    };
-    loop {
-        let len = {
-            let chunk = reader.fill_buf().map_err(|e| e.to_string())?;
-            if chunk.is_empty() {
-                break;
-            }
-            let mut body = chunk;
-            while preamble < MAGIC.len() {
-                match (body.first(), MAGIC.get(preamble)) {
-                    (Some(b), Some(m)) if b == m => {
-                        preamble += 1;
-                        body = body.get(1..).unwrap_or(&[]);
-                    }
-                    _ => {
-                        preamble = MAGIC.len();
-                    }
-                }
-            }
-            dec.push_bytes(body);
-            chunk.len()
-        };
-        reader.consume(len);
-        for frame in dec.drain() {
-            render(frame, &mut writer)?;
-        }
-    }
-    for frame in dec.finish() {
-        render(frame, &mut writer)?;
-    }
-    writer.flush().map_err(|e| e.to_string())?;
-    Ok((records, skipped))
 }
 
 fn cmd_gen_demo(seed: Option<&String>) -> Result<i32, Fail> {

@@ -16,6 +16,7 @@ use memdos_engine::engine::Engine;
 use memdos_engine::session::SessionConfig;
 use memdos_engine::Config;
 use memdos_metrics::binary::Encoder;
+use memdos_metrics::wire::{convert, Converted, Format};
 use memdos_stats::rng::{derive_seed, Rng};
 
 /// One record: a sample or (with `None`) a close.
@@ -153,16 +154,43 @@ fn corrupted_binary_degrades_to_malformed_events() {
         .any(|l| l.contains(r#""to":"alarm""#) && l.contains(r#""tenant":"vm-b""#)));
 }
 
+/// Runs the library converter over `bytes` into format `to`.
+fn convert_to(bytes: &[u8], to: Format) -> (Vec<u8>, Converted) {
+    let mut out = Vec::new();
+    let totals = convert(bytes, &mut out, to).unwrap();
+    (out, totals)
+}
+
 #[test]
-fn convert_style_roundtrip_preserves_the_log() {
-    // Binary → (decode) → JSONL rendering, then both through the
-    // engine: the converter's output format (LineBuf rendering) parses
-    // back to the same records.
-    let recs = scenario();
-    let binary = to_binary(&recs);
-    let jsonl = to_jsonl(&recs);
-    assert_eq!(
-        run_bytes(config(256), &binary),
-        run_bytes(config(256), &jsonl)
-    );
+fn library_convert_round_trips_in_both_directions() {
+    let jsonl = to_jsonl(&scenario());
+    let (binary, to_bin) = convert_to(&jsonl, Format::Binary);
+    let (back, to_jsonl) = convert_to(&binary, Format::Jsonl);
+    assert_eq!(to_bin, Converted { records: 12_003, skipped: 0 });
+    assert_eq!(to_jsonl, to_bin);
+    assert_eq!(back, jsonl, "bin2jsonl gives back the source lines");
+    let reference = run_bytes(config(256), &jsonl);
+    assert_eq!(run_bytes(config(256), &binary), reference, "jsonl2bin output");
+    assert_eq!(run_bytes(config(256), &back), reference, "bin2jsonl of it");
+
+    // Corrupted copies of both wires: convert skips exactly the spans
+    // the engine logs as malformed, and its output replays clean.
+    let mut rng = Rng::new(derive_seed(0xC0417, 0));
+    for (source, to) in [(jsonl, Format::Binary), (binary, Format::Jsonl)] {
+        let mut dirty = source.clone();
+        for _ in 0..40 {
+            let at = 8 + rng.next_below((dirty.len() - 8) as u64) as usize;
+            if let Some(b) = dirty.get_mut(at) {
+                *b ^= 1 << rng.next_below(8);
+            }
+        }
+        let mut engine = Engine::new(config(256)).unwrap();
+        engine.ingest_reader(&dirty[..]).unwrap();
+        assert!(engine.malformed() > 0, "{to:?}: the corruption must show");
+        let (converted, totals) = convert_to(&dirty, to);
+        assert_eq!(totals.skipped, engine.malformed(), "{to:?}");
+        let mut replay = Engine::new(config(256)).unwrap();
+        replay.ingest_reader(&converted[..]).unwrap();
+        assert_eq!(replay.malformed(), 0, "{to:?}");
+    }
 }

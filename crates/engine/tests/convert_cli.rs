@@ -1,16 +1,26 @@
-//! `memdos-engine convert` on a dirty corpus: the `jsonl2bin` arm must
+//! `memdos-engine convert` on dirty input: the `jsonl2bin` arm must
 //! count what it accepts and skips exactly as the engine's JSONL ingest
-//! sees it, and `bin2jsonl` of its output must give back exactly the
-//! accepted records.
+//! sees it, `bin2jsonl` of its output must give back exactly the
+//! accepted records, and `bin2jsonl` must reject the binary frames
+//! `replay` rejects.
 
+use memdos_metrics::binary;
 use std::io::Write;
 use std::process::{Command, Stdio};
 
 /// Runs `memdos-engine convert <direction>` over stdin, returning stdout
 /// and stderr.
 fn convert(direction: &str, input: &[u8]) -> (Vec<u8>, String) {
+    let out = run(&["convert", direction], input);
+    assert!(out.status.success(), "convert {direction} failed: {out:?}");
+    (out.stdout, String::from_utf8(out.stderr).expect("stderr is UTF-8"))
+}
+
+/// Runs `memdos-engine <args>` over stdin, returning its output whatever
+/// the exit status.
+fn run(args: &[&str], input: &[u8]) -> std::process::Output {
     let mut child = Command::new(env!("CARGO_BIN_EXE_memdos-engine"))
-        .args(["convert", direction])
+        .args(args)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -20,9 +30,8 @@ fn convert(direction: &str, input: &[u8]) -> (Vec<u8>, String) {
     let input = input.to_vec();
     let writer = std::thread::spawn(move || stdin.write_all(&input));
     let out = child.wait_with_output().expect("memdos-engine runs");
-    writer.join().expect("writer thread").expect("stdin accepts the corpus");
-    assert!(out.status.success(), "convert {direction} failed: {out:?}");
-    (out.stdout, String::from_utf8(out.stderr).expect("stderr is UTF-8"))
+    writer.join().expect("writer thread").expect("stdin accepts the input");
+    out
 }
 
 #[test]
@@ -65,4 +74,31 @@ fn jsonl2bin_counts_a_dirty_corpus_and_round_trips_the_accepted_records() {
     ];
     let got = String::from_utf8(jsonl).expect("bin2jsonl writes UTF-8");
     assert_eq!(got.lines().collect::<Vec<_>>(), expected);
+}
+
+#[test]
+fn bin2jsonl_rejects_an_out_of_range_wire_id_like_replay() {
+    // Checksum-valid frames whose wire id is the first one the reader
+    // refuses: the define is out of range, so the sample and the close
+    // name an undefined id.
+    let mut bytes = Vec::new();
+    binary::write_preamble(&mut bytes);
+    binary::write_define(&mut bytes, binary::MAX_WIRE_ID, "vm-x").expect("short name");
+    binary::write_sample(&mut bytes, binary::MAX_WIRE_ID, 100.0, 5.0);
+    binary::write_close(&mut bytes, binary::MAX_WIRE_ID);
+
+    let (jsonl, stderr) = convert("bin2jsonl", &bytes);
+    assert!(stderr.contains("convert: bin2jsonl: 0 records, 3 spans skipped"), "{stderr}");
+    assert!(jsonl.is_empty());
+
+    let out = run(&["replay"], &bytes);
+    assert!(out.status.success(), "replay failed: {out:?}");
+    let log = String::from_utf8(out.stdout).expect("the log is UTF-8");
+    let reasons: Vec<&str> = log
+        .lines()
+        .filter(|l| l.contains(r#""event":"malformed""#))
+        .filter_map(|l| l.split(r#""reason":""#).nth(1))
+        .filter_map(|rest| rest.split('"').next())
+        .collect();
+    assert_eq!(reasons, ["wire id out of range", "undefined wire id", "undefined wire id"]);
 }

@@ -39,8 +39,8 @@
 //! formatters), so they are byte-identical by construction.
 //!
 //! Byte streams are split into lines by one framer, [`LineFramer`],
-//! which every JSONL stream reader drives (the engine's ingest and its
-//! `convert` command).
+//! which the one wire reader, [`crate::wire`], drives for every JSONL
+//! stream (the engine's ingest and `convert` alike).
 
 use std::fmt::Write as _;
 

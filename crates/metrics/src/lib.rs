@@ -25,6 +25,8 @@
 //! * [`binary`] — the fixed-width little-endian binary wire format
 //!   negotiated on the same protocol (magic preamble, frame checksums,
 //!   tenant-id dictionary, resynchronising streaming decoder).
+//! * [`wire`] — the one reader both formats decode through (format
+//!   negotiation, resync, the wire-id table), and [`wire::convert`].
 //! * [`robustness`] — failure injection on the measurement channel
 //!   (dropout / noise / freezes), an extension beyond the paper.
 //!
@@ -58,3 +60,4 @@ pub mod jsonl;
 pub mod overhead;
 pub mod report;
 pub mod robustness;
+pub mod wire;

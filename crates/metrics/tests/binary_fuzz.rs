@@ -50,11 +50,10 @@ fn decode_chunked(rng: &mut Rng, bytes: &[u8]) -> Vec<BinFrame> {
     while !rest.is_empty() {
         let take = (1 + rng.next_below(37) as usize).min(rest.len());
         let (chunk, tail) = rest.split_at(take);
-        dec.push_bytes(chunk);
-        frames.extend(dec.drain());
+        dec.push_bytes(chunk, &mut frames);
         rest = tail;
     }
-    frames.extend(dec.finish());
+    dec.finish(&mut frames);
     frames
 }
 
@@ -177,15 +176,15 @@ fn frames_are_independent_of_chunking() {
             }
         }
         let mut whole = BinDecoder::new();
-        whole.push_bytes(&bytes);
-        let mut reference = whole.drain();
-        reference.extend(whole.finish());
+        let mut reference = Vec::new();
+        whole.push_bytes(&bytes, &mut reference);
+        whole.finish(&mut reference);
         let mut one = BinDecoder::new();
+        let mut byte_at_a_time = Vec::new();
         for b in &bytes {
-            one.push_bytes(std::slice::from_ref(b));
+            one.push_bytes(std::slice::from_ref(b), &mut byte_at_a_time);
         }
-        let mut byte_at_a_time = one.drain();
-        byte_at_a_time.extend(one.finish());
+        one.finish(&mut byte_at_a_time);
         assert_eq!(reference, byte_at_a_time, "case {case}: chunking changed the frames");
         let random_chunks = decode_chunked(&mut rng, &bytes);
         assert_eq!(reference, random_chunks, "case {case}: chunking changed the frames");
@@ -200,8 +199,9 @@ fn truncation_yields_delivered_frames_plus_one_span() {
         let (bytes, values, ranges) = clean_stream(&mut rng, n);
         let cut = rng.next_below(bytes.len() as u64 + 1) as usize;
         let mut dec = BinDecoder::new();
-        dec.push_bytes(&bytes[..cut]);
-        let frames = dec.finish();
+        let mut frames = Vec::new();
+        dec.push_bytes(&bytes[..cut], &mut frames);
+        dec.finish(&mut frames);
         let decoded = sample_values(&frames);
         let expected: Vec<f64> = values
             .iter()
@@ -211,10 +211,11 @@ fn truncation_yields_delivered_frames_plus_one_span() {
             .collect();
         assert_eq!(decoded, expected, "case {case}: cut at {cut}");
         let on_boundary = cut == 0 || ranges.iter().any(|&(_, e)| e == cut);
+        let spans = frames.iter().filter(|f| matches!(f, BinFrame::Skipped { .. })).count();
         if on_boundary {
-            assert_eq!(dec.resynced(), 0, "case {case}: spurious span at a frame boundary");
+            assert_eq!(spans, 0, "case {case}: spurious span at a frame boundary");
         } else {
-            assert_eq!(dec.resynced(), 1, "case {case}: mid-frame cut must report one span");
+            assert_eq!(spans, 1, "case {case}: mid-frame cut must report one span");
             assert!(
                 frames.iter().any(|f| matches!(
                     f,

@@ -29,7 +29,7 @@ pub const CACHE_VERSION: u64 = 1;
 
 /// Rule-set version: bump whenever a rule family, its scoping, or its
 /// diagnostic text changes, so stale findings cannot be replayed.
-pub const RULES_VERSION: u64 = 4;
+pub const RULES_VERSION: u64 = 5;
 
 /// Every rule code a cached finding may carry. Findings are interned
 /// back to these on load; an unknown code discards the cache.

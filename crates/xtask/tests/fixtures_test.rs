@@ -73,6 +73,21 @@ fn l1_panic_respects_allows_and_test_code() {
 }
 
 #[test]
+fn l1_panic_exempts_a_files_own_expect_method() {
+    let src = include_str!("fixtures/l1_own_expect_allowed.rs");
+    let findings = check_source("fixture.rs", src, LIB_SCOPE);
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn l1_panic_still_flags_option_expect_beside_an_own_expect_method() {
+    let src = include_str!("fixtures/l1_own_expect_violation.rs");
+    let findings = check_source("fixture.rs", src, LIB_SCOPE);
+    assert_eq!(rules_of(&findings), vec!["L1/panic"], "{findings:?}");
+    assert_eq!(findings.first().map(|f| f.line), Some(21), "{findings:?}");
+}
+
+#[test]
 fn l1_index_fires_on_variable_subscript() {
     let src = include_str!("fixtures/l1_index_violation.rs");
     let findings = check_source("fixture.rs", src, LIB_SCOPE);
