@@ -28,13 +28,15 @@
 //! shared by the tenant slot, every incarnation's session and every
 //! event that names the tenant.
 //! Closed incarnations are reclaimed at the flush that drains their
-//! final events (their slot returns to a LIFO free list; final counters
-//! are retained for [`Engine::snapshots`]) and their storage goes to a
-//! bounded spare list: the next open resets a spare in place
-//! (`Session::reopen`) instead of allocating, so steady-state churn
-//! reuses memory instead of allocating and freeing it per incarnation.
-//! A recycled session keeps its sample queue, which a new session
-//! reserves to its bound once.
+//! final events: their slot returns to a LIFO free list and their final
+//! counters are retained for [`Engine::snapshots`]. The session stays in
+//! the freed slot, and the next open pops that slot and resets the
+//! session where it lies (`Session::reopen`), so a session struct never
+//! moves and steady-state churn reuses memory instead of allocating and
+//! freeing it per incarnation. A recycled session keeps its sample
+//! queue, which a new session reserves to its bound once; past
+//! `Config::batch` freed slots, a retiring session releases its buffers
+//! as a husk does.
 //! Events are typed (`event::Event`) and rendered straight into the
 //! recycled line writer, so logging them allocates only the log line.
 //!
@@ -45,15 +47,17 @@
 //! the log and the final accounting are preserved) and its memory is
 //! reclaimed at the next flush; if the evicted tenant speaks again it
 //! reopens as a new generation, reusing the close/reopen machinery.
-//! Recency is tracked in a lazy min-heap keyed by `(last_seen, tenant)`:
-//! entries are refreshed on pop rather than on every sample, so the hot
-//! path pays nothing and eviction costs `O(log n)` amortised. The same
-//! heap drives the idle scan, which therefore no longer walks every
-//! tenant per flush; with neither the ceiling nor the idle timeout on,
-//! the heap is not kept at all. Quarantined sessions are exempt from
-//! the idle timeout (their verdict must stay visible) but remain
-//! evictable under ceiling pressure, and terminal sessions that stay
-//! resident are shrunk to a husk (detectors and buffers dropped,
+//! Recency is an append-only FIFO of `(seq, tenant)` entries in arrival
+//! order, one per routed sample: the first entry that is still its
+//! open tenant's latest names the least-recently-seen open session, so
+//! eviction pops from the front and drops stale entries on the way. The
+//! same FIFO drives the idle scan, which therefore no longer walks
+//! every tenant per flush; each flush compacts it once stale entries
+//! outnumber the open sessions, and with neither the ceiling nor the
+//! idle timeout on it is not kept at all. Quarantined sessions are
+//! exempt from the idle timeout (their verdict must stay visible) but
+//! remain evictable under ceiling pressure, and terminal sessions that
+//! stay resident are shrunk to a husk (detectors and buffers dropped,
 //! identity and counters kept).
 //!
 //! ## Ingest path
@@ -108,8 +112,7 @@ use memdos_core::CoreError;
 use memdos_metrics::jsonl::{LineBuf, RawKind};
 use memdos_metrics::wire;
 use std::borrow::Cow;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::io::BufRead;
 use std::sync::Arc;
 
@@ -410,6 +413,19 @@ impl TenantSlot {
             terminal_queued: false,
         }
     }
+
+    /// The slab slot of the tenant's open session: `None` once a close
+    /// was routed to it.
+    fn open(&self) -> Option<u32> {
+        self.session.filter(|_| !self.closed_at_ingest)
+    }
+}
+
+/// The slab slot a recency entry `(seen, owner)` still names: the open
+/// session of a tenant that has not spoken since. `None` means the
+/// entry can never be chosen again.
+fn current(slots: &[TenantSlot], (seen, owner): (u64, u32)) -> Option<u32> {
+    slots.get(owner as usize).filter(|slot| slot.last_seen == seen).and_then(TenantSlot::open)
 }
 
 /// The multi-tenant streaming detection engine.
@@ -428,12 +444,13 @@ pub struct Engine {
     /// order (duplicate-free via the slab's dirty flag). The flush
     /// working set — never the whole slab.
     dirty: Vec<u32>,
-    /// Lazy recency heap over open sessions, keyed by
-    /// `(last_seen, TenantId)`: stale entries are dropped or re-pushed
-    /// at pop time. Shared by the idle scan and the ceiling eviction,
-    /// and kept only when one of them is on (see
-    /// [`Engine::tracks_recency`]).
-    lru: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Recency FIFO of `(seen, TenantId)` entries in non-decreasing
+    /// `seen` order: one per routed sample plus the idle re-arms. An
+    /// entry is current while its tenant is open and `last_seen ==
+    /// seen`; stale ones are dropped when popped or compacted. Shared by
+    /// the idle scan and the ceiling eviction, and kept only when one of
+    /// them is on (see [`Engine::tracks_recency`]).
+    lru: VecDeque<(u64, u32)>,
     /// Open (not closed-at-ingest) resident sessions — what the memory
     /// ceiling bounds.
     open_count: usize,
@@ -443,11 +460,6 @@ pub struct Engine {
     /// with session events at the next flush. Sorted by construction:
     /// `seq` increases monotonically at ingest and `sub` is constant.
     ingest_events: Vec<SessionEvent>,
-    /// Released sessions kept for [`Session::reopen`], so churn reuses
-    /// their storage instead of allocating. At most `config.batch`: a
-    /// flush interval opens at most about one session per arrival
-    /// index, so that many spares cover the next interval's opens.
-    spares: Vec<Session>,
     /// Recycled flush-event buffer.
     events_buf: Vec<SessionEvent>,
     /// Recycled columnar buffers every monitoring session steps through.
@@ -470,7 +482,7 @@ pub struct Engine {
     aborted_cases: Vec<Arc<str>>,
     /// Terminal-but-resident sessions (quarantined verdicts,
     /// drain-closed husks), in the order they turned terminal. The
-    /// ceiling eviction drains this before touching the recency heap:
+    /// ceiling eviction drains this before touching the recency FIFO:
     /// their detection work is done, so they go first instead of
     /// pinning slots while live tenants get evicted around them.
     terminal_fifo: VecDeque<(u32, u32)>,
@@ -509,11 +521,10 @@ impl Engine {
             ids: InternIndex::default(),
             slots: Vec::new(),
             dirty: Vec::new(),
-            lru: BinaryHeap::new(),
+            lru: VecDeque::new(),
             open_count: 0,
             sessions_opened: 0,
             ingest_events: Vec::new(),
-            spares: Vec::new(),
             events_buf: Vec::new(),
             batch_scratch: BatchScratch::default(),
             render: LineBuf::new(),
@@ -602,24 +613,22 @@ impl Engine {
         })
     }
 
-    /// Estimated resident heap bytes of the session fleet: every live
-    /// and spare session's heap working set
-    /// ([`Session::resident_bytes`]), the slab slots and spare list that
+    /// Estimated resident heap bytes of the session fleet: the heap
+    /// working set ([`Session::resident_bytes`]) of every session in the
+    /// slab, live or kept in a freed slot for reuse, the slab slots that
     /// hold the session structs inline, the interned names, the intern
     /// index's buckets and the engine's per-tenant tables. Deterministic
     /// capacity accounting — the number the fleet bench reports and the
     /// ceiling is judged against — not an allocator measurement.
     pub fn resident_bytes(&self) -> usize {
-        let live = self.slab.iter().map(|(_, s)| s);
-        let sessions: usize = live.chain(&self.spares).map(Session::resident_bytes).sum();
+        let sessions: usize = self.slab.values().map(Session::resident_bytes).sum();
         let names: usize = self.slots.iter().map(|slot| slot.name.len()).sum();
         sessions
             + names
             + self.ids.resident_bytes()
-            + self.slab.capacity() * std::mem::size_of::<Option<(u32, bool, Session)>>()
-            + self.spares.capacity() * std::mem::size_of::<Session>()
+            + self.slab.slot_bytes()
             + self.slots.len() * std::mem::size_of::<TenantSlot>()
-            + self.lru.len() * std::mem::size_of::<Reverse<(u64, u32)>>()
+            + self.lru.capacity() * std::mem::size_of::<(u64, u32)>()
     }
 
     /// The event log emitted so far, one JSONL line per entry. Call
@@ -754,6 +763,9 @@ impl Engine {
         };
         match record.kind {
             RawKind::Sample { access, miss } => {
+                if self.tracks_recency() {
+                    self.lru.push_back((seq, owner));
+                }
                 let obs = Observation { access_num: access, miss_num: miss };
                 self.offer_sample(idx, owner, seq, obs);
             }
@@ -828,11 +840,11 @@ impl Engine {
     /// slot at it, interning the name on first contact and evicting the
     /// least-recently-seen open session first when the memory ceiling is
     /// reached. `interned` is the id the caller already resolved, so a
-    /// reopen costs no second name lookup. The session reuses a spare's
-    /// storage when one is left ([`Session::reopen`]); the only
-    /// per-tenant allocations in the whole routing path are the
-    /// interned name on first contact and, with no spare, a new
-    /// session's buffers.
+    /// reopen costs no second name lookup. The session is the one kept
+    /// in the most recently freed slab slot, reset where it lies
+    /// ([`Session::reopen`]), when a slot is free; the only per-tenant
+    /// allocations in the whole routing path are the interned name on
+    /// first contact and, with no free slot, a new session's buffers.
     // lint:allow(hot-propagate) -- the failure event renders its reason; opening is unreachable-to-fail once the config validated
     fn open_session(
         &mut self,
@@ -852,23 +864,19 @@ impl Engine {
             Some(slot) => slot.name.clone(),
             None => Arc::<str>::from(tenant),
         };
-        let opened = match self.spares.pop() {
-            Some(mut spare) => spare.reopen(name.clone(), generation).map(|()| spare),
-            None => Session::open_generation(name.clone(), self.config.session, generation),
-        };
+        let owner = interned.map_or(self.slots.len() as u32, |id| id.0);
+        let opened = self.slab.open(
+            owner,
+            |kept| kept.reopen(name.clone(), generation),
+            || Session::open_generation(name.clone(), self.config.session, generation),
+        );
         match opened {
-            Ok(session) => {
+            Ok(idx) => {
                 self.sessions_opened += 1;
-                let owner = match interned {
-                    Some(id) => id.0,
-                    None => {
-                        let id = TenantId(self.slots.len() as u32);
-                        self.slots.push(TenantSlot::new(name, seq));
-                        self.ids.push(&self.slots);
-                        id.0
-                    }
-                };
-                let idx = self.slab.insert(owner, session);
+                if interned.is_none() {
+                    self.slots.push(TenantSlot::new(name, seq));
+                    self.ids.push(&self.slots);
+                }
                 if let Some(slot) = self.slots.get_mut(owner as usize) {
                     slot.session = Some(idx);
                     slot.last_seen = seq;
@@ -879,9 +887,6 @@ impl Engine {
                     slot.terminal_queued = false;
                 }
                 self.open_count += 1;
-                if self.tracks_recency() {
-                    self.lru.push(Reverse((seq, owner)));
-                }
                 Some((idx, owner))
             }
             Err(e) => {
@@ -894,9 +899,8 @@ impl Engine {
         }
     }
 
-    /// Whether the recency heap is kept: only the ceiling eviction and
-    /// the idle scan read it, so with both off nothing is pushed (a
-    /// heap nothing pops would grow by one entry per incarnation).
+    /// Whether the recency FIFO is kept: only the ceiling eviction and
+    /// the idle scan read it, so with both off nothing is appended.
     fn tracks_recency(&self) -> bool {
         self.config.max_sessions > 0 || self.config.session.idle_timeout > 0
     }
@@ -908,9 +912,9 @@ impl Engine {
     /// would otherwise pin their slots forever, drain-closed husks) go
     /// first, in the order they turned terminal; only when none remain
     /// does the least-recently-seen live session go. Stale entries in
-    /// either structure (tenant closed, reopened, or spoke since the
-    /// entry was pushed) are dropped or refreshed lazily. Returns
-    /// `false` when no open session remains to evict.
+    /// either FIFO (tenant closed, reopened, or spoke since the entry
+    /// was pushed) are dropped as they are popped. Returns `false` when
+    /// no open session remains to evict.
     fn evict_lru(&mut self) -> bool {
         while let Some((idx, owner)) = self.terminal_fifo.pop_front() {
             let Some(slot) = self.slots.get_mut(owner as usize) else {
@@ -931,33 +935,27 @@ impl Engine {
             self.evict_at(idx, owner);
             return true;
         }
-        let (owner, idx) = loop {
-            let Some(Reverse((seen, owner))) = self.lru.pop() else {
-                return false;
-            };
-            let Some(slot) = self.slots.get(owner as usize) else {
-                continue;
-            };
-            if slot.closed_at_ingest {
-                continue;
+        // The first current entry names the open session seen least
+        // recently: entries arrive in non-decreasing `seen`, and every
+        // open tenant has a current one. That is the order
+        // `min(last_seen, owner)` the pinned logs were made under, as
+        // long as no two open sessions tie on `last_seen`. Records take
+        // unique seqs, so a tie needs an idle re-arm, which stamps
+        // `next_seq` (the seq the next record may take too). Only
+        // exempt sessions (quarantined or drain-closed) are re-armed,
+        // and each of those sits in `terminal_fifo`, drained above
+        // before this FIFO is read; so no tie reaches this choice.
+        while let Some(entry) = self.lru.pop_front() {
+            if let Some(idx) = current(&self.slots, entry) {
+                self.evict_at(idx, entry.1);
+                return true;
             }
-            let Some(idx) = slot.session else {
-                continue;
-            };
-            if slot.last_seen != seen {
-                // The tenant spoke after this entry was pushed; re-arm
-                // at its true recency and keep looking.
-                self.lru.push(Reverse((slot.last_seen, owner)));
-                continue;
-            }
-            break (owner, idx);
-        };
-        self.evict_at(idx, owner);
-        true
+        }
+        false
     }
 
     /// The close bookkeeping of one ceiling eviction, shared by the
-    /// terminal-FIFO and recency-heap paths of [`Engine::evict_lru`].
+    /// terminal and recency paths of [`Engine::evict_lru`].
     fn evict_at(&mut self, idx: u32, owner: u32) {
         let seq = self.alloc_seq_quiet();
         self.stats.evicted += 1;
@@ -1010,6 +1008,7 @@ impl Engine {
         dirty.clear();
         self.dirty = dirty;
         self.check_idle();
+        self.compact_recency();
         self.step_mitigation();
         let d = self.prof.lap(t_reclaim);
         self.prof.reclaim_ns += d;
@@ -1053,8 +1052,8 @@ impl Engine {
     /// notice goes to the mitigation step. A closed incarnation whose
     /// close the ingest side decided is fully drained now, so it
     /// retires: its final counters are retained for snapshots and its
-    /// storage moves to the spare list ([`Engine::retire`]). A closed
-    /// incarnation the tenant already superseded (it reopened before
+    /// slot is freed with the session left in it ([`Engine::retire`]).
+    /// A closed incarnation the tenant already superseded (it reopened before
     /// this one drained) just retires. Anything else stays resident,
     /// shrunk to a husk if terminal; a session closed by its own drain
     /// (failed profile) must still drop later samples against its
@@ -1109,27 +1108,27 @@ impl Engine {
         }
     }
 
-    /// Frees a retired session's slab slot and moves its storage — the
-    /// one move a session makes after it opened — to the spare list for
-    /// the next open, up to the spare bound (`config.batch`); past it
-    /// the session is dropped.
+    /// Frees a retired session's slab slot, leaving the session in it
+    /// for the next open to reset in place. At most `config.batch` freed
+    /// slots keep their sessions' buffers: a flush interval opens at
+    /// most about one session per arrival index, so that many cover the
+    /// next interval's opens. Past the bound, the session releases them
+    /// as a resident husk does.
     fn retire(&mut self, idx: u32) {
-        let Some(session) = self.slab.remove(idx) else {
-            return;
-        };
-        if self.spares.len() < self.config.batch {
-            self.spares.push(session);
+        let keep_buffers = self.slab.vacant() < self.config.batch;
+        if let Some(session) = self.slab.remove(idx).filter(|_| !keep_buffers) {
+            session.shrink_terminal();
         }
     }
 
     /// Closes sessions whose tenants have been silent for more than
-    /// `idle_timeout` arrival indices, walking the shared recency heap
-    /// instead of every tenant: pop while the oldest entry is past the
-    /// timeout, dropping or refreshing stale entries lazily (same
-    /// protocol as eviction). Quarantined and drain-closed sessions are
-    /// exempt — they re-arm at the current index so they stay evictable
-    /// under ceiling pressure. Runs at flush boundaries, which are a
-    /// pure function of the input, so the transition replays
+    /// `idle_timeout` arrival indices, walking the shared recency FIFO
+    /// instead of every tenant: pop while the front entry is past the
+    /// timeout, dropping stale entries (same protocol as eviction).
+    /// Quarantined and drain-closed sessions are exempt — they re-arm
+    /// at the current index, appended at the back, so they stay
+    /// evictable under ceiling pressure. Runs at flush boundaries, which
+    /// are a pure function of the input, so the transition replays
     /// deterministically on every rerun. The synthetic close
     /// consumes a fresh arrival index and drains at the next flush.
     fn check_idle(&mut self) {
@@ -1137,27 +1136,14 @@ impl Engine {
         if timeout == 0 {
             return;
         }
-        loop {
-            let Some(&Reverse((seen, owner))) = self.lru.peek() else {
-                break;
-            };
+        while let Some(&(seen, owner)) = self.lru.front() {
             if self.next_seq.saturating_sub(seen) <= timeout {
                 break;
             }
-            self.lru.pop();
-            let Some(slot) = self.slots.get(owner as usize) else {
+            self.lru.pop_front();
+            let Some(idx) = current(&self.slots, (seen, owner)) else {
                 continue;
             };
-            if slot.closed_at_ingest {
-                continue;
-            }
-            let Some(idx) = slot.session else {
-                continue;
-            };
-            if slot.last_seen != seen {
-                self.lru.push(Reverse((slot.last_seen, owner)));
-                continue;
-            }
             let state = self.slab.get(idx, owner).map(Session::state);
             match state {
                 Some(SessionState::Profiling) | Some(SessionState::Monitoring) => {
@@ -1168,13 +1154,26 @@ impl Engine {
                 Some(SessionState::Quarantined) | Some(SessionState::Closed) | None => {
                     // Exempt from the idle timeout; re-arm as if seen
                     // now so the entry stops looking stale but the
-                    // session stays reachable for eviction.
-                    self.lru.push(Reverse((self.next_seq, owner)));
+                    // session stays reachable for eviction. Re-arming
+                    // takes no seq, so the order in which it meets a
+                    // tie cannot change the seq of any close it logs.
+                    self.lru.push_back((self.next_seq, owner));
                     if let Some(slot) = self.slots.get_mut(owner as usize) {
                         slot.last_seen = self.next_seq;
                     }
                 }
             }
+        }
+    }
+
+    /// Drops, in order, the recency entries that can no longer be chosen
+    /// once they could outnumber the current ones (about one per open
+    /// session): amortised `O(1)` per entry, and the FIFO stays bounded
+    /// below the ceiling too.
+    fn compact_recency(&mut self) {
+        if self.lru.len() > 2 * self.open_count {
+            let slots = &self.slots;
+            self.lru.retain(|&entry| current(slots, entry).is_some());
         }
     }
 
@@ -1213,8 +1212,7 @@ impl Engine {
             let quarantined = self
                 .slots
                 .get(owner as usize)
-                .filter(|slot| !slot.closed_at_ingest)
-                .and_then(|slot| slot.session)
+                .and_then(TenantSlot::open)
                 .and_then(|idx| self.slab.get(idx, owner))
                 .map(|s| s.state() == SessionState::Quarantined)
                 .unwrap_or(false);
@@ -1294,26 +1292,14 @@ impl Engine {
     /// below the recovery threshold (see `Session::recovery_ratio`).
     fn victims_degraded(&self) -> bool {
         let threshold = self.config.mitigation.degraded_below;
-        for (i, slot) in self.slots.iter().enumerate() {
-            if slot.closed_at_ingest {
-                continue;
-            }
-            let Some(idx) = slot.session else {
-                continue;
-            };
-            if self.mitigation.has_case(i as u32) {
-                continue;
-            }
-            let Some(session) = self.slab.get(idx, i as u32) else {
-                continue;
-            };
-            if let Some(ratio) = session.recovery_ratio() {
-                if ratio < threshold {
-                    return true;
-                }
-            }
-        }
-        false
+        self.slots.iter().zip(0u32..).any(|(slot, id)| {
+            !self.mitigation.has_case(id)
+                && slot
+                    .open()
+                    .and_then(|idx| self.slab.get(idx, id))
+                    .and_then(Session::recovery_ratio)
+                    .is_some_and(|ratio| ratio < threshold)
+        })
     }
 
     /// Closes one session on the mitigation loop's decision (release of
@@ -1321,13 +1307,7 @@ impl Engine {
     /// ingest-side bookkeeping as a ceiling eviction, under a quiet
     /// arrival index, draining at the next flush.
     fn close_for_mitigation(&mut self, owner: u32, reason: CloseReason) {
-        let Some(slot) = self.slots.get(owner as usize) else {
-            return;
-        };
-        if slot.closed_at_ingest {
-            return;
-        }
-        let Some(idx) = slot.session else {
+        let Some(idx) = self.slots.get(owner as usize).and_then(TenantSlot::open) else {
             return;
         };
         let seq = self.alloc_seq_quiet();
@@ -1765,36 +1745,46 @@ mod tests {
             husk.resident_bytes,
             std::mem::size_of::<Session>()
         );
-        let slot = std::mem::size_of::<Option<(u32, bool, Session)>>();
+        let slot = engine.slab.slot_bytes();
         assert!(engine.resident_bytes() >= slot + husk.resident_bytes);
         assert!(engine.resident_bytes() < 2 * slot, "the struct is counted twice");
     }
 
     #[test]
     fn default_engine_stays_flat_under_one_tenants_churn() {
-        // Neither the ceiling nor the idle timeout is on, so nothing
-        // reads the recency heap and nothing may accumulate in it; the
-        // spare list recycles the one session's storage.
-        let mut engine = Engine::new(Config::default()).unwrap();
-        let cycles = |engine: &mut Engine, n: usize| {
-            for _ in 0..n {
-                engine.ingest_line(r#"{"tenant":"vm-0","access":1,"miss":2}"#);
-                engine.ingest_line(r#"{"tenant":"vm-0","ctl":"close"}"#);
-                engine.flush();
-            }
-        };
-        cycles(&mut engine, 10);
-        let after_10 = engine.resident_bytes();
-        cycles(&mut engine, 990);
-        assert_eq!(engine.stats().reopened, 999);
-        assert_eq!(engine.resident_bytes(), after_10, "resident bytes grew with churn");
+        // The one session is reset in its slab slot on every reopen. By
+        // default neither the ceiling nor the idle timeout is on, so no
+        // recency FIFO is kept; with a ceiling that is never reached,
+        // nothing pops the FIFO, and compaction alone must bound it.
+        let capped = Config { max_sessions: 16, ..Config::default() };
+        for config in [Config::default(), capped] {
+            let mut engine = Engine::new(config).unwrap();
+            let cycles = |engine: &mut Engine, n: usize| {
+                for _ in 0..n {
+                    engine.ingest_line(r#"{"tenant":"vm-0","access":1,"miss":2}"#);
+                    engine.ingest_line(r#"{"tenant":"vm-0","ctl":"close"}"#);
+                    engine.flush();
+                }
+            };
+            cycles(&mut engine, 10);
+            let after_10 = engine.resident_bytes();
+            cycles(&mut engine, 990);
+            assert_eq!(engine.stats().reopened, 999);
+            let max_sessions = config.max_sessions;
+            assert_eq!(
+                engine.resident_bytes(),
+                after_10,
+                "grew with churn, max_sessions={max_sessions}"
+            );
+            assert!(engine.lru.len() <= 1, "max_sessions={max_sessions}");
+        }
     }
 
     /// The finished engine after a prefix in which vm-a profiles,
     /// monitors through an attack (quarantining when
     /// `config.session.quarantine_after` is set, which shrinks it to a
-    /// husk), then either closes — so vm-b's session reuses vm-a's
-    /// storage — or stays while an unrelated record takes the close's
+    /// husk), then either closes — so vm-b's session is reset in vm-a's
+    /// freed slab slot — or stays while an unrelated record takes the close's
     /// arrival index, so vm-b opens fresh; vm-b then runs the same
     /// script.
     fn vm_b_run(config: Config, recycle: bool) -> Engine {
@@ -1821,13 +1811,13 @@ mod tests {
             engine.ingest_line(r#"{"tenant":"vm-c","access":1,"miss":2}"#);
         }
         engine.flush();
-        assert_eq!(engine.spares.len(), usize::from(recycle));
+        assert_eq!(engine.slab.vacant(), usize::from(recycle));
         for i in 0..4_000u64 {
             engine.ingest_line(&sample("vm-b", i, i >= 2_500));
         }
         engine.ingest_line(r#"{"tenant":"vm-b","ctl":"close"}"#);
         engine.finish();
-        assert!(engine.spares.len() <= 1 + usize::from(recycle));
+        assert!(engine.slab.vacant() <= 1 + usize::from(recycle));
         engine
     }
 

@@ -28,9 +28,9 @@
 //! A new session reserves the queue to its bound (`queue_capacity`) up
 //! front.
 //!
-//! A closed session's storage is recycled: `Session::reopen` turns it
-//! into a fresh incarnation of any tenant in place, keeping the queue's
-//! and the monitor's profiler buffers, so tenant churn does not allocate.
+//! A closed session is recycled where it lies, in its freed slab slot:
+//! `Session::reopen` resets it there for the next tenant, keeping the
+//! queue's and the monitor's profiler buffers, so churn does not allocate.
 
 use crate::event::{Event, SessionEvent};
 use memdos_core::config::SdsParams;
@@ -387,8 +387,10 @@ impl Session {
     /// be built (unreachable for a config that opened a session).
     // hot-path
     pub(crate) fn reopen(&mut self, tenant: Arc<str>, generation: u32) -> Result<(), CoreError> {
-        let mut monitor = std::mem::take(&mut self.monitor);
-        monitor.reset(&self.config.sds)?;
+        // Reset before taking anything, so a failed reopen leaves the
+        // session intact in its slot for the next open to retry.
+        self.monitor.reset(&self.config.sds)?;
+        let monitor = std::mem::take(&mut self.monitor);
         let queue = std::mem::take(&mut self.queue);
         *self = Session::fresh(tenant, self.config, monitor, queue, generation);
         Ok(())
@@ -511,8 +513,8 @@ impl Session {
     /// queue, the profiler's smoothing buffers and the boxed detector
     /// with its working set (via [`Monitor::resident_bytes_hint`]).
     /// Nothing stored inline or shared is counted — the `Session`
-    /// struct, profiler included, lives in the engine's slab slot (or
-    /// spare list), and the tenant name in its tenant slot, both of
+    /// struct, profiler included, lives in the engine's slab slot, and
+    /// the tenant name in its tenant slot, both of
     /// which the engine accounts for once. This is a deterministic
     /// capacity-based accounting estimate, not an allocator measurement
     /// — it exists so a ceiling/eviction decision and the fleet bench

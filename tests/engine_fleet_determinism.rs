@@ -6,12 +6,15 @@
 //! produce a byte-identical verdict log on every rerun, equal to a
 //! recorded digest — the ceiling forces continuous LRU eviction,
 //! generation-bumping reopens and slab slot recycling, and none of it
-//! may depend on anything but the input. The demo-stream variant lives
-//! in `engine_replay_determinism.rs`.
+//! may depend on anything but the input. A second scenario runs the
+//! ceiling and the idle timeout together, with an attacker that gets
+//! sessions quarantined, so one recency order serves evictions and idle
+//! closes alike. The demo-stream variant lives in
+//! `engine_replay_determinism.rs`.
 
 use memdos::engine::engine::Engine;
 use memdos::engine::fleet::{fleet_engine_config, fleet_jsonl};
-use memdos::sim::fleet::FleetConfig;
+use memdos::sim::fleet::{AttackWindow, FleetAttack, FleetConfig};
 use std::sync::OnceLock;
 
 /// The tenant count deliberately dwarfs the ceiling, so eviction is the
@@ -88,4 +91,46 @@ fn fleet_replay_is_byte_identical_across_reruns_including_evictions() {
     assert_eq!(log, reference, "log diverged on rerun");
     assert_eq!(r_stats, stats, "stats diverged on rerun");
     assert_eq!(r_open, open, "open-session count diverged on rerun");
+}
+
+#[test]
+fn ceiling_and_idle_timeout_log_matches_its_pinned_digest() {
+    // 400 chatty tenants over a 360-session ceiling with a 700-seq idle
+    // timeout: evictions, idle closes and quarantines all read the same
+    // recency order. Quarantined and drain-closed sessions are exempt
+    // from the timeout and re-arm, so they tie with live tenants' seqs;
+    // the pinned bytes show that no tie changes a victim.
+    let scenario = FleetConfig {
+        tenants: 400,
+        span_ticks: 2_048,
+        zipf_s: 1.1,
+        min_interval: 1,
+        max_interval: 16,
+        churn: 0.05,
+        seed: 0xF1EE7,
+        attack: Some(FleetAttack {
+            attacker: 1,
+            collapse: 0.9,
+            first: AttackWindow { from: 900, until: 2_048, severity: 0.3 },
+            second: None,
+        }),
+    };
+    let lines = fleet_jsonl(&scenario).expect("fleet config is valid");
+    let mut config = fleet_engine_config(1, 360);
+    config.session.idle_timeout = 700;
+    config.session.quarantine_after = 1;
+    let mut engine = Engine::new(config).expect("fleet config is valid");
+    for line in &lines {
+        engine.ingest_line(line);
+    }
+    engine.finish();
+    let log = engine.log_lines();
+    let quarantined = log.iter().filter(|l| l.contains(r#""event":"quarantined""#)).count();
+    let stats = engine.stats();
+    assert_eq!(
+        (log.len(), stats.evicted, stats.idle_closed, quarantined),
+        (63_124, 29_984, 1_316, 16),
+        "every path (eviction, idle close, quarantine) must stay exercised"
+    );
+    assert_eq!(digest(log), 0x0c25_e2a0_cf5d_ec81, "ceiling-plus-idle log bytes changed");
 }
